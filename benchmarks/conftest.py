@@ -1,11 +1,11 @@
-"""Shared benchmark fixtures: offline-trained runners per dataset."""
+"""Shared benchmark fixtures: offline-trained engines per dataset."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.experiments.harness import get_runner
+from repro.experiments.harness import get_engine
 
 
 @pytest.fixture()
@@ -15,14 +15,14 @@ def rng():
 
 @pytest.fixture(scope="session")
 def runner_ds1():
-    return get_runner(1)
+    return get_engine(1)
 
 
 @pytest.fixture(scope="session")
 def runner_ds2():
-    return get_runner(2)
+    return get_engine(2)
 
 
 @pytest.fixture(scope="session")
 def runner_ds3():
-    return get_runner(3)
+    return get_engine(3)

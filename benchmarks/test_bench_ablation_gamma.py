@@ -10,7 +10,7 @@ energy, more detections); looser ones save energy.
 import numpy as np
 
 from repro.core.config import EECSConfig
-from repro.core.runner import SimulationRunner
+from repro.engine import DeploymentContext, DeploymentEngine
 from repro.experiments.tables import format_table
 
 GAMMAS = [(0.95, 0.9), (0.85, 0.8), (0.7, 0.65)]
@@ -20,14 +20,16 @@ def sweep_gamma(base_runner):
     rows = []
     for gamma_n, gamma_p in GAMMAS:
         config = EECSConfig(gamma_n=gamma_n, gamma_p=gamma_p)
-        runner = SimulationRunner(
-            base_runner.dataset,
-            config=config,
-            detectors=base_runner.detectors,
-            library=base_runner.library,
-            rng=np.random.default_rng(77),
+        runner = DeploymentEngine(
+            DeploymentContext.build(
+                base_runner.dataset,
+                config=config,
+                detectors=base_runner.detectors,
+                library=base_runner.library,
+                rng=np.random.default_rng(77),
+            )
         )
-        result = runner.run(mode="full", budget=2.0)
+        result = runner.run("full", budget=2.0)
         rows.append((gamma_n, gamma_p, result))
     return rows
 

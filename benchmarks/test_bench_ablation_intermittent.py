@@ -16,10 +16,10 @@ def run_policies(runner):
     policies = {}
 
     policies["all_best"] = [runner.run(
-        mode="all_best", budget=2.0, start=start, end=end
+        "all_best", budget=2.0, start=start, end=end
     )]
     policies["eecs"] = [runner.run(
-        mode="full", budget=2.0, start=start, end=end
+        "full", budget=2.0, start=start, end=end
     )]
 
     # Intermittent: alternate 500-frame windows between policies.
@@ -29,7 +29,7 @@ def run_policies(runner):
     for i, seg_start in enumerate(range(start, end, window)):
         mode = mode_cycle[i % 2]
         segments.append(runner.run(
-            mode=mode,
+            mode,
             budget=2.0,
             start=seg_start,
             end=min(seg_start + window, end),

@@ -9,7 +9,7 @@ more frequent re-calibration trades energy for adaptivity.
 import numpy as np
 
 from repro.core.config import EECSConfig
-from repro.core.runner import SimulationRunner
+from repro.engine import DeploymentContext, DeploymentEngine
 from repro.experiments.tables import format_table
 
 INTERVALS = [250, 500, 1000]
@@ -21,14 +21,16 @@ def sweep_intervals(base_runner):
         config = EECSConfig(
             assessment_period=100, recalibration_interval=interval
         )
-        runner = SimulationRunner(
-            base_runner.dataset,
-            config=config,
-            detectors=base_runner.detectors,
-            library=base_runner.library,
-            rng=np.random.default_rng(78),
+        runner = DeploymentEngine(
+            DeploymentContext.build(
+                base_runner.dataset,
+                config=config,
+                detectors=base_runner.detectors,
+                library=base_runner.library,
+                rng=np.random.default_rng(78),
+            )
         )
-        result = runner.run(mode="full", budget=2.0)
+        result = runner.run("full", budget=2.0)
         rows.append((interval, result))
     return rows
 

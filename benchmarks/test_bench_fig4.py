@@ -12,7 +12,7 @@ from repro.experiments.tables import format_table
 def test_bench_fig4(benchmark, runner_ds1):
     points = benchmark.pedantic(
         tradeoff_curve,
-        kwargs=dict(dataset_number=1, runner=runner_ds1),
+        kwargs=dict(dataset_number=1, engine=runner_ds1),
         rounds=1,
         iterations=1,
     )

@@ -41,7 +41,7 @@ def _report(results):
 def test_bench_fig5a(benchmark, runner_ds1):
     results = benchmark.pedantic(
         run_modes,
-        kwargs=dict(dataset_number=1, budget=HIGH_BUDGET, runner=runner_ds1),
+        kwargs=dict(dataset_number=1, budget=HIGH_BUDGET, engine=runner_ds1),
         rounds=1,
         iterations=1,
     )
@@ -70,7 +70,7 @@ def test_bench_fig5a(benchmark, runner_ds1):
 def test_bench_fig5b(benchmark, runner_ds1):
     results = benchmark.pedantic(
         run_modes,
-        kwargs=dict(dataset_number=1, budget=LOW_BUDGET, runner=runner_ds1),
+        kwargs=dict(dataset_number=1, budget=LOW_BUDGET, engine=runner_ds1),
         rounds=1,
         iterations=1,
     )

@@ -16,7 +16,7 @@ def test_bench_fig6(benchmark, runner_ds2):
     results = benchmark.pedantic(
         run_modes,
         kwargs=dict(dataset_number=2, budget=DEFAULT_BUDGET,
-                    runner=runner_ds2),
+                    engine=runner_ds2),
         rounds=1,
         iterations=1,
     )

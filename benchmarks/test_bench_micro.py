@@ -98,20 +98,13 @@ def test_telemetry_overhead_under_five_percent(runner_ds1):
     the true cost on a shared machine, and alternating the two
     variants exposes both to the same thermal/cache conditions.
     """
-    from repro.core.runner import SimulationRunner
+    from repro.engine import DeploymentEngine
     from repro.telemetry import Telemetry
 
-    dataset = runner_ds1.dataset
-
     def timed_run(telemetry):
-        runner = SimulationRunner(
-            dataset,
-            rng=np.random.default_rng(2017),
-            telemetry=telemetry,
-        )
-        runner.library = runner_ds1.library
+        engine = DeploymentEngine(runner_ds1.context, telemetry=telemetry)
         elapsed, _ = timed(
-            runner.run, mode="full", budget=2.0, start=1000, end=2000
+            engine.run, "full", budget=2.0, start=1000, end=2000
         )
         return elapsed
 

@@ -10,8 +10,8 @@ along the same axis as Figs. 5a/5b, in a fourth environment.
 
 import numpy as np
 
-from repro.core.runner import SimulationRunner
 from repro.datasets.synthetic import make_dataset
+from repro.engine import DeploymentContext, DeploymentEngine
 from repro.experiments.tables import format_table
 
 HIGH_BUDGET = 6.0   # everything affordable, incl. LSVM (3.31 J)
@@ -19,11 +19,16 @@ LOW_BUDGET = 2.0    # HOG (1.08) and ACF (0.07) only
 
 
 def run_night():
-    runner = SimulationRunner(make_dataset(4), seed=404)
+    runner = DeploymentEngine(
+        DeploymentContext.build(
+            make_dataset(4), rng=np.random.default_rng(404)
+        ),
+        seed=404,
+    )
     item = runner.library.get(f"T-{runner.dataset.camera_ids[0]}")
     ranking = [p.algorithm for p in item.ranked()]
     results = {
-        budget: runner.run(mode="full", budget=budget)
+        budget: runner.run("full", budget=budget)
         for budget in (HIGH_BUDGET, LOW_BUDGET)
     }
     return ranking, results

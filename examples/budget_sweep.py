@@ -11,20 +11,23 @@ Run:  python examples/budget_sweep.py
 
 import numpy as np
 
-from repro.core import SimulationRunner
 from repro.datasets import make_dataset
+from repro.engine import DeploymentContext, DeploymentEngine
 from repro.experiments.tables import format_table
 
 
 def main() -> None:
     print("Offline training on dataset #1 ...")
-    runner = SimulationRunner(make_dataset(1), rng=np.random.default_rng(9))
+    context = DeploymentContext.build(
+        make_dataset(1), rng=np.random.default_rng(9)
+    )
+    engine = DeploymentEngine(context)
 
     budgets = [6.0, 3.5, 2.0, 1.0, 0.5, 0.1]
     rows = []
     for budget in budgets:
         try:
-            result = runner.run(mode="full", budget=budget)
+            result = engine.run("full", budget=budget)
         except RuntimeError as exc:
             rows.append([budget, "-", "-", "-", f"infeasible: {exc}"])
             continue

@@ -14,9 +14,9 @@ import zlib
 
 import numpy as np
 
-from repro.core.runner import SimulationRunner
 from repro.datasets import make_dataset
 from repro.energy.model import ProcessingEnergyModel
+from repro.engine import DeploymentContext, DeploymentEngine
 from repro.network import (
     CameraSensorNode,
     ControllerNode,
@@ -28,7 +28,9 @@ from repro.network import (
 def main() -> None:
     print("Preparing dataset #1 and offline training ...")
     dataset = make_dataset(1)
-    runner = SimulationRunner(dataset, rng=np.random.default_rng(5))
+    engine = DeploymentEngine(
+        DeploymentContext.build(dataset, rng=np.random.default_rng(5))
+    )
     env = dataset.environment
     energy_model = ProcessingEnergyModel(width=env.width, height=env.height)
 
@@ -36,14 +38,14 @@ def main() -> None:
 
     sim = EventSimulator()
     controller_node = ControllerNode(
-        "controller", runner.controller, assessment_frames=4, budget=2.0
+        "controller", engine.controller, assessment_frames=4, budget=2.0
     )
     sim.register_node(controller_node)
 
     camera_nodes = {}
     thresholds_by_camera = {}
     for camera_id in dataset.camera_ids:
-        item = runner.library.get(f"T-{camera_id}")
+        item = engine.library.get(f"T-{camera_id}")
         thresholds = {
             name: profile.threshold
             for name, profile in item.profiles.items()
@@ -53,7 +55,7 @@ def main() -> None:
             node_id=camera_id,
             controller_id="controller",
             observations=[r.observation(camera_id) for r in records],
-            detectors=runner.detectors,
+            detectors=engine.detectors,
             thresholds=thresholds,
             energy_model=energy_model,
             rng=np.random.default_rng(abs(zlib.crc32(camera_id.encode()))),
@@ -75,7 +77,7 @@ def main() -> None:
     budget = 2.0
     camera_algorithms = {}
     for camera_id in dataset.camera_ids:
-        item = runner.library.get(f"T-{camera_id}")
+        item = engine.library.get(f"T-{camera_id}")
         camera_algorithms[camera_id] = [
             p.algorithm
             for p in item.profiles.values()

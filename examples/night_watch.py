@@ -16,19 +16,28 @@ would also have to drop its frame rate at night.
 Run:  python examples/night_watch.py
 """
 
-from repro.core import SimulationRunner
+import numpy as np
+
 from repro.datasets import make_dataset
+from repro.engine import DeploymentContext, DeploymentEngine
 from repro.experiments.tables import format_table
 
 
 def main() -> None:
     print("Offline training: terrace by day (#3) and by night (#4) ...")
-    day = SimulationRunner(make_dataset(3), seed=33)
-    night = SimulationRunner(make_dataset(4), seed=44)
+    day, night = (
+        DeploymentEngine(
+            DeploymentContext.build(
+                make_dataset(number), rng=np.random.default_rng(seed)
+            ),
+            seed=seed,
+        )
+        for number, seed in ((3, 33), (4, 44))
+    )
 
     print("\nOffline algorithm rankings (camera 1):")
-    for label, runner in (("day", day), ("night", night)):
-        item = runner.library.get(f"T-{runner.dataset.camera_ids[0]}")
+    for label, engine in (("day", day), ("night", night)):
+        item = engine.library.get(f"T-{engine.dataset.camera_ids[0]}")
         ranked = [
             f"{p.algorithm}({p.f_score:.2f})" for p in item.ranked()
         ]
@@ -37,7 +46,7 @@ def main() -> None:
     print("\nNight deployments under two budgets:")
     rows = []
     for budget in (6.0, 2.0):
-        result = night.run(mode="full", budget=budget)
+        result = night.run("full", budget=budget)
         algorithms = sorted(
             {a for d in result.decisions for a in d.assignment.values()}
         )

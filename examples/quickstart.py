@@ -10,8 +10,8 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.core import SimulationRunner
 from repro.datasets import make_dataset
+from repro.engine import DeploymentContext, DeploymentEngine
 from repro.experiments.tables import format_table
 
 
@@ -20,7 +20,9 @@ def main() -> None:
     dataset = make_dataset(1)
 
     print("Offline training: profiling 4 algorithms x 4 cameras ...")
-    runner = SimulationRunner(dataset, rng=np.random.default_rng(2017))
+    engine = DeploymentEngine(
+        DeploymentContext.build(dataset, rng=np.random.default_rng(2017))
+    )
 
     # Per-frame energy budget of 2 J: HOG (1.08 J/frame) is affordable,
     # C4 (4.92) and LSVM (3.31) are not -- the paper's Fig. 5a regime.
@@ -29,7 +31,7 @@ def main() -> None:
     baseline_energy = None
     baseline_detected = None
     for mode in ("all_best", "subset", "full"):
-        result = runner.run(mode=mode, budget=budget)
+        result = engine.run(mode, budget=budget)
         if mode == "all_best":
             baseline_energy = result.energy_joules
             baseline_detected = result.humans_detected

@@ -12,14 +12,15 @@ Run:  python examples/search_and_rescue.py
 
 import numpy as np
 
-from repro.core import EECSConfig, SimulationRunner
+from repro.core import EECSConfig
 from repro.datasets import make_dataset
 from repro.energy.battery import Battery
+from repro.engine import DeploymentContext, DeploymentEngine
 from repro.experiments.tables import format_table
 
 
-def run_mission(runner: SimulationRunner, mode: str, budget: float):
-    result = runner.run(mode=mode, budget=budget)
+def run_mission(engine: DeploymentEngine, mode: str, budget: float):
+    result = engine.run(mode, budget=budget)
     return result
 
 
@@ -27,8 +28,10 @@ def main() -> None:
     print("Deploying 4 cameras over the terrace (outdoor, 8 people) ...")
     dataset = make_dataset(3)
     config = EECSConfig(gamma_n=0.85, gamma_p=0.8)
-    runner = SimulationRunner(
-        dataset, config=config, rng=np.random.default_rng(42)
+    engine = DeploymentEngine(
+        DeploymentContext.build(
+            dataset, config=config, rng=np.random.default_rng(42)
+        )
     )
 
     # Mission: 6 hours, one processed frame every 2 seconds, a 2000 J
@@ -45,7 +48,7 @@ def main() -> None:
 
     rows = []
     for mode in ("all_best", "full"):
-        result = run_mission(runner, mode, budget=max(budget, 0.5))
+        result = run_mission(engine, mode, budget=max(budget, 0.5))
         rounds = [d.num_active for d in result.decisions]
         rows.append([
             mode,

@@ -13,9 +13,9 @@ Run:  python examples/tracking_coverage.py
 
 import numpy as np
 
-from repro.core import SimulationRunner
 from repro.datasets import make_dataset
 from repro.datasets.groundtruth import persons_in_any_view
+from repro.engine import DeploymentContext, DeploymentEngine
 from repro.experiments.tables import format_table
 from repro.tracking import GroundPlaneTracker
 
@@ -23,7 +23,9 @@ from repro.tracking import GroundPlaneTracker
 def main() -> None:
     print("Offline training on dataset #1 ...")
     dataset = make_dataset(1)
-    runner = SimulationRunner(dataset, seed=2017)
+    engine = DeploymentEngine(
+        DeploymentContext.build(dataset, rng=np.random.default_rng(2017))
+    )
 
     # Deploy the cheap configuration: 2 cameras on ACF -- lots of
     # per-frame misses, ideal to show what tracking recovers.
@@ -42,15 +44,15 @@ def main() -> None:
     for record in records:
         detections = []
         for camera_id, algorithm in assignment.items():
-            item = runner.library.get(f"T-{camera_id}")
+            item = engine.library.get(f"T-{camera_id}")
             threshold = item.profile(algorithm).threshold
             obs = record.observation(camera_id)
-            dets = runner.detectors[algorithm].detect(
+            dets = engine.detectors[algorithm].detect(
                 obs, rng, threshold=threshold
             )
-            runner.controller.calibrate_probabilities(camera_id, dets)
+            engine.controller.calibrate_probabilities(camera_id, dets)
             detections.extend(dets)
-        groups = runner.matcher.group(detections)
+        groups = engine.matcher.group(detections)
         tracker.step(groups)
 
         present = persons_in_any_view(record.observations)

@@ -10,19 +10,29 @@ simulations, from-scratch vision features (HOG / keypoints / BoW),
 multi-view geometry, energy models fitted to the paper's smartphone
 measurements, and a discrete-event sensor network.
 
-Quickstart::
+Quickstart — a :class:`~repro.engine.spec.DeploymentSpec` describes
+one run and builds the :class:`~repro.engine.core.DeploymentEngine`
+that executes it (offline training included)::
 
-    from repro.datasets import make_dataset
-    from repro.core import SimulationRunner
+    from repro.engine import DeploymentSpec
 
-    runner = SimulationRunner(make_dataset(1))
-    result = runner.run(mode="full", budget=2.0)
+    result = DeploymentSpec(dataset_number=1, budget=2.0).execute()
     print(result.humans_detected, result.energy_joules)
+
+For several runs on one trained dataset, keep the engine::
+
+    from repro.engine import DeploymentContext, DeploymentEngine
+    from repro.datasets import make_dataset
+
+    engine = DeploymentEngine(DeploymentContext.build(make_dataset(1)))
+    for policy in ("all_best", "subset", "full"):
+        print(policy, engine.run(policy, budget=2.0).energy_joules)
 """
 
 from repro.core.config import EECSConfig
 from repro.core.controller import EECSController, SelectionDecision
-from repro.core.runner import RunResult, SimulationRunner
+from repro.engine.core import DeploymentEngine, RunResult
+from repro.engine.spec import DeploymentSpec
 from repro.datasets.synthetic import SyntheticDataset, make_dataset
 
 __version__ = "1.0.0"
@@ -31,8 +41,9 @@ __all__ = [
     "EECSConfig",
     "EECSController",
     "SelectionDecision",
+    "DeploymentEngine",
+    "DeploymentSpec",
     "RunResult",
-    "SimulationRunner",
     "SyntheticDataset",
     "make_dataset",
     "__version__",

@@ -389,15 +389,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         RunCheckpointer,
     )
     from repro.engine.spec import DeploymentSpec
-    from repro.perf.timing import TimingReport
 
     telemetry = _make_telemetry(args)
-    if telemetry is not None:
-        from repro.telemetry.trace import TracingTimingReport
+    if telemetry is None and args.perf_report:
+        # The perf report is a view over the run's spans.
+        from repro.telemetry import Telemetry
 
-        timing = TracingTimingReport(telemetry.tracer)
-    else:
-        timing = TimingReport()
+        telemetry = Telemetry(run_id=f"{args.command}-{args.seed}")
     config = None
     if (
         args.assessment_period is not None
@@ -419,32 +417,39 @@ def _cmd_run(args: argparse.Namespace) -> int:
             ),
         )
     _check_predictive_flags(args)
-    spec = DeploymentSpec(
-        dataset_number=args.dataset,
-        policy=args.mode,
-        budget=args.budget,
-        start=args.start,
-        end=args.end,
-        seed=args.seed,
-        train_seed=args.seed,
-        workers=args.workers,
-        executor=args.executor,
-        resilience=_make_resilience_config(args),
-        fleet_cameras=args.fleet_cameras,
-        cells=args.cells,
-        wake_threshold=args.wake_threshold,
-        predictor_warmup=args.predictor_warmup,
-        wake_probe_every=args.wake_probe_every,
-        max_sleepers=args.max_sleepers,
-        low_energy_below=args.low_energy_below,
-    )
+    try:
+        spec = DeploymentSpec(
+            dataset_number=args.dataset,
+            policy=args.mode,
+            budget=args.budget,
+            start=args.start,
+            end=args.end,
+            seed=args.seed,
+            train_seed=args.seed,
+            workers=args.workers,
+            executor=args.executor,
+            resilience=_make_resilience_config(args),
+            fleet_cameras=args.fleet_cameras,
+            cells=args.cells,
+            wake_threshold=args.wake_threshold,
+            predictor_warmup=args.predictor_warmup,
+            wake_probe_every=args.wake_probe_every,
+            max_sleepers=args.max_sleepers,
+            low_energy_below=args.low_energy_below,
+        )
+    except ValueError as exc:
+        # A spec the engine would refuse (e.g. --cells on a flat
+        # policy) is a usage error, not a crash.
+        raise SystemExit(f"error: {exc}")
     checkpoint_config = _make_checkpoint_config(args)
     checkpointer = (
         RunCheckpointer(checkpoint_config) if checkpoint_config else None
     )
-    engine = spec.build_engine(
-        config=config, telemetry=telemetry, timing=timing
-    )
+    if telemetry is None:
+        engine = spec.build_engine(config=config)
+    else:
+        with telemetry.tracer.span("offline_training"):
+            engine = spec.build_engine(config=config, telemetry=telemetry)
     exporter = _attach_live(telemetry, args)
     try:
         result = spec.execute(engine=engine, checkpointer=checkpointer)
@@ -476,9 +481,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cameras = [d.num_active for d in result.decisions]
         print(f"cameras/round:   {cameras}")
     if args.perf_report:
+        from repro.obs.profile import fold_by_name, render_table
+
         stats = engine.library.cache_stats()
+        entries = fold_by_name(list(telemetry.tracer.iter_records()))
         print()
-        print(engine.timing.format_report())
+        print("\n".join(render_table(entries)))
         print(
             f"calibration cache: {stats['hits']} hits, "
             f"{stats['misses']} misses, {stats['entries']} entries "
@@ -500,7 +508,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     from repro.faults.plan import FaultPlan
 
-    runner = DeploymentEngine(
+    engine = DeploymentEngine(
         shared_context(args.dataset, train_seed=args.seed)
     )
     resilience = _make_resilience_config(args)
@@ -531,7 +539,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             num_frames=args.frames,
             budget=args.budget,
         ),
-        runner,
+        engine,
     )
     # Only the faulty run is instrumented: its metrics are the ones
     # that show loss, retries and re-selection at work.  It is also
@@ -541,7 +549,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     try:
         result = run_chaos(
             spec,
-            runner,
+            engine,
             plan=plan,
             telemetry=telemetry,
             checkpoint=checkpoint_config,
@@ -671,7 +679,7 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from repro.core.runner import build_training_library
+    from repro.engine.context import build_training_library
     from repro.datasets.synthetic import make_dataset
     from repro.detection.detectors import make_detector_suite
     from repro.persistence import save_library
@@ -843,13 +851,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--cells",
         type=int,
         default=None,
-        help="shard the fleet into N cells for the 'cell' policy "
-        "(default: one fleet-wide cell); flat policies ignore it",
+        help="shard the fleet into N cells for the 'cell'/'cell_full' "
+        "policies (default: one fleet-wide cell); other policies "
+        "reject it",
     )
     p.add_argument(
         "--perf-report",
         action="store_true",
-        help="print per-section timings and cache counters after the run",
+        help="print the run's phase spans folded by name, and the "
+        "calibration cache counters, after the run",
     )
     p.add_argument(
         "--result-out",

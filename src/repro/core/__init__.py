@@ -29,7 +29,6 @@ from repro.core.ranking import (
     efficiency_candidates,
     rank_algorithms,
 )
-from repro.core.runner import RunResult, SimulationRunner
 from repro.core.selection import AssessmentData, SelectionEngine
 
 __all__ = [
@@ -47,8 +46,6 @@ __all__ = [
     "best_affordable",
     "efficiency_candidates",
     "rank_algorithms",
-    "RunResult",
-    "SimulationRunner",
     "AssessmentData",
     "SelectionEngine",
 ]

@@ -9,7 +9,7 @@ clip, the controller GFK-matches them against its training library,
 transfers the matched item's algorithm ranking and threshold, and the
 camera runs the chosen algorithm for the rest of the phase.
 
-Unlike :class:`~repro.core.runner.SimulationRunner` (which binds each
+Unlike :class:`~repro.engine.core.DeploymentEngine` (which binds each
 camera to its own training item up front), nothing here is told which
 environment it is in — the match is earned by the video comparison.
 """

@@ -14,9 +14,12 @@ algorithm plus communication; the network dies when fewer than
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.core.runner import SimulationRunner
 from repro.energy.battery import Battery
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.core import DeploymentEngine
 
 
 @dataclass
@@ -41,7 +44,7 @@ class LifetimeResult:
 
 
 def simulate_lifetime(
-    runner: SimulationRunner,
+    engine: "DeploymentEngine",
     mode: str,
     battery_joules: float,
     budget: float,
@@ -52,8 +55,9 @@ def simulate_lifetime(
 
     The dataset's test segment is replayed pass after pass (a camera
     network watches the same scene for hours); each pass charges the
-    per-camera energy of a :meth:`SimulationRunner.run` and kills
-    cameras whose batteries are exhausted.  Dead cameras are excluded
+    per-camera energy of a
+    :meth:`~repro.engine.core.DeploymentEngine.run` and kills cameras
+    whose batteries are exhausted.  Dead cameras are excluded
     by forcing an infeasible per-camera budget, which EECS handles by
     selecting among the survivors.
     """
@@ -64,15 +68,15 @@ def simulate_lifetime(
 
     batteries = {
         camera_id: Battery(capacity_joules=battery_joules)
-        for camera_id in runner.dataset.camera_ids
+        for camera_id in engine.dataset.camera_ids
     }
     deaths: dict[str, int] = {}
     frames_survived = 0
     humans_detected = 0
     frames_per_pass = len(
-        runner.dataset.frames(
-            runner.dataset.spec.train_end,
-            runner.dataset.spec.total_frames,
+        engine.dataset.frames(
+            engine.dataset.spec.train_end,
+            engine.dataset.spec.total_frames,
             only_ground_truth=True,
         )
     )
@@ -85,12 +89,12 @@ def simulate_lifetime(
         if mode == "all_best":
             assignment = {}
             for camera_id in alive:
-                plan = runner.controller.camera_plan(camera_id, budget)
+                plan = engine.controller.camera_plan(camera_id, budget)
                 if plan is not None:
                     assignment[camera_id] = plan.best_algorithm
             if len(assignment) < min_cameras:
                 break
-            result = runner.run(mode="fixed", assignment=assignment)
+            result = engine.run("fixed", assignment=assignment)
         else:
             overrides = {
                 camera_id: (budget if camera_id in alive else 0.0)
@@ -98,7 +102,7 @@ def simulate_lifetime(
             }
             # A zero budget excludes dead cameras from selection.
             try:
-                result = runner.run(mode=mode, budget=budget)
+                result = engine.run(mode, budget=budget)
             except RuntimeError:
                 break
             del overrides
@@ -123,12 +127,12 @@ def simulate_lifetime(
 
 
 def lifetime_extension(
-    runner: SimulationRunner,
+    engine: "DeploymentEngine",
     battery_joules: float = 600.0,
     budget: float = 2.0,
 ) -> dict[str, LifetimeResult]:
     """Compare network lifetime under all-best versus full EECS."""
     return {
-        mode: simulate_lifetime(runner, mode, battery_joules, budget)
+        mode: simulate_lifetime(engine, mode, battery_joules, budget)
         for mode in ("all_best", "full")
     }

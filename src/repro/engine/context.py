@@ -33,7 +33,6 @@ from repro.datasets.synthetic import SyntheticDataset
 from repro.detection.base import Detector
 from repro.detection.detectors import make_detector_suite
 from repro.energy.model import ProcessingEnergyModel
-from repro.perf.timing import TimingReport
 from repro.reid.mahalanobis import MahalanobisMetric
 from repro.reid.matcher import CrossCameraMatcher
 
@@ -126,7 +125,6 @@ class DeploymentContext:
         detectors: dict[str, Detector] | None = None,
         library: TrainingLibrary | None = None,
         rng: np.random.Generator | None = None,
-        timing: TimingReport | None = None,
     ) -> "DeploymentContext":
         """Train (or adopt) everything a deployment needs.
 
@@ -136,15 +134,13 @@ class DeploymentContext:
         """
         config = config or EECSConfig()
         rng = rng if rng is not None else np.random.default_rng(2017)
-        timing = timing if timing is not None else TimingReport()
         env = dataset.environment
         detectors = detectors or make_detector_suite(env)
         energy_model = ProcessingEnergyModel(
             width=env.width, height=env.height
         )
         if library is None:
-            with timing.section("offline_training"):
-                library = build_training_library(dataset, detectors, rng)
+            library = build_training_library(dataset, detectors, rng)
         color_metric = fit_color_metric(dataset, detectors, rng)
         matcher = CrossCameraMatcher(
             image_to_ground=dataset.ground_homographies(),
@@ -169,13 +165,12 @@ def shared_context(
     dataset_number: int,
     config: EECSConfig | None = None,
     train_seed: int | None = None,
-    timing: TimingReport | None = None,
 ) -> DeploymentContext:
     """The engine-owned shared context for a dataset (trained once per
     process and per (dataset, config, seed) combination).
 
     Contexts are immutable, so sharing is safe; everything mutable is
-    per-engine.  ``timing`` only observes a cache miss's training cost.
+    per-engine.
     """
     if train_seed is None:
         train_seed = DEFAULT_TRAIN_SEED_BASE + dataset_number
@@ -187,7 +182,6 @@ def shared_context(
             make_dataset(dataset_number),
             config=config,
             rng=np.random.default_rng(train_seed),
-            timing=timing,
         )
     return _CONTEXTS[key]
 

@@ -29,13 +29,15 @@ pluggable:
   frame feed, or the fault-injected discrete-event network).
 
 Telemetry and energy accounting hook the engine's phase boundaries:
-the run/round span tree, phase timing sections and per-camera energy
+the run/round span tree, the phase spans (the only timer: untraced
+runs enter one shared no-op context instead) and per-camera energy
 metering all live here, once.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -70,22 +72,28 @@ from repro.energy.meter import EnergyMeter
 from repro.engine.clock import SimulationClock
 from repro.engine.context import DeploymentContext
 from repro.engine.executor import DetectionExecutor, make_executor
-from repro.engine.policy import CoordinationPolicy, resolve_policy
+from repro.engine.policy import (
+    CoordinationPolicy,
+    resolve_policy,
+    validate_cells,
+)
 from repro.faults.events import FaultLog
 from repro.fleet.cells import CellLayout, normalize_cells
-from repro.perf.timing import TimingReport
 from repro.resilience.ladder import (
     ResilienceConfig,
     ResilienceCoordinator,
     build_coordinator,
 )
-from repro.telemetry.trace import TracingTimingReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.checkpoint.hooks import RunCheckpointer
     from repro.engine.environment import Environment
     from repro.fleet.runtime import FleetRuntime
     from repro.telemetry.core import Telemetry
+
+#: What an untraced engine enters for every phase section: one shared,
+#: reusable context, so sections allocate nothing without telemetry.
+_NO_SPAN = nullcontext()
 
 
 @dataclass
@@ -124,6 +132,30 @@ class RunResult:
         return self.processing_seconds / self.frames_evaluated
 
 
+def close_round(
+    unit: int,
+    total: int,
+    now_s: float,
+    telemetry: "Telemetry | None",
+    resilience: ResilienceCoordinator | None,
+    checkpointer: "RunCheckpointer | None",
+    capture: Callable[[], dict],
+) -> None:
+    """The round-boundary sequence, shared by the ideal run loop and
+    the networked environment's frame ticks.
+
+    The live flush comes *before* the checkpoint decision: a crash
+    right after the save then finds every unit <= the checkpoint
+    already streamed, which is what resume stitching assumes.
+    """
+    if telemetry is not None:
+        if resilience is not None and telemetry.live_enabled:
+            resilience.record_metrics(telemetry)
+        telemetry.flush_round(unit, now_s)
+    if checkpointer is not None:
+        checkpointer.unit_complete(unit, total, capture)
+
+
 def count_true_detections(groups, present: set) -> int:
     """Distinct ground-truth persons confirmed by fused groups.
 
@@ -145,7 +177,6 @@ class DeploymentEngine:
         seed: int = 2017,
         rng: np.random.Generator | None = None,
         executor: DetectionExecutor | None = None,
-        timing: TimingReport | None = None,
         telemetry: "Telemetry | None" = None,
         clock: SimulationClock | None = None,
     ) -> None:
@@ -165,13 +196,6 @@ class DeploymentEngine:
         self.clock = clock or SimulationClock(
             seconds_per_frame=self.config.seconds_per_frame
         )
-        if timing is not None:
-            self.timing = timing
-        elif telemetry is not None:
-            # Phase sections double as spans in the telemetry trace.
-            self.timing = TracingTimingReport(telemetry.tracer)
-        else:
-            self.timing = TimingReport()
         self.executor = executor or make_executor(1)
         self._active_executor = self.executor
         self._latency_seconds = 0.0
@@ -185,7 +209,7 @@ class DeploymentEngine:
         # transitions and folding its state into checkpoints.
         self._fleet: "FleetRuntime | None" = None
         # The run's requested cell layout (normalised in run()); None
-        # for flat policies that ignore cells.
+        # for flat policies, which reject a layout.
         self.cell_layout: CellLayout | None = None
 
         self.controller = self.build_controller(
@@ -204,11 +228,23 @@ class DeploymentEngine:
         }
         self._run_entropy: tuple[int, ...] = (seed,)
 
+    @property
+    def seed(self) -> int:
+        """The run-entropy seed every run of this engine starts from."""
+        return self._seed
+
     def close(self) -> None:
         """Release the engine's executor backend (pools, shared
         segments).  Safe to call more than once; the serial backend
         makes this a no-op."""
         self.executor.close()
+
+    def _section(self, name: str):
+        """A tracer span for one phase section, or the shared no-op
+        context when no telemetry is attached."""
+        if self.telemetry is None:
+            return _NO_SPAN
+        return self.telemetry.tracer.span(name)
 
     def _instrumented_battery(self, camera_id: str) -> Battery:
         battery = Battery()
@@ -323,7 +359,7 @@ class DeploymentEngine:
                 )
             )
         batch = DetectionBatch(tasks=tuple(tasks))
-        with self.timing.section("detection"):
+        with self._section("detection"):
             elapsed = time.perf_counter()
             results = self._active_executor.execute(batch, self.detectors)
             elapsed = time.perf_counter() - elapsed
@@ -489,7 +525,7 @@ class DeploymentEngine:
                 detections.extend(
                     computed[(record.frame_index, camera_id, algorithm)]
                 )
-        with self.timing.section("reid_grouping"):
+        with self._section("reid_grouping"):
             groups = self.matcher.group(detections)
         present = persons_in_any_view(record.observations)
         probabilities = [g.fused_probability for g in groups]
@@ -610,13 +646,15 @@ class DeploymentEngine:
                 the thresholds tightened enough to force them, apply
                 to the controller exactly as in the networked
                 environment.
-            cells: Fleet cell layout for cell-aware policies: a cell
-                count, an explicit tuple of camera-id tuples, or
-                ``None`` (flat policies ignore it; the ``cell`` policy
-                defaults to one cell spanning the fleet).
+            cells: Fleet cell layout for the cell-aware policies
+                (``"cell"``, ``"cell_full"``): a cell count, an
+                explicit tuple of camera-id tuples, or ``None`` (one
+                cell spanning the fleet).  Any other policy rejects a
+                layout with ``ValueError``.
         """
         policy = resolve_policy(policy)
         policy.validate(assignment)
+        validate_cells(policy, cells)
         self.cell_layout = (
             normalize_cells(cells, self.dataset.camera_ids)
             if cells is not None
@@ -735,7 +773,7 @@ class DeploymentEngine:
                     )
                     decisions.append(decision)
                 else:
-                    with self.timing.section("operation"):
+                    with self._section("operation"):
                         detected, present, probs = self._evaluate_batch(
                             round_plan.records,
                             round_plan.static_assignments,
@@ -753,33 +791,23 @@ class DeploymentEngine:
                         self._set_camera_mode(
                             transition.camera_id, transition.new_mode
                         )
-                if self.telemetry is not None:
-                    # Live flush *before* the checkpoint decision: a
-                    # crash right after the save then finds every
-                    # round <= the checkpoint already streamed, which
-                    # is what resume stitching assumes.
-                    if (
-                        self._resilience is not None
-                        and self.telemetry.live_enabled
-                    ):
-                        self._resilience.record_metrics(self.telemetry)
-                    self.telemetry.flush_round(
-                        round_index, self.clock.now_s
-                    )
-                if checkpointer is not None:
-                    checkpointer.unit_complete(
-                        round_index,
-                        len(rounds),
-                        lambda: self._capture_checkpoint(
-                            round_index + 1,
-                            detected_total,
-                            present_total,
-                            probabilities,
-                            decisions,
-                            meter,
-                            policy,
-                        ),
-                    )
+                close_round(
+                    round_index,
+                    len(rounds),
+                    self.clock.now_s,
+                    self.telemetry,
+                    self._resilience,
+                    checkpointer,
+                    lambda: self._capture_checkpoint(
+                        round_index + 1,
+                        detected_total,
+                        present_total,
+                        probabilities,
+                        decisions,
+                        meter,
+                        policy,
+                    ),
+                )
         finally:
             if run_span is not None:
                 self.telemetry.tracer.end(run_span)
@@ -847,14 +875,14 @@ class DeploymentEngine:
                 "Assessment/selection rounds executed.",
             ).inc()
         try:
-            with self.timing.section("assessment"):
+            with self._section("assessment"):
                 assessment = self.collect_assessment(
                     assess_records,
                     budget,
                     meter,
                     skip_cameras=round_plan.skip_cameras,
                 )
-            with self.timing.section("selection"):
+            with self._section("selection"):
                 decision = policy.select(
                     self, assessment, budget_overrides, meter
                 )
@@ -882,7 +910,7 @@ class DeploymentEngine:
                 present_total += present
                 probabilities.extend(probs)
 
-            with self.timing.section("operation"):
+            with self._section("operation"):
                 detected, present, probs = self._evaluate_batch(
                     operate_records,
                     [decision.assignment] * len(operate_records),

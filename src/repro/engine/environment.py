@@ -33,7 +33,12 @@ from repro.checkpoint.codec import (
 from repro.checkpoint.hooks import CheckpointConfig, RunCheckpointer
 from repro.checkpoint.store import CheckpointError
 from repro.datasets.groundtruth import persons_in_any_view
-from repro.engine.core import DeploymentEngine, RunResult, count_true_detections
+from repro.engine.core import (
+    DeploymentEngine,
+    RunResult,
+    close_round,
+    count_true_detections,
+)
 from repro.faults.events import FaultEvent, RecoveryEvent
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -308,14 +313,6 @@ class FaultInjectedEnvironment(Environment):
                 # the replay rebuilds it without duplicates.
                 telemetry.prepare_resume(0)
 
-        def _flush_tick(tick: int) -> None:
-            # Live flush *before* the checkpoint callback on the same
-            # tick, so a crash after the save finds every covered tick
-            # already streamed (same ordering the run loop uses).
-            if coordinator is not None and telemetry.live_enabled:
-                coordinator.record_metrics(telemetry)
-            telemetry.flush_round(tick, sim.now)
-
         def _progress() -> dict:
             # Replay markers, not resumable state: what a seeded
             # re-execution must reproduce to prove it is the same
@@ -399,18 +396,15 @@ class FaultInjectedEnvironment(Environment):
                 spf = conditions.seconds_per_frame
                 total_ticks = max(1, int(horizon / spf))
 
-                def _tick(t: int) -> None:
-                    if telemetry is not None:
-                        _flush_tick(t)
-                    if checkpointer is not None:
-                        checkpointer.unit_complete(
-                            t, total_ticks, _progress
-                        )
-
                 for tick in range(total_ticks):
+                    # Each frame tick is a round boundary: the same
+                    # flush-then-checkpoint sequence as the run loop.
                     sim.schedule(
                         (tick + 1) * spf - sim.now,
-                        lambda t=tick: _tick(t),
+                        lambda t=tick: close_round(
+                            t, total_ticks, sim.now, telemetry,
+                            coordinator, checkpointer, _progress,
+                        ),
                     )
 
             sim.run(until=horizon + conditions.seconds_per_frame)

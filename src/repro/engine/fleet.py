@@ -37,7 +37,6 @@ from repro.fleet.cells import normalize_cells
 from repro.fleet.peer import negotiate_activation
 from repro.fleet.runtime import FleetRuntime
 from repro.fleet.world import TiledFleetDataset, tile_training_library
-from repro.perf.timing import TimingReport
 from repro.reid.matcher import CrossCameraMatcher
 
 
@@ -71,6 +70,7 @@ class CellPolicy(CoordinationPolicy):
     #: greedy pipeline — so it must draw the same detection rng.
     entropy_alias = "subset"
     enable_downgrade = False
+    uses_cells = True
 
     def plan_rounds(self, engine, records, budget, assignment):
         layout = engine.cell_layout
@@ -226,7 +226,6 @@ def fleet_context(
     base_number: int = 1,
     config: EECSConfig | None = None,
     train_seed: int | None = None,
-    timing: TimingReport | None = None,
 ) -> DeploymentContext:
     """A trained fleet-scale context tiled from a base dataset.
 
@@ -240,7 +239,7 @@ def fleet_context(
     key = (num_cameras, base_number, train_seed, config)
     if key not in _FLEET_CONTEXTS:
         base = shared_context(
-            base_number, config=config, train_seed=train_seed, timing=timing
+            base_number, config=config, train_seed=train_seed
         )
         dataset = TiledFleetDataset(base.dataset, num_cameras)
         library = tile_training_library(

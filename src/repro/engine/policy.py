@@ -75,6 +75,9 @@ class CoordinationPolicy(ABC):
     #: Whether selection may downgrade algorithms (Section IV-B.4).
     enable_downgrade: ClassVar[bool] = False
 
+    #: Whether the policy shards the fleet by the run's cell layout.
+    uses_cells: ClassVar[bool] = False
+
     def entropy_token(self) -> int:
         """The policy's contribution to the run entropy."""
         return sum((self.entropy_alias or self.name).encode())
@@ -181,6 +184,20 @@ def validate_policy_name(name: str) -> None:
         valid = ", ".join(repr(n) for n in available_policies())
         raise ValueError(
             f"unknown policy {name!r}; valid policies are {valid}"
+        )
+
+
+def validate_cells(policy: "CoordinationPolicy", cells: object) -> None:
+    """Reject a cell layout for a policy that would ignore it."""
+    if cells is not None and not policy.uses_cells:
+        valid = ", ".join(
+            repr(name)
+            for name in available_policies()
+            if _REGISTRY[name].uses_cells
+        )
+        raise ValueError(
+            f"policy {policy.name!r} does not use cells; "
+            f"cell-aware policies are {valid}"
         )
 
 

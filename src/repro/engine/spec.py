@@ -24,9 +24,8 @@ from repro.engine.context import shared_context
 from repro.engine.core import DeploymentEngine, RunResult
 from repro.engine.executor import make_executor, validate_executor_name
 from repro.engine.fleet import fleet_context
-from repro.engine.policy import resolve_policy
+from repro.engine.policy import resolve_policy, validate_cells
 from repro.fleet.cells import validate_cells_value
-from repro.perf.timing import TimingReport
 from repro.resilience.ladder import ResilienceConfig
 
 
@@ -68,11 +67,11 @@ class DeploymentSpec:
             of this many cameras (``None`` = the dataset's own
             cameras).  Training cost does not grow with fleet size —
             tiles alias the base profiles.
-        cells: Fleet cell layout for cell-aware policies: a cell
-            count, or an explicit tuple of camera-id tuples (kept as
-            tuples so the spec stays hashable).  ``None`` lets the
-            ``cell`` policy default to one fleet-wide cell; flat
-            policies ignore it.
+        cells: Fleet cell layout for the cell-aware policies
+            (``"cell"``, ``"cell_full"``): a cell count, or an explicit
+            tuple of camera-id tuples (kept as tuples so the spec stays
+            hashable).  ``None`` means one fleet-wide cell; a layout
+            with any other policy is a spec error.
         wake_threshold / predictor_warmup / wake_probe_every /
         max_sleepers / low_energy_below: Tunables of the
             ``predictive`` policy (see
@@ -145,6 +144,7 @@ class DeploymentSpec:
             raise ValueError(
                 f"fleet_cameras must be >= 1, got {self.fleet_cameras}"
             )
+        validate_cells(policy, self.cells)
         if self.cells is not None:
             # Same fail-fast contract: a malformed layout (duplicate
             # camera ids, empty cells, more cells than cameras) must
@@ -221,7 +221,6 @@ class DeploymentSpec:
         self,
         config: EECSConfig | None = None,
         telemetry=None,
-        timing: TimingReport | None = None,
     ) -> DeploymentEngine:
         """An engine over the shared trained context for this spec."""
         if self.fleet_cameras is not None:
@@ -230,20 +229,17 @@ class DeploymentSpec:
                 base_number=self.dataset_number,
                 config=config,
                 train_seed=self.train_seed,
-                timing=timing,
             )
         else:
             context = shared_context(
                 self.dataset_number,
                 config=config,
                 train_seed=self.train_seed,
-                timing=timing,
             )
         return DeploymentEngine(
             context,
             seed=self.seed,
             executor=make_executor(self.workers, backend=self.executor),
-            timing=timing,
             telemetry=telemetry,
         )
 
@@ -256,6 +252,9 @@ class DeploymentSpec:
     ) -> RunResult:
         """Run this spec (building the engine unless one is supplied).
 
+        A supplied ``engine`` must carry this spec's seed (build it
+        with :meth:`build_engine`); a mismatch raises ``ValueError``
+        rather than silently running the engine's seed.
         ``checkpointer`` overrides the spec's own checkpoint fields —
         the hook tests and the CLI use it to attach a ``crash_after``
         crash-injection config.
@@ -263,6 +262,11 @@ class DeploymentSpec:
         owns_engine = engine is None
         if engine is None:
             engine = self.build_engine(config=config, telemetry=telemetry)
+        elif engine.seed != self.seed:
+            raise ValueError(
+                f"engine seed {engine.seed} does not match the spec's "
+                f"seed {self.seed}"
+            )
         if checkpointer is None:
             checkpointer = self.make_checkpointer()
         try:

@@ -15,7 +15,7 @@ Each module produces the same rows/series the paper reports:
 * :mod:`repro.experiments.fig6` — the same on dataset #2 (Fig. 6).
 """
 
-from repro.experiments.harness import get_runner
+from repro.experiments.harness import get_engine
 from repro.experiments.tables import format_table
 
-__all__ = ["get_runner", "format_table"]
+__all__ = ["get_engine", "format_table"]

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.runner import SimulationRunner
 from repro.engine.core import DeploymentEngine
 from repro.engine.environment import (
     FaultInjectedEnvironment,
@@ -261,19 +260,19 @@ def accuracy_retention(faulty: ChaosResult, baseline: ChaosResult) -> float:
 
 def run_chaos(
     spec: ChaosSpec,
-    runner: "SimulationRunner | DeploymentEngine",
+    engine: DeploymentEngine,
     plan: FaultPlan | None = None,
     telemetry: "Telemetry | None" = None,
     checkpoint: "CheckpointConfig | None" = None,
 ) -> ChaosResult:
-    """Deploy ``runner``'s trained fleet over the event network under
+    """Deploy ``engine``'s trained fleet over the event network under
     ``spec``'s faults and measure what the controller actually saw.
 
     A thin adapter over the engine's environment seam: the spec
     becomes :class:`~repro.engine.environment.NetworkConditions`, the
     engine deploys in a
     :class:`~repro.engine.environment.FaultInjectedEnvironment`, and
-    the outcome is wrapped with its spec.  The shared runner/engine is
+    the outcome is wrapped with its spec.  The shared engine is
     only read (library, matcher, detectors); the environment builds
     its own controller and batteries, so cached engines stay pristine
     for other experiments.
@@ -289,7 +288,6 @@ def run_chaos(
     ticks and resumes by verified deterministic replay (see
     :class:`~repro.engine.environment.FaultInjectedEnvironment`).
     """
-    engine = runner.engine if isinstance(runner, SimulationRunner) else runner
     conditions = spec.to_conditions(engine.dataset.camera_ids, plan=plan)
     outcome = engine.deploy(
         FaultInjectedEnvironment(
@@ -300,17 +298,17 @@ def run_chaos(
 
 
 def chaos_sweep(
-    runner: SimulationRunner,
+    engine: DeploymentEngine,
     loss_rates: tuple[float, ...] = (0.0, 0.2),
     crash_counts: tuple[int, ...] = (0, 1),
     **spec_kwargs,
 ) -> list[tuple[ChaosSpec, ChaosResult]]:
-    """Loss-rate x crash-count grid, sharing one trained runner."""
+    """Loss-rate x crash-count grid, sharing one trained engine."""
     results = []
     for loss_rate in loss_rates:
         for crash_count in crash_counts:
             spec = ChaosSpec(
                 loss_rate=loss_rate, crash_count=crash_count, **spec_kwargs
             )
-            results.append((spec, run_chaos(spec, runner)))
+            results.append((spec, run_chaos(spec, engine)))
     return results

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.runner import RunResult, SimulationRunner
-from repro.experiments.harness import get_runner
+from repro.engine.core import DeploymentEngine, RunResult
+from repro.experiments.harness import get_engine
 
 
 @dataclass(frozen=True)
@@ -45,16 +45,16 @@ def standard_combinations(camera_ids: list[str]) -> dict[str, dict[str, str]]:
 
 def tradeoff_curve(
     dataset_number: int = 1,
-    runner: SimulationRunner | None = None,
+    engine: DeploymentEngine | None = None,
     combinations: dict[str, dict[str, str]] | None = None,
 ) -> list[TradeoffPoint]:
     """Run every configuration over the test segment."""
-    runner = runner or get_runner(dataset_number)
+    engine = engine or get_engine(dataset_number)
     if combinations is None:
-        combinations = standard_combinations(runner.dataset.camera_ids)
+        combinations = standard_combinations(engine.dataset.camera_ids)
     points = []
     for label, assignment in combinations.items():
-        result: RunResult = runner.run(mode="fixed", assignment=assignment)
+        result: RunResult = engine.run("fixed", assignment=assignment)
         points.append(
             TradeoffPoint(
                 label=label,

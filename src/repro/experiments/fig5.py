@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.runner import RunResult, SimulationRunner
-from repro.experiments.harness import get_runner
+from repro.engine.core import DeploymentEngine, RunResult
+from repro.experiments.harness import get_engine
 
 #: Per-frame budgets matching the paper's two regimes (dataset #1:
 #: HOG costs 1.08 J/frame, C4 4.92, LSVM 3.31, ACF 0.07).
@@ -47,13 +47,13 @@ class ModeResult:
 def run_modes(
     dataset_number: int = 1,
     budget: float = HIGH_BUDGET,
-    runner: SimulationRunner | None = None,
+    engine: DeploymentEngine | None = None,
 ) -> dict[str, ModeResult]:
     """Run the three Fig. 5 modes under one budget."""
-    runner = runner or get_runner(dataset_number)
+    engine = engine or get_engine(dataset_number)
     out = {}
     for mode in MODES:
-        result: RunResult = runner.run(mode=mode, budget=budget)
+        result: RunResult = engine.run(mode, budget=budget)
         out[mode] = ModeResult(
             mode=mode,
             humans_detected=result.humans_detected,

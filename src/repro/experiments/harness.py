@@ -5,10 +5,10 @@ training segment (~5 s); experiments and benchmarks share that work
 through the engine-owned
 :func:`~repro.engine.context.shared_context` cache, which holds only
 the *immutable* trained artefacts (dataset, library, matcher, energy
-model).  :func:`get_runner` hands out a fresh facade over a fresh
-engine each call — per-run mutable state (controller, batteries, rng
-streams) is never shared, so experiments can no longer leak state into
-each other through a cached runner.
+model).  :func:`get_engine` hands out a fresh engine each call —
+per-run mutable state (controller, batteries, rng streams) is never
+shared, so experiments cannot leak state into each other through a
+cached engine.
 
 Independent experiment configurations (:class:`RunSpec`) can fan out
 over a process pool via :func:`run_specs`.  Every run reseeds from its
@@ -21,27 +21,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import EECSConfig
-from repro.core.runner import RunResult, SimulationRunner
-from repro.engine.core import DeploymentEngine
+from repro.engine.core import DeploymentEngine, RunResult
 from repro.engine.context import shared_context
 from repro.engine.policy import resolve_policy
 from repro.engine.spec import DeploymentSpec
 from repro.perf.parallel import parallel_map
 
 
-def get_runner(
+def get_engine(
     dataset_number: int, config: EECSConfig | None = None
-) -> SimulationRunner:
-    """A runner over the shared trained context for a dataset.
+) -> DeploymentEngine:
+    """An engine over the shared trained context for a dataset.
 
     Training is cached per ``(dataset, config, seed)`` by the engine's
-    :func:`~repro.engine.context.shared_context`; the returned facade
-    and its engine are fresh per call, so callers get the cached
-    (expensive, immutable) artefacts with none of the per-run mutable
-    state of previous experiments.
+    :func:`~repro.engine.context.shared_context`; the returned engine
+    is fresh per call, so callers get the cached (expensive,
+    immutable) artefacts with none of the per-run mutable state of
+    previous experiments.
     """
-    context = shared_context(dataset_number, config=config)
-    return SimulationRunner.from_engine(DeploymentEngine(context))
+    return DeploymentEngine(shared_context(dataset_number, config=config))
 
 
 @dataclass(frozen=True)

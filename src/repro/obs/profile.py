@@ -17,6 +17,8 @@ answers "where did the time go":
 * :func:`render_folded` emits classic collapsed-stack lines
   (``run;round;detection 123456``, self time in microseconds), which
   external flamegraph tooling consumes directly.
+* :func:`fold_by_name` merges every path ending in the same span name
+  — the per-phase view ``python -m repro run --perf-report`` prints.
 
 Exposed as ``python -m repro obs profile <trace.jsonl>``.
 """
@@ -123,6 +125,19 @@ def fold_spans(records: list[dict]) -> list[ProfileEntry]:
     )
 
 
+def fold_by_name(records: list[dict]) -> list[ProfileEntry]:
+    """Aggregate spans by name alone, wherever they sit in the tree;
+    sorted by self time, heaviest first."""
+    merged: dict[str, ProfileEntry] = {}
+    for entry in fold_spans(records):
+        name = entry.path.rsplit(PATH_SEPARATOR, 1)[-1]
+        into = merged.setdefault(name, ProfileEntry(path=name))
+        into.calls += entry.calls
+        into.total_s += entry.total_s
+        into.self_s += entry.self_s
+    return sorted(merged.values(), key=lambda e: (-e.self_s, e.path))
+
+
 @dataclass
 class CriticalPath:
     """The heaviest root-to-leaf chain under one round span."""
@@ -179,6 +194,22 @@ def render_folded(entries: list[ProfileEntry]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def render_table(entries: list[ProfileEntry], limit: int = 30) -> list[str]:
+    """Aligned calls/total/self/mean rows, one per entry."""
+    lines = [
+        f"{'calls':>6}  {'total':>10}  {'self':>10}  "
+        f"{'mean':>10}  path",
+    ]
+    for entry in entries[:limit]:
+        lines.append(
+            f"{entry.calls:>6}  {entry.total_s:>9.4f}s  "
+            f"{entry.self_s:>9.4f}s  {entry.mean_s:>9.4f}s  {entry.path}"
+        )
+    if len(entries) > limit:
+        lines.append(f"(+{len(entries) - limit} more paths)")
+    return lines
+
+
 def render_profile(
     records: list[dict], limit: int = 30, folded: bool = False
 ) -> str:
@@ -190,16 +221,8 @@ def render_profile(
         f"Trace profile: {len(records)} spans, "
         f"{len(entries)} distinct paths",
         "",
-        f"{'calls':>6}  {'total':>10}  {'self':>10}  "
-        f"{'mean':>10}  path",
+        *render_table(entries, limit),
     ]
-    for entry in entries[:limit]:
-        lines.append(
-            f"{entry.calls:>6}  {entry.total_s:>9.4f}s  "
-            f"{entry.self_s:>9.4f}s  {entry.mean_s:>9.4f}s  {entry.path}"
-        )
-    if len(entries) > limit:
-        lines.append(f"(+{len(entries) - limit} more paths)")
     rounds = critical_paths(records)
     if rounds:
         lines.append("")

@@ -1,22 +1,19 @@
-"""Performance layer: content-keyed caching, timing, parallel maps.
+"""Performance layer: content-keyed caching and parallel maps.
 
-The hot paths of the reproduction — frame feature extraction, the
-GFK calibration pipeline, and the per-camera frame loop — share this
-package.  :mod:`repro.perf.cache` memoises expensive array-valued
-computations (PCA subspaces, GFK factors) under content hashes of
-their inputs; :mod:`repro.perf.timing` aggregates wall-clock time per
-named section for the ``--perf-report`` CLI flag; and
-:mod:`repro.perf.parallel` provides the chunked process-pool map used
-by the runner and the experiment harness.
+The hot paths of the reproduction — frame feature extraction and the
+GFK calibration pipeline — share this package.
+:mod:`repro.perf.cache` memoises expensive array-valued computations
+(PCA subspaces, GFK factors) under content hashes of their inputs, and
+:mod:`repro.perf.parallel` provides the chunked process-pool map the
+experiment harness fans independent run specs over.  Wall-clock
+timing lives in the telemetry tracer (:mod:`repro.telemetry.trace`).
 """
 
 from repro.perf.cache import ArrayCache, array_token
 from repro.perf.parallel import parallel_map
-from repro.perf.timing import TimingReport
 
 __all__ = [
     "ArrayCache",
-    "TimingReport",
     "array_token",
     "parallel_map",
 ]

@@ -8,8 +8,8 @@ The observability substrate of the reproduction.  One
   (labels, fixed-bucket histograms, snapshot + merge, JSON and text
   exposition) cheap enough to stay on in the hot loops;
 * a :class:`~repro.telemetry.trace.Tracer` of hierarchical spans
-  (run → round → phase → per-camera op) that subsumes
-  :class:`repro.perf.timing.TimingReport` and exports JSONL;
+  (run → round → phase → per-camera op) — the repo's only timer —
+  exported as JSONL;
 * an :class:`~repro.telemetry.events.EventLog` of
   :class:`~repro.telemetry.events.TelemetryEvent` records — controller
   decisions, battery threshold crossings, reliability give-ups, and
@@ -53,7 +53,7 @@ from repro.telemetry.metrics import (
     MetricError,
     MetricsRegistry,
 )
-from repro.telemetry.trace import Span, Tracer, TracingTimingReport
+from repro.telemetry.trace import Span, Tracer
 
 __all__ = [
     "ACK_LATENCY_BUCKETS",
@@ -77,7 +77,6 @@ __all__ = [
     "TelemetryEvent",
     "TelemetrySink",
     "Tracer",
-    "TracingTimingReport",
     "check_stream_contiguous",
     "fault_log_sink",
     "read_stream_records",

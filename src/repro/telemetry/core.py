@@ -26,7 +26,7 @@ from repro.telemetry.alerts import AlertEngine, AlertRule
 from repro.telemetry.events import EventLog, fault_log_sink
 from repro.telemetry.live import TelemetrySink, build_stream_record
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.trace import Tracer, TracingTimingReport
+from repro.telemetry.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.detection.base import Detection
@@ -91,10 +91,6 @@ class Telemetry:
         **detail: object,
     ) -> None:
         self.events.emit(kind, time_s=time_s, node_id=node_id, **detail)
-
-    def timing_adapter(self) -> TracingTimingReport:
-        """A ``TimingReport`` whose sections also emit spans here."""
-        return TracingTimingReport(self.tracer)
 
     def fault_sink(self):
         """A ``FaultLog(sink=...)`` callback: mirrors fault/recovery

@@ -8,13 +8,10 @@ straight-line code, or from the explicit :meth:`Tracer.begin` /
 events (the chaos controller opens a round span when an assessment
 starts and closes it when the next one begins).
 
-The tracer subsumes :class:`repro.perf.timing.TimingReport`: the
-section aggregates that back the ``--perf-report`` CLI flag are one
-:meth:`Tracer.to_timing_report` away, and
-:class:`TracingTimingReport` is a drop-in ``TimingReport`` whose
-sections also emit spans, so existing callers keep their aggregate
-view while gaining the tree.  Export is JSONL, one span per line
-(see ``repro.telemetry.schema`` for the record layout).
+The tracer is the repo's only timer: the engine's phase sections are
+spans, and the CLI's ``--perf-report`` folds them by name with
+:mod:`repro.obs.profile`.  Export is JSONL, one span per line (see
+``repro.telemetry.schema`` for the record layout).
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from repro.ioutils import atomic_write_text
-from repro.perf.timing import TimingReport
 
 
 @dataclass
@@ -137,41 +133,6 @@ class Tracer:
             self.end(self._stack[-1])
 
     # ------------------------------------------------------------------
-    # TimingReport interop
-    # ------------------------------------------------------------------
-    def to_timing_report(self) -> TimingReport:
-        """Aggregate closed spans by name into a ``TimingReport``."""
-        report = TimingReport()
-        for span in self.spans:
-            if span.end_s is not None:
-                report.record(span.name, span.duration_s)
-        return report
-
-    def absorb_timing(self, report: TimingReport) -> None:
-        """Import a legacy ``TimingReport`` as flat aggregate spans.
-
-        Uses the report's public :meth:`TimingReport.items` iteration
-        API; each section becomes one root span whose attributes carry
-        the call count and mean.
-        """
-        now = self._clock()
-        for name, stats in report.items():
-            span = Span(
-                span_id=self._next_id,
-                parent_id=None,
-                name=name,
-                start_s=now,
-                end_s=now + stats.total_seconds,
-                attributes={
-                    "calls": stats.calls,
-                    "mean_seconds": stats.mean_seconds,
-                    "aggregate": True,
-                },
-            )
-            self._next_id += 1
-            self.spans.append(span)
-
-    # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
     def iter_records(self) -> Iterator[dict]:
@@ -189,28 +150,3 @@ class Tracer:
         )
         return len(records)
 
-
-class TracingTimingReport(TimingReport):
-    """A ``TimingReport`` whose sections also emit tracer spans.
-
-    Drop-in for code that already wraps its phases in
-    ``timing.section(...)``: the aggregate view (``format_report``,
-    ``as_dict``) is unchanged, and every section entry additionally
-    opens a span on the backing tracer, nesting under whatever span is
-    currently open there.  ``record()`` calls without a live interval
-    (merges, manual accounting) stay aggregate-only.
-    """
-
-    def __init__(self, tracer: Tracer) -> None:
-        super().__init__()
-        self.tracer = tracer
-
-    @contextmanager
-    def section(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
-        span = self.tracer.begin(name)
-        try:
-            yield
-        finally:
-            self.tracer.end(span)
-            self.record(name, time.perf_counter() - start)

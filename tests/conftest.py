@@ -1,6 +1,6 @@
 """Shared fixtures.
 
-Heavy artefacts (datasets, offline-trained runners) are session-scoped
+Heavy artefacts (datasets, offline-trained engines) are session-scoped
 so the suite pays their construction cost once.
 """
 
@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.runner import SimulationRunner
 from repro.datasets.synthetic import make_dataset
+from repro.engine import DeploymentContext, DeploymentEngine
 
 
 @pytest.fixture(scope="session")
@@ -27,8 +27,10 @@ def dataset2():
 
 @pytest.fixture(scope="session")
 def runner1(dataset1):
-    """An offline-trained runner on dataset #1."""
-    return SimulationRunner(dataset1, rng=np.random.default_rng(2017))
+    """An offline-trained deployment engine on dataset #1."""
+    return DeploymentEngine(
+        DeploymentContext.build(dataset1, rng=np.random.default_rng(2017))
+    )
 
 
 @pytest.fixture()

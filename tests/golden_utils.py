@@ -1,9 +1,9 @@
 """Golden-fixture plumbing for the engine-equivalence regression.
 
 The fixtures under ``tests/goldens/`` were captured from the
-pre-refactor ``SimulationRunner.run`` / ``run_chaos`` implementations
-(commit ``fecd7f2``) and pin every externally visible field of
-:class:`~repro.core.runner.RunResult` and
+pre-refactor runner / ``run_chaos`` implementations (commit
+``fecd7f2``) and pin every externally visible field of
+:class:`~repro.engine.core.RunResult` and
 :class:`~repro.experiments.faults.ChaosResult` bit-for-bit.  The
 equivalence tests in ``test_golden_equivalence.py`` replay the same
 configurations through the unified deployment engine and compare
@@ -32,11 +32,11 @@ def golden_run_configs(camera_ids: list[str]) -> dict[str, dict]:
     """The four policy configurations the goldens pin."""
     c1, c2 = camera_ids[:2]
     return {
-        "all_best": {"mode": "all_best", "budget": 2.0, **RUN_WINDOW},
-        "subset": {"mode": "subset", "budget": 2.0, **RUN_WINDOW},
-        "full": {"mode": "full", "budget": 2.0, **RUN_WINDOW},
+        "all_best": {"policy": "all_best", "budget": 2.0, **RUN_WINDOW},
+        "subset": {"policy": "subset", "budget": 2.0, **RUN_WINDOW},
+        "full": {"policy": "full", "budget": 2.0, **RUN_WINDOW},
         "fixed": {
-            "mode": "fixed",
+            "policy": "fixed",
             "assignment": {c1: "HOG", c2: "ACF"},
             **RUN_WINDOW,
         },
@@ -121,14 +121,18 @@ def chaos_result_fingerprint(result) -> dict:
 
 
 def make_golden_runner():
-    """The exact runner construction the goldens were captured with
+    """The exact engine construction the goldens were captured with
     (identical to the suite's session-scoped ``runner1`` fixture)."""
     import numpy as np
 
-    from repro.core.runner import SimulationRunner
     from repro.datasets.synthetic import make_dataset
+    from repro.engine import DeploymentContext, DeploymentEngine
 
-    return SimulationRunner(make_dataset(1), rng=np.random.default_rng(2017))
+    return DeploymentEngine(
+        DeploymentContext.build(
+            make_dataset(1), rng=np.random.default_rng(2017)
+        )
+    )
 
 
 def collect_run_goldens(runner, workers: int = 1) -> dict:

@@ -46,7 +46,7 @@ def _detection_signature(detections: list[Detection]):
 class TestDetectorBatchEquivalence:
     def test_detect_matches_reference(self, runner1):
         """The vectorised scoring path is the pinned model, bit for bit."""
-        engine = runner1.engine
+        engine = runner1
         records = engine.dataset.frames(1000, 1200, only_ground_truth=True)
         checked = 0
         for record in records[:6]:
@@ -70,7 +70,7 @@ class TestDetectorBatchEquivalence:
         """Grouping tasks by algorithm changes nothing per task."""
         from repro.detection.batch import DetectionTask, run_batch
 
-        engine = runner1.engine
+        engine = runner1
         records = engine.dataset.frames(1000, 1100, only_ground_truth=True)
         tasks = []
         for index, record in enumerate(records[:3]):
@@ -145,7 +145,7 @@ class TestGroupingEquivalence:
     def test_group_matches_reference(self, runner1, rng):
         """Same memberships and camera sets; centroids agree to float
         tolerance (the fast path's gating norm is scalar by design)."""
-        matcher = runner1.engine.matcher
+        matcher = runner1.matcher
         for trial in range(20):
             detections = self._random_detections(
                 matcher, rng, count=int(rng.integers(2, 25))
@@ -170,7 +170,7 @@ class TestCrossBackendEquivalence:
     @pytest.mark.parametrize("backend", ["pool", "shm"])
     def test_backends_match_serial(self, runner1, backend, workers):
         """serial == pool == shm, bit for bit, at any worker count."""
-        context = runner1.engine.context
+        context = runner1.context
         serial = DeploymentEngine(context, seed=2017).run(
             "full", budget=2.0, start=1000, end=1300
         )
@@ -186,7 +186,7 @@ class TestCrossBackendEquivalence:
 
     def test_random_specs_agree_across_backends(self, runner1, rng):
         """Property check over random run configurations."""
-        context = runner1.engine.context
+        context = runner1.context
         for _ in range(3):
             policy = ["all_best", "subset", "full"][int(rng.integers(3))]
             budget = float(rng.choice([1.5, 2.0, 3.0]))
@@ -222,7 +222,7 @@ class TestShmCheckpointResume:
         """Crash mid-run under the shm backend, resume under shm, and
         the completed result is bit-identical to an uninterrupted
         serial run — checkpoints are backend-agnostic."""
-        context = runner1.engine.context
+        context = runner1.context
         config = dict(budget=2.0, start=1000, end=1500)
         uninterrupted = DeploymentEngine(context, seed=2017).run(
             "full", **config
@@ -262,7 +262,7 @@ class TestShmCheckpointResume:
 
 class TestSharedFrameStore:
     def test_put_dedupes_by_frame_identity(self, runner1):
-        engine = runner1.engine
+        engine = runner1
         record = engine.dataset.frames(1000, 1001)[0]
         camera_id = engine.dataset.camera_ids[0]
         observation = record.observation(camera_id)
@@ -303,7 +303,7 @@ class TestSharedFrameStore:
         assert SerialDetectionExecutor().drain_stats() == {}
 
     def test_shm_executor_reports_stats(self, runner1):
-        engine = runner1.engine
+        engine = runner1
         executor = SharedMemoryDetectionExecutor(2)
         run_engine = DeploymentEngine(
             engine.context, seed=2017, executor=executor

@@ -376,9 +376,7 @@ def chaos_goldens():
 
 
 def engine_run(runner, config, checkpointer):
-    kwargs = dict(config)
-    mode = kwargs.pop("mode")
-    return runner.engine.run(mode, checkpointer=checkpointer, **kwargs)
+    return runner.run(checkpointer=checkpointer, **config)
 
 
 class TestRunKillAndResume:

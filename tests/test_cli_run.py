@@ -58,3 +58,25 @@ class TestCliCheckpoint:
     def test_resume_requires_checkpoint_dir(self):
         with pytest.raises(SystemExit):
             main(self.BASE + ["--resume"])
+
+
+class TestCliPerfReport:
+    def test_perf_report_prints_phase_spans(self, capsys, tmp_path):
+        """`--perf-report` folds the run's spans by name and leaves
+        the run's result bytes untouched."""
+        plain = tmp_path / "plain.json"
+        reported = tmp_path / "reported.json"
+        assert main(
+            TestCliCheckpoint.BASE + ["--result-out", str(plain)]
+        ) == 0
+        capsys.readouterr()
+        assert main(
+            TestCliCheckpoint.BASE
+            + ["--perf-report", "--result-out", str(reported)]
+        ) == 0
+        out = capsys.readouterr().out
+        names = {line.split()[-1] for line in out.splitlines() if line}
+        for phase in ("detection", "reid_grouping", "assessment", "selection"):
+            assert phase in names, phase
+        assert "calibration cache:" in out
+        assert plain.read_bytes() == reported.read_bytes()

@@ -1,9 +1,9 @@
-"""Integration tests for the deployment runner (shares the session
-runner fixture to amortise offline training)."""
+"""Integration tests for the deployment engine (shares the session
+engine fixture to amortise offline training)."""
 
 import pytest
 
-from repro.core.runner import build_training_library
+from repro.engine.context import build_training_library
 from repro.detection.detectors import ALGORITHM_NAMES
 
 
@@ -29,7 +29,7 @@ class TestRunModes:
     @pytest.fixture(scope="class")
     def results(self, runner1):
         return {
-            mode: runner1.run(mode=mode, budget=2.0, start=1000, end=2000)
+            mode: runner1.run(mode, budget=2.0, start=1000, end=2000)
             for mode in ("all_best", "subset", "full")
         }
 
@@ -75,7 +75,7 @@ class TestFixedMode:
     def test_fixed_assignment_runs(self, runner1, dataset1):
         c1, c2 = dataset1.camera_ids[:2]
         result = runner1.run(
-            mode="fixed",
+            "fixed",
             assignment={c1: "HOG", c2: "ACF"},
             start=1000,
             end=1500,
@@ -85,22 +85,22 @@ class TestFixedMode:
 
     def test_fixed_needs_assignment(self, runner1):
         with pytest.raises(ValueError):
-            runner1.run(mode="fixed")
+            runner1.run("fixed")
 
     def test_unknown_mode_rejected(self, runner1):
         with pytest.raises(ValueError):
-            runner1.run(mode="warp")
+            runner1.run("warp")
 
     def test_more_cameras_detect_more(self, runner1, dataset1):
         cams = dataset1.camera_ids
         two = runner1.run(
-            mode="fixed",
+            "fixed",
             assignment={c: "HOG" for c in cams[:2]},
             start=1000,
             end=1600,
         )
         four = runner1.run(
-            mode="fixed",
+            "fixed",
             assignment={c: "HOG" for c in cams},
             start=1000,
             end=1600,
@@ -112,6 +112,6 @@ class TestFixedMode:
 class TestLowBudget:
     def test_only_acf_affordable(self, runner1):
         """Fig. 5b regime: with budget 0.5 only ACF runs."""
-        result = runner1.run(mode="full", budget=0.5, start=1000, end=2000)
+        result = runner1.run("full", budget=0.5, start=1000, end=2000)
         for decision in result.decisions:
             assert set(decision.assignment.values()) == {"ACF"}

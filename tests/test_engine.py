@@ -85,7 +85,7 @@ class TestExecutors:
     def test_serial_execute_matches_run_batch(self, runner1):
         from repro.detection.batch import DetectionBatch, DetectionTask, run_batch
 
-        engine = runner1.engine
+        engine = runner1
         record = engine.dataset.frames(1000, 1001)[0]
         tasks = tuple(
             DetectionTask(
@@ -176,7 +176,7 @@ class TestPolicyRegistry:
 
 class TestRoundPlanning:
     def test_all_best_single_round(self, runner1):
-        engine = runner1.engine
+        engine = runner1
         records = engine.dataset.frames(1000, 1300, only_ground_truth=True)
         plans = AllBestPolicy().plan_rounds(engine, records, 2.0, None)
         assert len(plans) == 1
@@ -184,7 +184,7 @@ class TestRoundPlanning:
         assert len(plans[0].static_assignments) == len(records)
 
     def test_subset_partitions_by_recalibration_interval(self, runner1):
-        engine = runner1.engine
+        engine = runner1
         records = engine.dataset.frames(1000, 2500, only_ground_truth=True)
         plans = SubsetPolicy().plan_rounds(engine, records, 2.0, None)
         per_round = engine.gt_frames_per_round
@@ -232,10 +232,71 @@ class TestDeploymentSpec:
         )
         assert pickle.loads(pickle.dumps(spec)) == spec
 
+    def test_execute_rejects_engine_with_other_seed(self, runner1):
+        spec = DeploymentSpec(dataset_number=1, seed=7)
+        with pytest.raises(
+            ValueError, match="engine seed 2017 does not match.*seed 7"
+        ):
+            spec.execute(engine=runner1)
+
 
 class TestEngineSeams:
+    def test_round_boundary_flushes_before_checkpoint(
+        self, runner1, monkeypatch, tmp_path
+    ):
+        """The ideal run loop and the chaos frame ticks share one
+        round-boundary sequence: flush unit i, then checkpoint unit i."""
+        from repro.checkpoint import CheckpointConfig, RunCheckpointer
+        from repro.experiments.faults import ChaosSpec, run_chaos
+        from repro.telemetry import Telemetry
+
+        calls = []
+        flush_round = Telemetry.flush_round
+        unit_complete = RunCheckpointer.unit_complete
+
+        def spy_flush(self, index, *args):
+            calls.append(("flush", index))
+            return flush_round(self, index, *args)
+
+        def spy_unit(self, position, *args):
+            calls.append(("checkpoint", position))
+            return unit_complete(self, position, *args)
+
+        monkeypatch.setattr(Telemetry, "flush_round", spy_flush)
+        monkeypatch.setattr(RunCheckpointer, "unit_complete", spy_unit)
+
+        def assert_interleaved():
+            units = len(calls) // 2
+            assert units > 1
+            assert calls == [
+                (kind, unit)
+                for unit in range(units)
+                for kind in ("flush", "checkpoint")
+            ]
+            calls.clear()
+
+        DeploymentEngine(
+            runner1.context, telemetry=Telemetry(run_id="order")
+        ).run(
+            "full",
+            budget=2.0,
+            start=1000,
+            end=2000,
+            checkpointer=RunCheckpointer(
+                CheckpointConfig(directory=tmp_path / "run")
+            ),
+        )
+        assert_interleaved()
+        run_chaos(
+            ChaosSpec(num_frames=4),
+            runner1,
+            telemetry=Telemetry(run_id="order"),
+            checkpoint=CheckpointConfig(directory=tmp_path / "chaos"),
+        )
+        assert_interleaved()
+
     def test_ideal_environment_matches_direct_run(self, runner1):
-        engine = runner1.engine
+        engine = runner1
         direct = engine.run("all_best", budget=2.0, start=1000, end=1200)
         deployed = engine.deploy(
             IdealEnvironment(
@@ -260,11 +321,11 @@ class TestEngineSeams:
                 results.reverse()
                 return results
 
-        baseline = runner1.engine.run(
+        baseline = runner1.run(
             "full", budget=2.0, start=1000, end=1300
         )
         swapped = DeploymentEngine(
-            runner1.engine.context, executor=ReversingExecutor()
+            runner1.context, executor=ReversingExecutor()
         ).run("full", budget=2.0, start=1000, end=1300)
         assert vars(swapped) == vars(baseline)
 
@@ -277,13 +338,3 @@ class TestEngineSeams:
         assert shared_context(1, train_seed=2018) is base
         other = shared_context(1, config=EECSConfig(gamma_n=0.9))
         assert other is not base
-
-    def test_facade_library_assignment_reaches_engine(self, dataset1):
-        from repro.core.runner import SimulationRunner
-
-        runner = SimulationRunner.__new__(SimulationRunner)
-        runner.workers = 1
-        runner._engine = DeploymentEngine.__new__(DeploymentEngine)
-        runner._engine.library = "old"
-        runner.library = "new"
-        assert runner._engine.library == "new"

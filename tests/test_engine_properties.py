@@ -44,7 +44,7 @@ def make_assignment(engine, draw_bits: int) -> dict[str, str]:
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_run_invariants(runner1, policy, budget, n_workers, end, draw_bits):
-    engine = runner1.engine
+    engine = runner1
     assignment = (
         make_assignment(engine, draw_bits) if policy == "fixed" else None
     )
@@ -102,7 +102,7 @@ def test_run_invariants(runner1, policy, budget, n_workers, end, draw_bits):
 @settings(max_examples=6, deadline=None)
 def test_serial_and_parallel_backends_agree(runner1, policy, end):
     """Executor choice is invisible in the result, field for field."""
-    engine = runner1.engine
+    engine = runner1
     assignment = (
         make_assignment(engine, 1) if policy == "fixed" else None
     )

@@ -103,7 +103,7 @@ class TestFig3:
 class TestFig4:
     @pytest.fixture(scope="class")
     def points(self, runner1):
-        return {p.label: p for p in tradeoff_curve(runner=runner1)}
+        return {p.label: p for p in tradeoff_curve(engine=runner1)}
 
     def test_all_combinations_present(self, points):
         assert set(points) == {
@@ -142,7 +142,7 @@ class TestFig4:
 class TestFig5:
     @pytest.fixture(scope="class")
     def high_budget(self, runner1):
-        return run_modes(dataset_number=1, budget=2.0, runner=runner1)
+        return run_modes(dataset_number=1, budget=2.0, engine=runner1)
 
     def test_staircase(self, high_budget):
         """all_best > subset > full in energy."""

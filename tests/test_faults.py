@@ -418,7 +418,7 @@ class TestZeroFaultDeterminism:
     """
 
     def test_runner_outputs_bit_identical(self, runner1):
-        result = runner1.run(mode="full", budget=2.0, start=1000, end=2000)
+        result = runner1.run("full", budget=2.0, start=1000, end=2000)
         assert result.humans_detected == 215
         assert result.humans_present == 240
         assert result.frames_evaluated == 40

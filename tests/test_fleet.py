@@ -677,6 +677,23 @@ class TestDeploymentSpecFleet:
             dataset_number=1, policy="cell", fleet_cameras=36, cells=9
         )
 
+    @pytest.mark.parametrize("policy", ["subset", "full", "predictive"])
+    def test_cells_rejected_on_flat_policies(self, policy):
+        with pytest.raises(
+            ValueError, match=f"policy '{policy}' does not use cells"
+        ):
+            DeploymentSpec(dataset_number=1, policy=policy, cells=4)
+
+    def test_engine_run_rejects_cells_on_flat_policies(self, ctx1):
+        with pytest.raises(ValueError, match="does not use cells"):
+            run_engine(ctx1, "subset", cells=2)
+
+    def test_cli_rejects_cells_on_flat_policies(self):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match="does not use cells"):
+            main(["run", "--dataset", "1", "--mode", "subset", "--cells", "2"])
+
     def test_fleet_cameras_validated(self):
         with pytest.raises(ValueError, match="fleet_cameras must be >= 1"):
             DeploymentSpec(dataset_number=1, fleet_cameras=0)

@@ -1,7 +1,7 @@
 """Golden regression: the engine refactor is bit-identical.
 
 The fixtures under ``tests/goldens/`` were captured from the
-pre-refactor ``SimulationRunner``/``run_chaos`` implementations (see
+pre-refactor runner/``run_chaos`` implementations (see
 ``golden_utils.capture``).  These tests re-run the same configurations
 through the unified deployment engine and compare every ``RunResult``
 / ``ChaosResult`` field — floats by exact equality, since JSON

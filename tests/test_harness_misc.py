@@ -3,32 +3,32 @@
 import pytest
 
 from repro.core.config import EECSConfig
-from repro.experiments.harness import RunSpec, get_runner
+from repro.experiments.harness import RunSpec, get_engine
 
 
 class TestHarness:
     def test_context_shared_engines_fresh(self):
         """Training artefacts are cached; per-run mutable state is not."""
-        a = get_runner(1)
-        b = get_runner(1)
-        # Fresh facade and engine per call: no leaked controller or
-        # battery state between experiments...
+        a = get_engine(1)
+        b = get_engine(1)
+        # Fresh engine per call: no leaked controller or battery state
+        # between experiments...
         assert a is not b
         assert a.controller is not b.controller
         # ...over the same immutable trained context.
-        assert a.engine.context is b.engine.context
+        assert a.context is b.context
         assert a.library is b.library
         assert a.matcher is b.matcher
 
     def test_custom_config_gets_own_context(self):
-        custom = get_runner(1, config=EECSConfig(gamma_n=0.7))
-        default = get_runner(1)
+        custom = get_engine(1, config=EECSConfig(gamma_n=0.7))
+        default = get_engine(1)
         assert custom.config.gamma_n == 0.7
-        assert custom.engine.context is not default.engine.context
+        assert custom.context is not default.context
         # Repeated custom-config calls share a context too (the old
         # runner cache rebuilt — retrained — on every such call).
-        again = get_runner(1, config=EECSConfig(gamma_n=0.7))
-        assert again.engine.context is custom.engine.context
+        again = get_engine(1, config=EECSConfig(gamma_n=0.7))
+        assert again.context is custom.context
 
     def test_reset_runners_is_gone(self):
         """The deprecated facade shim was removed outright."""
@@ -57,7 +57,7 @@ class TestCameraFailureHandling:
         dataset = runner1.dataset
         records = dataset.frames(1000, 1200, only_ground_truth=True)[:3]
         meter = EnergyMeter()
-        assessment = runner1._collect_assessment(records, 2.0, meter)
+        assessment = runner1.collect_assessment(records, 2.0, meter)
 
         dead = dataset.camera_ids[0]
         overrides = {

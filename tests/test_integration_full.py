@@ -54,7 +54,7 @@ class TestFieldWorkflow:
             1000, 1200, only_ground_truth=True
         )[:3]
         meter = EnergyMeter()
-        assessment = runner1._collect_assessment(records, 2.0, meter)
+        assessment = runner1.collect_assessment(records, 2.0, meter)
         overrides = {c: 2.0 for c in runner1.dataset.camera_ids}
 
         original = runner1.controller.select(

@@ -10,7 +10,7 @@ from repro.world.environment import NIGHT
 class TestLatencyAccounting:
     def test_processing_seconds_accumulate(self, runner1):
         result = runner1.run(
-            mode="fixed",
+            "fixed",
             assignment={runner1.dataset.camera_ids[0]: "HOG"},
             start=1000,
             end=1500,
@@ -23,10 +23,10 @@ class TestLatencyAccounting:
     def test_latency_scales_with_algorithm(self, runner1):
         cam = runner1.dataset.camera_ids[0]
         hog = runner1.run(
-            mode="fixed", assignment={cam: "HOG"}, start=1000, end=1500
+            "fixed", assignment={cam: "HOG"}, start=1000, end=1500
         )
         acf = runner1.run(
-            mode="fixed", assignment={cam: "ACF"}, start=1000, end=1500
+            "fixed", assignment={cam: "ACF"}, start=1000, end=1500
         )
         assert acf.processing_seconds < hog.processing_seconds
 
@@ -35,7 +35,7 @@ class TestLatencyAccounting:
         per 2 s cadence — the stated reason it is excluded."""
         cam = runner1.dataset.camera_ids[0]
         result = runner1.run(
-            mode="fixed", assignment={cam: "LSVM"}, start=1000, end=1500
+            "fixed", assignment={cam: "LSVM"}, start=1000, end=1500
         )
         assert result.max_latency_per_frame() > (
             runner1.config.seconds_per_frame
@@ -44,7 +44,7 @@ class TestLatencyAccounting:
     def test_hog_meets_realtime_cadence(self, runner1):
         cam = runner1.dataset.camera_ids[0]
         result = runner1.run(
-            mode="fixed", assignment={cam: "HOG"}, start=1000, end=1500
+            "fixed", assignment={cam: "HOG"}, start=1000, end=1500
         )
         assert result.max_latency_per_frame() <= (
             runner1.config.seconds_per_frame
@@ -52,7 +52,7 @@ class TestLatencyAccounting:
 
     def test_empty_run_zero_latency(self, runner1):
         result = runner1.run(
-            mode="fixed",
+            "fixed",
             assignment={runner1.dataset.camera_ids[0]: "ACF"},
             start=1001,
             end=1002,  # no ground-truth frames in this span

@@ -1,11 +1,10 @@
-"""The perf layer: ArrayCache, TimingReport, parallel_map."""
+"""The perf layer: ArrayCache, parallel_map."""
 
 import numpy as np
 import pytest
 
 from repro.perf.cache import ArrayCache, array_token
 from repro.perf.parallel import parallel_map
-from repro.perf.timing import TimingReport
 
 
 class TestArrayToken:
@@ -60,39 +59,6 @@ class TestArrayCache:
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
             ArrayCache(max_entries=0)
-
-
-class TestTimingReport:
-    def test_section_aggregates(self):
-        report = TimingReport()
-        for _ in range(3):
-            with report.section("work"):
-                pass
-        stats = report.sections["work"]
-        assert stats.calls == 3
-        assert stats.total_seconds >= 0.0
-        assert "work" in report.format_report()
-
-    def test_record_and_merge(self):
-        a = TimingReport()
-        a.record("x", 1.0)
-        b = TimingReport()
-        b.record("x", 2.0)
-        b.record("y", 0.5)
-        a.merge(b)
-        assert a.sections["x"].calls == 2
-        assert a.sections["x"].total_seconds == pytest.approx(3.0)
-        assert a.sections["y"].total_seconds == pytest.approx(0.5)
-
-    def test_empty_report(self):
-        assert TimingReport().format_report() == "no timed sections"
-
-    def test_as_dict(self):
-        report = TimingReport()
-        report.record("s", 0.25)
-        d = report.as_dict()
-        assert d["s"]["calls"] == 1
-        assert d["s"]["mean_seconds"] == pytest.approx(0.25)
 
 
 def _square(x: int) -> int:

@@ -51,7 +51,7 @@ class TestGenerateReport:
 
     def test_fig5a_section_renders(self, runner1):
         # Dataset #1's trained context is cached by the engine after
-        # the first get_runner call, so this only trains once.
+        # the first get_engine call, so this only trains once.
         report = generate_report(sections=("fig5a",))
         assert "Fig. 5a" in report
         assert "all_best" in report

@@ -391,15 +391,13 @@ class TestInertness:
         self, runner1, run_goldens, backend, name
     ):
         configs = golden_run_configs(runner1.dataset.camera_ids)
-        kwargs = dict(configs[name])
-        mode = kwargs.pop("mode")
         engine = DeploymentEngine(
-            runner1.engine.context,
+            runner1.context,
             seed=2017,
             executor=make_executor(2, backend=backend),
         )
         try:
-            result = engine.run(mode, resilience=ON, **kwargs)
+            result = engine.run(resilience=ON, **configs[name])
         finally:
             engine.close()
         assert normalize(run_result_fingerprint(result)) == (

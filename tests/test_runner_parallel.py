@@ -8,7 +8,10 @@ order-independent by construction; these tests pin that guarantee.
 import numpy as np
 import pytest
 
+from repro.engine import DeploymentEngine
 from repro.experiments.harness import RunSpec, run_specs
+from repro.obs.profile import fold_by_name
+from repro.telemetry import Telemetry
 
 
 def _fingerprint(result):
@@ -28,9 +31,9 @@ def _fingerprint(result):
 class TestRunnerWorkers:
     @pytest.mark.parametrize("mode", ["full", "all_best"])
     def test_workers_match_serial(self, runner1, mode):
-        serial = runner1.run(mode=mode, budget=2.0, start=1000, end=1300)
+        serial = runner1.run(mode, budget=2.0, start=1000, end=1300)
         parallel = runner1.run(
-            mode=mode, budget=2.0, start=1000, end=1300, workers=2
+            mode, budget=2.0, start=1000, end=1300, workers=2
         )
         assert _fingerprint(parallel) == _fingerprint(serial)
 
@@ -38,10 +41,10 @@ class TestRunnerWorkers:
         cameras = runner1.dataset.camera_ids[:2]
         assignment = {camera_id: "HOG" for camera_id in cameras}
         serial = runner1.run(
-            mode="fixed", assignment=assignment, start=1000, end=1300
+            "fixed", assignment=assignment, start=1000, end=1300
         )
         parallel = runner1.run(
-            mode="fixed",
+            "fixed",
             assignment=assignment,
             start=1000,
             end=1300,
@@ -50,17 +53,26 @@ class TestRunnerWorkers:
         assert _fingerprint(parallel) == _fingerprint(serial)
 
     def test_repeated_serial_runs_stable(self, runner1):
-        a = runner1.run(mode="full", budget=2.0, start=1000, end=1300)
-        b = runner1.run(mode="full", budget=2.0, start=1000, end=1300)
+        a = runner1.run("full", budget=2.0, start=1000, end=1300)
+        b = runner1.run("full", budget=2.0, start=1000, end=1300)
         assert _fingerprint(a) == _fingerprint(b)
 
     def test_timing_sections_populated(self, runner1):
-        runner1.run(mode="full", budget=2.0, start=1000, end=1300)
-        sections = runner1.timing.sections
-        assert "detection" in sections
-        assert "selection" in sections
-        assert sections["detection"].calls > 0
-        assert sections["detection"].total_seconds > 0.0
+        """Phase sections are tracer spans when telemetry is attached."""
+        engine = DeploymentEngine(
+            runner1.context, telemetry=Telemetry(run_id="timing")
+        )
+        engine.run("full", budget=2.0, start=1000, end=1300)
+        entries = {
+            entry.path: entry
+            for entry in fold_by_name(
+                list(engine.telemetry.tracer.iter_records())
+            )
+        }
+        assert "detection" in entries
+        assert "selection" in entries
+        assert entries["detection"].calls > 0
+        assert entries["detection"].total_s > 0.0
 
 
 class TestHarnessWorkers:

@@ -1,18 +1,17 @@
 """End-to-end telemetry: instrumented runs, dump files, and the CLI.
 
 The two regression tests at the top are the PR's contract: threading a
-``Telemetry`` through the runner or the chaos harness must not change
+``Telemetry`` through the engine or the chaos harness must not change
 a single simulation output — instrumentation reads the run, it never
 steers it.
 """
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.runner import SimulationRunner
+from repro.engine import DeploymentEngine
 from repro.experiments.faults import ChaosSpec, run_chaos
 from repro.telemetry import Telemetry
 from repro.telemetry.schema import (
@@ -29,19 +28,13 @@ def _series_names(telemetry):
 
 
 class TestTelemetryIsInvisibleToTheSimulation:
-    def test_runner_outputs_bit_identical(self, dataset1, runner1):
-        plain = SimulationRunner(
-            dataset1, rng=np.random.default_rng(2017)
+    def test_runner_outputs_bit_identical(self, runner1):
+        plain = DeploymentEngine(runner1.context)
+        instrumented = DeploymentEngine(
+            runner1.context, telemetry=Telemetry(run_id="reg")
         )
-        plain.library = runner1.library
-        instrumented = SimulationRunner(
-            dataset1,
-            rng=np.random.default_rng(2017),
-            telemetry=Telemetry(run_id="reg"),
-        )
-        instrumented.library = runner1.library
-        a = plain.run(mode="full", budget=2.0, start=1000, end=1400)
-        b = instrumented.run(mode="full", budget=2.0, start=1000, end=1400)
+        a = plain.run("full", budget=2.0, start=1000, end=1400)
+        b = instrumented.run("full", budget=2.0, start=1000, end=1400)
         assert vars(a) == vars(b)
 
     def test_chaos_outputs_bit_identical(self, runner1):

@@ -1,15 +1,14 @@
-"""Tracer span trees, the TimingReport adapter, and event logs."""
+"""Tracer span trees and event logs."""
 
 import pytest
 
-from repro.perf.timing import TimingReport
 from repro.telemetry.events import EventLog, fault_log_sink
 from repro.telemetry.schema import (
     SchemaError,
     validate_events_file,
     validate_trace_file,
 )
-from repro.telemetry.trace import Tracer, TracingTimingReport
+from repro.telemetry.trace import Tracer
 
 
 def _fake_clock():
@@ -85,54 +84,6 @@ class TestTracer:
         )
         with pytest.raises(SchemaError):
             validate_trace_file(path)
-
-
-class TestTimingInterop:
-    def test_tracing_report_keeps_aggregates_and_emits_spans(self):
-        tr = Tracer()
-        report = TracingTimingReport(tr)
-        with report.section("assessment"):
-            with report.section("detection"):
-                pass
-        stats = dict(report.items())
-        assert stats["assessment"].calls == 1
-        assert stats["detection"].calls == 1
-        by_name = {s.name: s for s in tr.spans}
-        assert by_name["detection"].parent_id == (
-            by_name["assessment"].span_id
-        )
-
-    def test_to_timing_report_aggregates_by_name(self):
-        tr = Tracer(clock=_fake_clock())
-        for _ in range(3):
-            with tr.span("phase"):
-                pass
-        report = tr.to_timing_report()
-        stats = dict(report.items())["phase"]
-        assert stats.calls == 3
-        assert stats.total_seconds == pytest.approx(3.0)
-
-    def test_absorb_timing_uses_public_items(self):
-        legacy = TimingReport()
-        legacy.record("selection", 2.0)
-        legacy.record("selection", 3.0)
-        tr = Tracer()
-        tr.absorb_timing(legacy)
-        (span,) = tr.spans
-        assert span.name == "selection"
-        assert span.duration_s == pytest.approx(5.0)
-        assert span.attributes["calls"] == 2
-
-    def test_merge_goes_through_items_copies(self):
-        # The satellite fix: merge() consumes the public items() view,
-        # which yields copies — mutating a merged-from report later
-        # must not leak into the merged-into one.
-        a, b = TimingReport(), TimingReport()
-        b.record("phase", 1.0)
-        a.merge(b)
-        b.record("phase", 1.0)
-        assert dict(a.items())["phase"].total_seconds == 1.0
-        assert dict(b.items())["phase"].total_seconds == 2.0
 
 
 class TestEventLog:
