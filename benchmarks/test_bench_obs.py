@@ -86,7 +86,7 @@ def test_live_flush_overhead_under_budget(tmp_path):
     )
 
 
-@pytest.mark.parametrize("workers,executor", [(2, "pool"), (2, "shm")])
+@pytest.mark.parametrize("workers,executor", [(2, "shm")])
 def test_live_flush_overhead_parallel_backends(tmp_path, workers, executor):
     """The flush happens on the coordinator, so worker fan-out must
     not change the overhead story; best-of-3 keeps this cheap."""

@@ -118,13 +118,11 @@ def test_serial_throughput_floor(scale_context):
 
 
 def test_backends_match_serial_at_scale(scale_context):
-    """pool and shm reproduce the serial run bit for bit on the
-    16-camera ring — the scale benchmark's correctness oracle."""
+    """shm reproduces the serial run bit for bit on the 16-camera
+    ring — the scale benchmark's correctness oracle."""
     _, serial = _run_once(scale_context)
-    for backend in ("pool", "shm"):
-        executor = make_executor(2, backend=backend)
-        _, result = _run_once(scale_context, executor=executor)
-        assert vars(result) == vars(serial), backend
+    _, result = _run_once(scale_context, executor=make_executor(2))
+    assert vars(result) == vars(serial)
 
 
 def test_bench_scale_json_records_acceptance():
@@ -139,3 +137,22 @@ def test_bench_scale_json_records_acceptance():
     assert after / seed == pytest.approx(
         entry["serial_speedup_vs_seed"], rel=0.01
     )
+
+
+def test_bench_scale_json_cpus_2_block():
+    """The 2-CPU block records both remaining backends at every ring
+    size, and nothing for the deleted ``pool`` backend."""
+    path = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
+    text = path.read_text()
+    assert "pool_2_workers" not in text
+    block = json.loads(text)["cpus_2"]
+    assert block["environment"]["cpus"] == 2
+    assert sorted(block["results"]) == [
+        "16_cameras", "4_cameras", "64_cameras"
+    ]
+    for scale, entry in block["results"].items():
+        assert sorted(entry) == ["serial", "shm_2_workers"], scale
+        for backend, row in entry.items():
+            assert row["rounds_per_sec"] == pytest.approx(
+                1.0 / row["seconds"], rel=0.02
+            ), (scale, backend)

@@ -427,7 +427,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             seed=args.seed,
             train_seed=args.seed,
             workers=args.workers,
-            executor=args.executor,
             resilience=_make_resilience_config(args),
             fleet_cameras=args.fleet_cameras,
             cells=args.cells,
@@ -827,18 +826,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="fan per-camera detection over N processes "
-        "(identical results for any N; 1 = serial)",
-    )
-    p.add_argument(
-        "--executor",
-        choices=("serial", "pool", "shm"),
-        default=None,
-        help="detection executor backend: serial (in-process reference), "
-        "pool (persistent process pool) or shm (process pool reading "
-        "frames zero-copy from shared memory); default picks serial "
-        "for --workers 1, pool otherwise — every backend is "
-        "bit-identical",
+        help="detection worker processes: 1 runs in-process (serial), "
+        "N >= 2 fans detection batches over N processes reading frames "
+        "zero-copy from shared memory (shm); results are identical for "
+        "any N",
     )
     p.add_argument(
         "--fleet-cameras",

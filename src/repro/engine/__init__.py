@@ -9,8 +9,8 @@ One simulation core behind every way the repo runs a deployment:
   :class:`CoordinationPolicy` strategies (all-best, subset, full
   EECS, fixed) with a by-name registry.
 * :mod:`repro.engine.executor` — :class:`DetectionExecutor`
-  backends (serial reference, process pool, zero-copy shared
-  memory), bit-identical by construction.
+  backends (serial reference, zero-copy shared-memory process
+  pool), picked by worker count and bit-identical by construction.
 * :mod:`repro.engine.environment` — :class:`Environment` seam:
   ideal in-process frame feed vs. the fault-injected network.
 * :mod:`repro.engine.context` — the immutable trained substrate
@@ -48,14 +48,11 @@ from repro.engine.environment import (
     NetworkOutcome,
 )
 from repro.engine.executor import (
-    EXECUTOR_BACKENDS,
     DetectionExecutor,
-    ProcessPoolDetectionExecutor,
     SerialDetectionExecutor,
     SharedFrameStore,
     SharedMemoryDetectionExecutor,
     make_executor,
-    validate_executor_name,
 )
 from repro.engine.predictive import PredictivePolicy
 from repro.engine.policy import (
@@ -80,7 +77,6 @@ __all__ = [
     "DeploymentEngine",
     "DeploymentSpec",
     "DetectionExecutor",
-    "EXECUTOR_BACKENDS",
     "Environment",
     "FaultInjectedEnvironment",
     "FixedAssignmentPolicy",
@@ -91,7 +87,6 @@ __all__ = [
     "PredictivePolicy",
     "NetworkConditions",
     "NetworkOutcome",
-    "ProcessPoolDetectionExecutor",
     "RoundPlan",
     "RunResult",
     "SerialDetectionExecutor",
@@ -107,6 +102,5 @@ __all__ = [
     "register_policy",
     "resolve_policy",
     "shared_context",
-    "validate_executor_name",
     "validate_policy_name",
 ]

@@ -21,9 +21,9 @@ pluggable:
   :class:`~repro.engine.executor.DetectionExecutor`: the engine packs
   a round's (frame, camera, algorithm) triples into one
   :class:`~repro.detection.batch.DetectionBatch` and hands it to the
-  backend (serial reference, process pool, or zero-copy shared-memory
-  pool) — bit-identical by construction, because every task seeds its
-  own generator from the run entropy plus its coordinates;
+  backend (serial reference or zero-copy shared-memory process pool)
+  — bit-identical by construction, because every task seeds its own
+  generator from the run entropy plus its coordinates;
 * **where the deployment runs** comes from an
   :class:`~repro.engine.environment.Environment` (ideal in-process
   frame feed, or the fault-injected discrete-event network).
@@ -197,7 +197,6 @@ class DeploymentEngine:
             seconds_per_frame=self.config.seconds_per_frame
         )
         self.executor = executor or make_executor(1)
-        self._active_executor = self.executor
         self._latency_seconds = 0.0
         # Per-run resilience coordinator (None = layer off, the inert
         # default); assigned at run start, cleared when the run ends.
@@ -336,7 +335,7 @@ class DeploymentEngine:
     ) -> dict[tuple[int, str, str], list[Detection]]:
         """Detect every requested (frame, camera, algorithm) triple.
 
-        Detection itself fans out over the active executor backend;
+        Detection itself fans out over the engine's executor backend;
         accounting (probability calibration, energy metering, latency)
         runs serially afterwards in request order.
 
@@ -361,7 +360,7 @@ class DeploymentEngine:
         batch = DetectionBatch(tasks=tuple(tasks))
         with self._section("detection"):
             elapsed = time.perf_counter()
-            results = self._active_executor.execute(batch, self.detectors)
+            results = self.executor.execute(batch, self.detectors)
             elapsed = time.perf_counter() - elapsed
         if self.telemetry is not None:
             self._record_batch_metrics(batch, elapsed)
@@ -403,7 +402,7 @@ class DeploymentEngine:
     ) -> None:
         """Wire one executed batch into the telemetry registry."""
         registry = self.telemetry.registry
-        backend = self._active_executor.name
+        backend = self.executor.name
         registry.counter(
             "detection_batches_total",
             "Detection batches handed to the executor.",
@@ -419,7 +418,7 @@ class DeploymentEngine:
             "Wall-clock seconds spent inside executor.execute().",
             labels=("backend",),
         ).inc(elapsed, backend=backend)
-        stats = self._active_executor.drain_stats()
+        stats = self.executor.drain_stats()
         if stats:
             registry.counter(
                 "shm_frame_publishes_total",
@@ -607,7 +606,6 @@ class DeploymentEngine:
         assignment: dict[str, str] | None = None,
         start: int | None = None,
         end: int | None = None,
-        workers: int | None = None,
         checkpointer: "RunCheckpointer | None" = None,
         resilience: ResilienceConfig | None = None,
         cells: int | tuple | list | None = None,
@@ -625,17 +623,15 @@ class DeploymentEngine:
                 (``"fixed"``): the static camera -> algorithm map.
             start: First frame (defaults to the test segment start).
             end: One past the last frame (defaults to the dataset end).
-            workers: Override the engine's executor for this run with
-                a worker count.  Any backend yields identical results;
-                ``> 1`` fans detection work over a process pool.
             checkpointer: Crash-safe checkpoint/resume driver.  The
                 run snapshots its full state every ``K`` completed
                 rounds (and on SIGTERM); a resumed run restores the
                 snapshot and skips the completed rounds, finishing
-                bit-identically to an uninterrupted run.  ``workers``
-                is deliberately absent from the checkpoint
+                bit-identically to an uninterrupted run.  The
+                executor is deliberately absent from the checkpoint
                 fingerprint: any backend reproduces the serial run, so
-                a deployment may resume with a different worker count.
+                a deployment may resume on an engine with a different
+                worker count.
             resilience: Graceful-degradation layer configuration
                 (``None`` or ``enabled=False`` keeps the layer off).
                 The ideal feed has no radio and no fault source, so
@@ -660,15 +656,6 @@ class DeploymentEngine:
             if cells is not None
             else None
         )
-        run_executor: DetectionExecutor | None = None
-        if workers is not None:
-            # Per-run override owns its backend: closed when the run
-            # finishes so pools and shared segments never leak.
-            run_executor = make_executor(workers)
-            self._active_executor = run_executor
-        else:
-            self._active_executor = self.executor
-
         # Reseed per run configuration so results are independent of
         # how many runs preceded this one on the shared engine.  The
         # same entropy also seeds every per-task generator, keyed by
@@ -813,9 +800,6 @@ class DeploymentEngine:
                 self.telemetry.tracer.end(run_span)
             if checkpointer is not None:
                 checkpointer.finish()
-            if run_executor is not None:
-                run_executor.close()
-                self._active_executor = self.executor
             self._resilience = None
             self._fleet = None
 

@@ -68,7 +68,6 @@ class IdealEnvironment(Environment):
     assignment: dict[str, str] | None = None
     start: int | None = None
     end: int | None = None
-    workers: int | None = None
 
     def execute(self, engine: DeploymentEngine) -> RunResult:
         return engine.run(
@@ -77,7 +76,6 @@ class IdealEnvironment(Environment):
             assignment=self.assignment,
             start=self.start,
             end=self.end,
-            workers=self.workers,
         )
 
 

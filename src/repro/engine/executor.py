@@ -5,18 +5,16 @@ The engine expresses every phase's detection work as one
 camera, algorithm) tasks as plain data; a :class:`DetectionExecutor`
 decides where that batch runs.  Because each task seeds its own
 generator from the run entropy plus its coordinates, every backend
-produces bit-identical results — the serial backend is the reference,
-the process-pool backend fans chunks over workers, and the
-shared-memory backend additionally publishes frame arrays once to
-``multiprocessing.shared_memory`` segments so workers read them
-zero-copy: tasks ship only a ``(segment, offset, shape, dtype)``
-reference plus the small per-view metadata.
+produces bit-identical results.  The worker count is the only
+setting (:func:`make_executor`): one worker runs the batch in-process
+(the serial reference), two or more fan contiguous chunks over a
+persistent process pool whose workers read frame arrays zero-copy from
+``multiprocessing.shared_memory`` segments — tasks ship only a
+``(segment, offset, shape, dtype)`` reference plus the small per-view
+metadata.
 
 Adding a backend means implementing ``execute`` with order-preserving
-semantics over a batch; nothing else in the engine changes.  Backends
-are registered by name (``serial`` / ``pool`` / ``shm``) and validated
-with :func:`validate_executor_name`, mirroring the policy registry's
-fail-fast style.
+semantics over a batch; nothing else in the engine changes.
 """
 
 from __future__ import annotations
@@ -36,23 +34,6 @@ import numpy as np
 from repro.detection.base import Detection, Detector
 from repro.detection.batch import DetectionBatch, DetectionTask, run_batch
 from repro.world.renderer import FrameObservation
-
-#: Registered backend names, in documentation order.
-EXECUTOR_BACKENDS = ("serial", "pool", "shm")
-
-
-def validate_executor_name(name: str) -> str:
-    """Fail fast on a typo'd backend name (policy-registry style).
-
-    Returns the name unchanged so callers can validate inline.
-    """
-    if name not in EXECUTOR_BACKENDS:
-        valid = ", ".join(EXECUTOR_BACKENDS)
-        raise ValueError(
-            f"unknown executor backend {name!r}; valid backends are: "
-            f"{valid}"
-        )
-    return name
 
 
 class DetectionExecutor(ABC):
@@ -111,11 +92,6 @@ def _init_pool_worker(detectors: Mapping[str, Detector]) -> None:
     _WORKER_DETECTORS = detectors
 
 
-def _run_task_chunk(tasks: Sequence[DetectionTask]) -> list[list[Detection]]:
-    """Worker-side entry point: run one contiguous slice of a batch."""
-    return run_batch(_WORKER_DETECTORS, tasks)
-
-
 def _chunk_evenly(items: Sequence, parts: int) -> list[Sequence]:
     """Contiguous, order-preserving chunks of near-equal size."""
     parts = max(1, min(parts, len(items)))
@@ -123,75 +99,8 @@ def _chunk_evenly(items: Sequence, parts: int) -> list[Sequence]:
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
-class ProcessPoolDetectionExecutor(DetectionExecutor):
-    """Fan batch chunks over a persistent process pool.
-
-    The pool is created lazily on the first batch and reused until
-    :meth:`close` — the initializer ships the detector suite once per
-    worker instead of pickling it with every task.  Results are
-    identical to serial execution; batches too small to amortise the
-    fan-out run in-process.
-    """
-
-    name = "pool"
-
-    def __init__(self, workers: int) -> None:
-        if workers < 2:
-            raise ValueError(
-                f"process-pool backend needs workers >= 2, got {workers}"
-            )
-        self.workers = workers
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_detectors: Mapping[str, Detector] | None = None
-
-    def _ensure_pool(
-        self, detectors: Mapping[str, Detector]
-    ) -> ProcessPoolExecutor:
-        if self._pool is not None and self._pool_detectors is not detectors:
-            # A different suite invalidates the initializer-shipped
-            # copy; engines keep one suite for life, so this is rare.
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_init_pool_worker,
-                initargs=(detectors,),
-            )
-            self._pool_detectors = detectors
-        return self._pool
-
-    def _encode_tasks(
-        self, batch: DetectionBatch
-    ) -> Sequence[DetectionTask]:
-        """What the workers receive; overridden by the shm backend."""
-        return batch.tasks
-
-    def execute(
-        self,
-        batch: DetectionBatch,
-        detectors: Mapping[str, Detector],
-    ) -> list[list[Detection]]:
-        if len(batch) <= 1:
-            # Nothing to amortise the IPC against; the in-process path
-            # is bit-identical by construction.
-            return run_batch(detectors, batch.tasks)
-        pool = self._ensure_pool(detectors)
-        chunks = _chunk_evenly(self._encode_tasks(batch), self.workers)
-        results: list[list[Detection]] = []
-        for part in pool.map(_run_task_chunk, chunks):
-            results.extend(part)
-        return results
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._pool_detectors = None
-
-
 # ----------------------------------------------------------------------
-# Shared-memory backend
+# Frames in shared memory
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SharedFrameRef:
@@ -321,11 +230,15 @@ def _hook_sigterm_cleanup() -> None:
 class SharedFrameStore:
     """Parent-side arena of shared-memory segments holding frame images.
 
-    Frames are published once per ``(camera_id, frame_index)`` — a
-    bump allocator packs them into fixed-size segments, and repeat
-    publishes of the same frame return the existing reference (the
-    ``hits`` counter).  ``close()`` (or garbage collection, or normal
-    interpreter exit via the finalizer) unlinks every segment.
+    Frames are published once per ``(camera_id, frame_index)`` within a
+    batch — a bump allocator packs them into fixed-size segments, and
+    repeat publishes of the same frame return the existing reference
+    (the ``hits`` counter).  :meth:`rewind` recycles the arena between
+    batches: the segments (and their names, which workers have cached
+    attachments to) survive, only the cursor and the references reset,
+    so the arena is sized by the largest batch, not by the run.
+    ``close()`` (or garbage collection, or normal interpreter exit via
+    the finalizer) unlinks every segment.
     """
 
     #: 64-byte alignment keeps worker-side views cache-line aligned.
@@ -336,6 +249,8 @@ class SharedFrameStore:
             raise ValueError("segment_bytes must be positive")
         self.segment_bytes = segment_bytes
         self._segments: list[shared_memory.SharedMemory] = []
+        # Bump cursor: the segment being filled and the next free byte.
+        self._current = 0
         self._cursor = 0
         self._refs: dict[tuple[str, int], SharedFrameRef] = {}
         self._hits = 0
@@ -374,21 +289,29 @@ class SharedFrameStore:
     def _allocate(
         self, nbytes: int
     ) -> tuple[shared_memory.SharedMemory, int]:
-        """Bump-allocate ``nbytes`` in the current segment, opening a
-        new one when it does not fit."""
-        aligned = max(self._ALIGN, nbytes)
-        if self._segments:
-            segment = self._segments[-1]
-            offset = -(-self._cursor // self._ALIGN) * self._ALIGN
+        """Bump-allocate ``nbytes``, moving on to the next segment (or
+        opening a new one) when the current one is full."""
+        offset = -(-self._cursor // self._ALIGN) * self._ALIGN
+        while self._current < len(self._segments):
+            segment = self._segments[self._current]
             if offset + nbytes <= segment.size:
                 self._cursor = offset + nbytes
                 return segment, offset
+            self._current += 1
+            offset = 0
         segment = shared_memory.SharedMemory(
-            create=True, size=max(self.segment_bytes, aligned)
+            create=True, size=max(self.segment_bytes, self._ALIGN, nbytes)
         )
         self._segments.append(segment)
         self._cursor = nbytes
         return segment, 0
+
+    def rewind(self) -> None:
+        """Forget every published frame and reuse the segments from the
+        start.  Only safe once no worker reads the old references."""
+        self._refs.clear()
+        self._current = 0
+        self._cursor = 0
 
     @property
     def num_segments(self) -> int:
@@ -413,13 +336,18 @@ class SharedFrameStore:
         self._finalizer()
 
 
-class SharedMemoryDetectionExecutor(ProcessPoolDetectionExecutor):
-    """Process-pool backend whose workers read frames zero-copy.
+class SharedMemoryDetectionExecutor(DetectionExecutor):
+    """Fan batch chunks over a persistent process pool whose workers
+    read frames zero-copy.
 
-    Frame images are published to a :class:`SharedFrameStore` once per
-    frame; the pickled tasks carry only ``(segment, offset, shape,
-    dtype)`` references plus per-view metadata, so the per-batch IPC
-    payload is independent of image size.
+    The pool is created lazily on the first batch and reused until
+    :meth:`close` — the initializer ships the detector suite once per
+    worker instead of pickling it with every task.  Frame images are
+    published to a :class:`SharedFrameStore`; the pickled tasks carry
+    only ``(segment, offset, shape, dtype)`` references plus per-view
+    metadata, so the per-batch IPC payload is independent of image
+    size.  Results are identical to serial execution; single-task
+    batches run in-process.
     """
 
     name = "shm"
@@ -429,27 +357,41 @@ class SharedMemoryDetectionExecutor(ProcessPoolDetectionExecutor):
             raise ValueError(
                 f"shared-memory backend needs workers >= 2, got {workers}"
             )
-        super().__init__(workers)
+        self.workers = workers
+        self._pool: ProcessPoolExecutor | None = None
+        self._pool_detectors: Mapping[str, Detector] | None = None
         self.store = SharedFrameStore(segment_bytes=segment_bytes)
 
-    def _encode_tasks(self, batch: DetectionBatch) -> Sequence[_ShmTask]:
-        encoded = []
-        for task in batch.tasks:
-            observation = task.observation
-            encoded.append(
-                _ShmTask(
-                    algorithm=task.algorithm,
-                    entropy=task.entropy,
-                    threshold=task.threshold,
-                    camera_id=observation.camera_id,
-                    frame_index=observation.frame_index,
-                    objects=tuple(observation.objects),
-                    clutter_regions=tuple(observation.clutter_regions),
-                    image_scale=observation.image_scale,
-                    frame=self.store.put(observation),
-                )
+    def _ensure_pool(
+        self, detectors: Mapping[str, Detector]
+    ) -> ProcessPoolExecutor:
+        if self._pool is not None and self._pool_detectors is not detectors:
+            # A different suite invalidates the initializer-shipped
+            # copy; engines keep one suite for life, so this is rare.
+            self._pool.shutdown(wait=True)
+            self._pool = None
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=_init_pool_worker,
+                initargs=(detectors,),
             )
-        return encoded
+            self._pool_detectors = detectors
+        return self._pool
+
+    def _encode(self, task: DetectionTask) -> _ShmTask:
+        observation = task.observation
+        return _ShmTask(
+            algorithm=task.algorithm,
+            entropy=task.entropy,
+            threshold=task.threshold,
+            camera_id=observation.camera_id,
+            frame_index=observation.frame_index,
+            objects=tuple(observation.objects),
+            clutter_regions=tuple(observation.clutter_regions),
+            image_scale=observation.image_scale,
+            frame=self.store.put(observation),
+        )
 
     def execute(
         self,
@@ -457,45 +399,37 @@ class SharedMemoryDetectionExecutor(ProcessPoolDetectionExecutor):
         detectors: Mapping[str, Detector],
     ) -> list[list[Detection]]:
         if len(batch) <= 1:
+            # Nothing to amortise the IPC against; the in-process path
+            # is bit-identical by construction.
             return run_batch(detectors, batch.tasks)
         pool = self._ensure_pool(detectors)
-        chunks = _chunk_evenly(self._encode_tasks(batch), self.workers)
+        encoded = [self._encode(task) for task in batch.tasks]
         results: list[list[Detection]] = []
-        for part in pool.map(_run_shm_chunk, chunks):
+        for part in pool.map(
+            _run_shm_chunk, _chunk_evenly(encoded, self.workers)
+        ):
             results.extend(part)
+        # Every chunk has returned, so no worker still reads this
+        # batch's frames: the next batch may overwrite them.
+        self.store.rewind()
         return results
 
     def drain_stats(self) -> dict[str, int | float]:
         return self.store.drain_stats()
 
     def close(self) -> None:
-        super().close()
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
+            self._pool_detectors = None
         self.store.close()
 
 
-def make_executor(
-    workers: int, backend: str | None = None
-) -> DetectionExecutor:
-    """The backend for a worker count and optional backend name.
-
-    ``backend=None`` keeps the historical convention: ``workers <= 1``
-    means serial, more means the process pool.  Explicit names are
-    validated (:func:`validate_executor_name`) and cross-checked
-    against the worker count — the serial backend is single-process by
-    definition, the parallel backends need at least two workers.
-    """
-    if backend is None:
-        if workers <= 1:
-            return SerialDetectionExecutor()
-        return ProcessPoolDetectionExecutor(workers)
-    validate_executor_name(backend)
-    if backend == "serial":
-        if workers > 1:
-            raise ValueError(
-                "serial backend runs in-process; workers must be 1, "
-                f"got {workers}"
-            )
+def make_executor(workers: int) -> DetectionExecutor:
+    """The backend for a worker count: one worker runs in-process,
+    two or more fan out over the shared-memory process pool."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1:
         return SerialDetectionExecutor()
-    if backend == "pool":
-        return ProcessPoolDetectionExecutor(workers)
     return SharedMemoryDetectionExecutor(workers)

@@ -8,9 +8,10 @@ the engine that executes it — training through the shared
 :func:`~repro.engine.context.shared_context` cache so each dataset is
 trained once per process.
 
-Specs are frozen and picklable, so batches fan out over worker
-processes; every run reseeds from its own configuration inside the
-engine, making serial and parallel execution bit-identical.
+Specs are frozen and hashable.  Every run reseeds from its own
+configuration inside the engine, so the result depends only on the
+spec — never on ``workers``, which only decides whether detection
+batches run in-process or over a shared-memory process pool.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.core.config import EECSConfig
 from repro.datasets.synthetic import DATASET_SPECS
 from repro.engine.context import shared_context
 from repro.engine.core import DeploymentEngine, RunResult
-from repro.engine.executor import make_executor, validate_executor_name
+from repro.engine.executor import make_executor
 from repro.engine.fleet import fleet_context
 from repro.engine.policy import resolve_policy, validate_cells
 from repro.fleet.cells import validate_cells_value
@@ -45,14 +46,15 @@ class DeploymentSpec:
         seed: Run-entropy seed (feeds every detection task's rng).
         train_seed: Offline-training seed; ``None`` uses the shared
             per-dataset convention (``2017 + dataset_number``).
-        workers: Detection executor backend width (1 = serial).
-        executor: Executor backend name (``"serial"``, ``"pool"`` or
-            ``"shm"``; validated at construction).  ``None`` keeps the
-            historical convention: serial for ``workers == 1``, the
-            process pool otherwise.  Like ``workers``, the backend is
-            absent from the checkpoint fingerprint — every backend
-            reproduces the serial run bit for bit, so a deployment may
-            resume under a different one.
+        workers: Detection executor width: 1 runs in-process
+            (``"serial"``), 2 or more fan out over the shared-memory
+            process pool (``"shm"``).  Absent from the checkpoint
+            fingerprint — every backend reproduces the serial run bit
+            for bit, so a deployment may resume under a different
+            width.
+        executor: ``None`` or the backend name ``workers`` implies;
+            anything else is a spec error.  Not a choice: it only
+            lets a caller state the backend it expects.
         checkpoint_dir: Directory for crash-safe run checkpoints
             (``None`` disables checkpointing).
         checkpoint_every: Snapshot cadence in completed rounds.
@@ -112,21 +114,13 @@ class DeploymentSpec:
         )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.executor is not None:
-            # Same fail-fast contract as the policy name: an unknown
-            # backend (or an impossible backend/workers pairing) must
-            # surface at spec construction, not after training.
-            validate_executor_name(self.executor)
-            if self.executor == "serial" and self.workers > 1:
-                raise ValueError(
-                    "serial backend runs in-process; workers must be 1, "
-                    f"got {self.workers}"
-                )
-            if self.executor in ("pool", "shm") and self.workers < 2:
-                raise ValueError(
-                    f"{self.executor!r} backend needs workers >= 2, "
-                    f"got {self.workers}"
-                )
+        implied = "serial" if self.workers == 1 else "shm"
+        if self.executor not in (None, implied):
+            raise ValueError(
+                f"executor {self.executor!r} does not match "
+                f"workers={self.workers}, which implies {implied!r} "
+                "(1 worker = 'serial', 2 or more = 'shm')"
+            )
         if self.checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
@@ -239,7 +233,7 @@ class DeploymentSpec:
         return DeploymentEngine(
             context,
             seed=self.seed,
-            executor=make_executor(self.workers, backend=self.executor),
+            executor=make_executor(self.workers),
             telemetry=telemetry,
         )
 

@@ -1,19 +1,17 @@
-"""Performance layer: content-keyed caching and parallel maps.
+"""Performance layer: content-keyed caching.
 
 The hot paths of the reproduction — frame feature extraction and the
-GFK calibration pipeline — share this package.
-:mod:`repro.perf.cache` memoises expensive array-valued computations
-(PCA subspaces, GFK factors) under content hashes of their inputs, and
-:mod:`repro.perf.parallel` provides the chunked process-pool map the
-experiment harness fans independent run specs over.  Wall-clock
-timing lives in the telemetry tracer (:mod:`repro.telemetry.trace`).
+GFK calibration pipeline — share :mod:`repro.perf.cache`, which
+memoises expensive array-valued computations (PCA subspaces, GFK
+factors) under content hashes of their inputs.  Detection parallelism
+lives in the engine's executor (:mod:`repro.engine.executor`);
+wall-clock timing lives in the telemetry tracer
+(:mod:`repro.telemetry.trace`).
 """
 
 from repro.perf.cache import ArrayCache, array_token
-from repro.perf.parallel import parallel_map
 
 __all__ = [
     "ArrayCache",
     "array_token",
-    "parallel_map",
 ]

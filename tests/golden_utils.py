@@ -135,10 +135,10 @@ def make_golden_runner():
     )
 
 
-def collect_run_goldens(runner, workers: int = 1) -> dict:
+def collect_run_goldens(runner) -> dict:
     out = {}
     for name, config in golden_run_configs(runner.dataset.camera_ids).items():
-        result = runner.run(workers=workers, **config)
+        result = runner.run(**config)
         out[name] = run_result_fingerprint(result)
     return out
 

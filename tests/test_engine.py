@@ -10,8 +10,8 @@ from repro.engine import (
     DeploymentSpec,
     FullEECSPolicy,
     IdealEnvironment,
-    ProcessPoolDetectionExecutor,
     SerialDetectionExecutor,
+    SharedMemoryDetectionExecutor,
     SimulationClock,
     SubsetPolicy,
     available_policies,
@@ -40,47 +40,34 @@ class TestSimulationClock:
 
 class TestExecutors:
     def test_make_executor_selects_backend(self):
-        assert isinstance(make_executor(0), SerialDetectionExecutor)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            make_executor(0)
         assert isinstance(make_executor(1), SerialDetectionExecutor)
-        pool = make_executor(3)
-        assert isinstance(pool, ProcessPoolDetectionExecutor)
-        assert pool.workers == 3
-        pool.close()
+        shm = make_executor(3)
+        assert isinstance(shm, SharedMemoryDetectionExecutor)
+        assert shm.workers == 3
+        shm.close()
 
     def test_make_executor_by_name(self):
-        from repro.engine import SharedMemoryDetectionExecutor
-
-        assert isinstance(
-            make_executor(1, backend="serial"), SerialDetectionExecutor
-        )
-        pool = make_executor(2, backend="pool")
-        assert isinstance(pool, ProcessPoolDetectionExecutor)
-        pool.close()
-        shm = make_executor(2, backend="shm")
-        assert isinstance(shm, SharedMemoryDetectionExecutor)
+        """The worker count implies the backend's registry name."""
+        assert make_executor(1).name == "serial"
+        shm = make_executor(2)
+        assert shm.name == "shm"
         shm.close()
 
     def test_unknown_backend_lists_valid_names(self):
-        from repro.engine import EXECUTOR_BACKENDS, validate_executor_name
-
         with pytest.raises(ValueError) as excinfo:
-            validate_executor_name("threads")
+            DeploymentSpec(dataset_number=1, executor="threads")
         message = str(excinfo.value)
         assert "threads" in message
-        for name in EXECUTOR_BACKENDS:
+        for name in ("serial", "shm"):
             assert name in message
 
     def test_backend_worker_cross_checks(self):
         with pytest.raises(ValueError, match="workers"):
-            make_executor(4, backend="serial")
+            make_executor(-1)
         with pytest.raises(ValueError, match="workers"):
-            make_executor(1, backend="pool")
-        with pytest.raises(ValueError, match="workers"):
-            make_executor(1, backend="shm")
-
-    def test_pool_rejects_single_worker(self):
-        with pytest.raises(ValueError):
-            ProcessPoolDetectionExecutor(1)
+            SharedMemoryDetectionExecutor(1)
 
     def test_serial_execute_matches_run_batch(self, runner1):
         from repro.detection.batch import DetectionBatch, DetectionTask, run_batch
@@ -214,14 +201,27 @@ class TestDeploymentSpec:
             DeploymentSpec(dataset_number=1, workers=0)
 
     def test_validates_executor_at_construction(self):
-        with pytest.raises(ValueError, match="valid backends are"):
-            DeploymentSpec(dataset_number=1, executor="threads")
-        with pytest.raises(ValueError, match="workers"):
-            DeploymentSpec(dataset_number=1, executor="shm", workers=1)
-        with pytest.raises(ValueError, match="workers"):
+        """``executor`` only restates what ``workers`` implies."""
+        with pytest.raises(ValueError, match="does not match workers"):
             DeploymentSpec(dataset_number=1, executor="serial", workers=4)
         DeploymentSpec(dataset_number=1, executor="shm", workers=2)
         DeploymentSpec(dataset_number=1, executor="serial")
+
+    def test_rejects_deleted_pool_backend(self):
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="'pool'"):
+                DeploymentSpec(
+                    dataset_number=1, executor="pool", workers=workers
+                )
+
+    def test_rejects_shm_with_one_worker(self):
+        with pytest.raises(ValueError, match="implies 'serial'"):
+            DeploymentSpec(dataset_number=1, executor="shm", workers=1)
+
+    def test_serial_executor_still_builds(self):
+        spec = DeploymentSpec(dataset_number=1, executor="serial")
+        engine = spec.build_engine()
+        assert isinstance(engine.executor, SerialDetectionExecutor)
 
     def test_spec_is_hashable_and_picklable(self):
         import pickle

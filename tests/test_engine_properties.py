@@ -10,8 +10,10 @@ combinations through one shared trained engine; runs reseed from
 their configuration, so example order cannot matter.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.engine import DeploymentEngine, make_executor
 from repro.engine.policy import available_policies
 
 #: Short windows keep each drawn run cheap (2-8 ground-truth frames).
@@ -21,6 +23,17 @@ policies = st.sampled_from(available_policies())
 budgets = st.sampled_from((None, 0.5, 2.0))
 workers = st.sampled_from((1, 2))
 window_ends = st.sampled_from(WINDOW_ENDS)
+
+
+@pytest.fixture(scope="module")
+def shm_engine(runner1):
+    """``runner1``'s context on the shared-memory executor; one pool
+    serves every drawn example."""
+    engine = DeploymentEngine(
+        runner1.context, seed=runner1.seed, executor=make_executor(2)
+    )
+    yield engine
+    engine.close()
 
 
 def make_assignment(engine, draw_bits: int) -> dict[str, str]:
@@ -43,8 +56,10 @@ def make_assignment(engine, draw_bits: int) -> dict[str, str]:
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_run_invariants(runner1, policy, budget, n_workers, end, draw_bits):
-    engine = runner1
+def test_run_invariants(
+    runner1, shm_engine, policy, budget, n_workers, end, draw_bits
+):
+    engine = runner1 if n_workers == 1 else shm_engine
     assignment = (
         make_assignment(engine, draw_bits) if policy == "fixed" else None
     )
@@ -56,7 +71,6 @@ def test_run_invariants(runner1, policy, budget, n_workers, end, draw_bits):
         assignment=assignment,
         start=1000,
         end=end,
-        workers=n_workers,
     )
 
     # Detection counts are bounded by ground truth.
@@ -100,13 +114,14 @@ def test_run_invariants(runner1, policy, budget, n_workers, end, draw_bits):
 
 @given(policy=policies, end=st.sampled_from((1100, 1200)))
 @settings(max_examples=6, deadline=None)
-def test_serial_and_parallel_backends_agree(runner1, policy, end):
+def test_serial_and_parallel_backends_agree(
+    runner1, shm_engine, policy, end
+):
     """Executor choice is invisible in the result, field for field."""
-    engine = runner1
     assignment = (
-        make_assignment(engine, 1) if policy == "fixed" else None
+        make_assignment(runner1, 1) if policy == "fixed" else None
     )
     kwargs = dict(budget=2.0, assignment=assignment, start=1000, end=end)
-    serial = engine.run(policy, workers=1, **kwargs)
-    parallel = engine.run(policy, workers=2, **kwargs)
+    serial = runner1.run(policy, **kwargs)
+    parallel = shm_engine.run(policy, **kwargs)
     assert vars(serial) == vars(parallel)

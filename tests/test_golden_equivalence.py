@@ -5,8 +5,8 @@ pre-refactor runner/``run_chaos`` implementations (see
 ``golden_utils.capture``).  These tests re-run the same configurations
 through the unified deployment engine and compare every ``RunResult``
 / ``ChaosResult`` field — floats by exact equality, since JSON
-round-trips Python doubles exactly — at ``workers=1`` and
-``workers>1``.
+round-trips Python doubles exactly — on the serial executor and on
+the shared-memory process pool (``make_executor(2)``).
 
 If one of these fails, the engine's behaviour has drifted from the
 historical implementation; that is a bug in the change, not in the
@@ -65,9 +65,21 @@ class TestRunGoldens:
     def test_parallel_matches_golden(
         self, golden_runner, run_goldens, name
     ):
-        """workers>1 must reproduce the serial (golden) run exactly."""
+        """The shm backend must reproduce the serial (golden) run
+        exactly."""
+        from repro.engine import DeploymentEngine, make_executor
+
         configs = golden_run_configs(golden_runner.dataset.camera_ids)
-        result = golden_runner.run(workers=2, **configs[name])
+        engine = DeploymentEngine(
+            golden_runner.context,
+            seed=golden_runner.seed,
+            executor=make_executor(2),
+        )
+        try:
+            result = engine.run(**configs[name])
+        finally:
+            engine.close()
+        assert engine.executor.name == "shm"
         assert normalize(run_result_fingerprint(result)) == run_goldens[name]
 
     def test_every_field_compared(self, golden_runner, run_goldens):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.config import EECSConfig
-from repro.experiments.harness import RunSpec, get_engine
+from repro.engine import DeploymentSpec
+from repro.experiments.harness import get_engine
 
 
 class TestHarness:
@@ -40,11 +41,11 @@ class TestHarness:
 
     def test_run_spec_validates_policy_name(self):
         with pytest.raises(ValueError, match="valid policies are"):
-            RunSpec(dataset_number=1, mode="bestest")
+            DeploymentSpec(dataset_number=1, policy="bestest")
 
     def test_run_spec_validates_fixed_assignment(self):
         with pytest.raises(ValueError, match="assignment"):
-            RunSpec(dataset_number=1, mode="fixed")
+            DeploymentSpec(dataset_number=1, policy="fixed")
 
 
 class TestCameraFailureHandling:

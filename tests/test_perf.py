@@ -1,10 +1,9 @@
-"""The perf layer: ArrayCache, parallel_map."""
+"""The perf layer: ArrayCache and array_token."""
 
 import numpy as np
 import pytest
 
 from repro.perf.cache import ArrayCache, array_token
-from repro.perf.parallel import parallel_map
 
 
 class TestArrayToken:
@@ -59,29 +58,3 @@ class TestArrayCache:
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
             ArrayCache(max_entries=0)
-
-
-def _square(x: int) -> int:
-    return x * x
-
-
-class TestParallelMap:
-    def test_serial_fallback(self):
-        assert parallel_map(_square, [1, 2, 3], workers=1) == [1, 4, 9]
-
-    def test_parallel_matches_serial_order(self):
-        items = list(range(17))
-        serial = parallel_map(_square, items, workers=1)
-        parallel = parallel_map(_square, items, workers=2)
-        assert parallel == serial
-
-    def test_empty_items(self):
-        assert parallel_map(_square, [], workers=4) == []
-
-    def test_generator_input(self):
-        assert parallel_map(_square, (i for i in range(4)), workers=1) == [
-            0,
-            1,
-            4,
-            9,
-        ]

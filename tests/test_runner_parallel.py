@@ -8,8 +8,7 @@ order-independent by construction; these tests pin that guarantee.
 import numpy as np
 import pytest
 
-from repro.engine import DeploymentEngine
-from repro.experiments.harness import RunSpec, run_specs
+from repro.engine import DeploymentEngine, DeploymentSpec, make_executor
 from repro.obs.profile import fold_by_name
 from repro.telemetry import Telemetry
 
@@ -28,12 +27,24 @@ def _fingerprint(result):
     )
 
 
+def _run_with_workers(runner, workers, *args, **kwargs):
+    """Run on a fresh engine over ``runner``'s context whose executor
+    is built for ``workers``."""
+    engine = DeploymentEngine(
+        runner.context, seed=runner.seed, executor=make_executor(workers)
+    )
+    try:
+        return engine.run(*args, **kwargs)
+    finally:
+        engine.close()
+
+
 class TestRunnerWorkers:
     @pytest.mark.parametrize("mode", ["full", "all_best"])
     def test_workers_match_serial(self, runner1, mode):
         serial = runner1.run(mode, budget=2.0, start=1000, end=1300)
-        parallel = runner1.run(
-            mode, budget=2.0, start=1000, end=1300, workers=2
+        parallel = _run_with_workers(
+            runner1, 2, mode, budget=2.0, start=1000, end=1300
         )
         assert _fingerprint(parallel) == _fingerprint(serial)
 
@@ -43,12 +54,13 @@ class TestRunnerWorkers:
         serial = runner1.run(
             "fixed", assignment=assignment, start=1000, end=1300
         )
-        parallel = runner1.run(
+        parallel = _run_with_workers(
+            runner1,
+            3,
             "fixed",
             assignment=assignment,
             start=1000,
             end=1300,
-            workers=3,
         )
         assert _fingerprint(parallel) == _fingerprint(serial)
 
@@ -76,40 +88,20 @@ class TestRunnerWorkers:
 
 
 class TestHarnessWorkers:
-    def test_run_specs_parallel_matches_serial(self):
-        specs = [
-            RunSpec(
-                dataset_number=1,
-                mode="full",
-                budget=2.0,
-                start=1000,
-                end=1300,
-            ),
-            RunSpec(
-                dataset_number=1,
-                mode="all_best",
-                budget=2.0,
-                start=1000,
-                end=1300,
-            ),
-        ]
-        serial = run_specs(specs, workers=1)
-        parallel = run_specs(specs, workers=2)
-        assert [r.mode for r in serial] == ["full", "all_best"]
-        for a, b in zip(serial, parallel):
-            assert _fingerprint(a) == _fingerprint(b)
-
     def test_fixed_spec_assignment_roundtrip(self):
-        spec = RunSpec(
+        spec = DeploymentSpec(
             dataset_number=1,
-            mode="fixed",
+            policy="fixed",
             start=1000,
             end=1200,
             assignment=(("lab-cam1", "HOG"),),
         )
-        results = run_specs([spec], workers=1)
-        assert len(results) == 1
-        assert results[0].mode == "fixed"
+        result = spec.execute()
+        assert result.mode == "fixed"
+        assert all(
+            decision.assignment == {"lab-cam1": "HOG"}
+            for decision in result.decisions
+        )
 
 
 class TestPerCameraDeterminism:
