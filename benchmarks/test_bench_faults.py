@@ -8,25 +8,26 @@ cell must retain at least ``RETENTION_FLOOR`` of the clean rate —
 doubles as the CI chaos smoke test.
 """
 
-from repro.experiments.faults import (
-    ChaosSpec,
-    accuracy_retention,
-    chaos_sweep,
-)
+from repro.experiments.faults import accuracy_retention, chaos_sweep
 from repro.experiments.tables import format_table
+from tests.golden_utils import network_spec
 
 RETENTION_FLOOR = 0.8
 LOSS_RATES = (0.0, 0.2)
 CRASH_COUNTS = (0, 1)
+FRAMES = 18
 
 
 def test_bench_faults(runner_ds1):
     results = chaos_sweep(
-        runner_ds1, loss_rates=LOSS_RATES, crash_counts=CRASH_COUNTS
+        runner_ds1,
+        network_spec(FRAMES),
+        loss_rates=LOSS_RATES,
+        crash_counts=CRASH_COUNTS,
     )
-    baseline = results[0][1]
-    assert baseline.spec.loss_rate == 0.0
-    assert baseline.spec.crash_count == 0
+    clean_spec, baseline = results[0]
+    assert clean_spec.loss_rate == 0.0
+    assert clean_spec.crash_count == 0
 
     rows = []
     for spec, result in results:
@@ -88,10 +89,8 @@ def test_bench_faults(runner_ds1):
 
 def test_bench_faults_reboot_recovers_capacity(runner_ds1):
     """A rebooting camera is folded back in by the next re-selection."""
-    spec = ChaosSpec(crash_count=1, reboot_s=25.0)
-    from repro.experiments.faults import run_chaos
-
-    result = run_chaos(spec, runner_ds1)
+    spec = network_spec(FRAMES, crash_count=1, reboot_s=25.0)
+    result = spec.execute(engine=runner_ds1)
     recovery_kinds = [e.kind for e in result.recovery_events]
     print(f"\nrecovery events: {recovery_kinds}")
     assert "node_reboot" in recovery_kinds

@@ -28,7 +28,7 @@ import os
 
 import pytest
 
-from repro.experiments.faults import ChaosSpec, accuracy_retention, run_chaos
+from repro.experiments.faults import accuracy_retention
 from repro.experiments.tables import format_table
 from repro.faults.plan import (
     CalibrationDrift,
@@ -39,7 +39,12 @@ from repro.faults.plan import (
 )
 from repro.resilience.health import HealthConfig
 from repro.resilience.ladder import ResilienceConfig
-from tests.golden_utils import chaos_result_fingerprint, make_golden_runner
+from tests.golden_utils import (
+    chaos_result_fingerprint,
+    make_golden_runner,
+    network_horizon_s,
+    network_spec,
+)
 
 RETENTION_FLOOR = float(os.environ.get("RESILIENCE_RETENTION_FLOOR", "0.7"))
 
@@ -58,10 +63,8 @@ TUNED = ResilienceConfig(
 )
 
 
-def _spec(resilience=None) -> ChaosSpec:
-    return ChaosSpec(
-        num_frames=NUM_FRAMES, budget=BUDGET, resilience=resilience
-    )
+def _spec(**fields):
+    return network_spec(NUM_FRAMES, budget=BUDGET, **fields)
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +102,7 @@ def _scenarios(horizon_s: float) -> dict[str, list]:
 
 
 def test_bench_resilience_retention(golden_runner):
-    clean = run_chaos(_spec(), golden_runner)
+    clean = _spec().execute(engine=golden_runner)
     # The operating point is load-bearing: the faulted camera must be
     # in the selected set, with idle substitutes left over.
     assert TARGET in clean.final_assignment
@@ -110,10 +113,12 @@ def test_bench_resilience_retention(golden_runner):
     rows = []
     retentions: dict[str, tuple[float, float]] = {}
     results: dict[str, tuple] = {}
-    for name, faults in _scenarios(_spec().horizon_s).items():
+    for name, faults in _scenarios(network_horizon_s(NUM_FRAMES)).items():
         plan = FaultPlan(seed=7).with_data_faults(*faults)
-        bare = run_chaos(_spec(), golden_runner, plan=plan)
-        guarded = run_chaos(_spec(resilience=TUNED), golden_runner, plan=plan)
+        bare = _spec(fault_plan=plan).execute(engine=golden_runner)
+        guarded = _spec(resilience=TUNED, fault_plan=plan).execute(
+            engine=golden_runner
+        )
         ret_off = accuracy_retention(bare, clean)
         ret_on = accuracy_retention(guarded, clean)
         retentions[name] = (ret_off, ret_on)
@@ -185,9 +190,9 @@ def test_bench_resilience_inert_without_faults(golden_runner):
     Every fingerprint field must be bit-identical; the only visible
     trace of the layer is the (all-active) camera-mode map it reports.
     """
-    bare = chaos_result_fingerprint(run_chaos(_spec(), golden_runner))
+    bare = chaos_result_fingerprint(_spec().execute(engine=golden_runner))
     guarded = chaos_result_fingerprint(
-        run_chaos(_spec(resilience=TUNED), golden_runner)
+        _spec(resilience=TUNED).execute(engine=golden_runner)
     )
     modes = guarded.pop("camera_modes")
     assert set(modes.values()) == {"active"}

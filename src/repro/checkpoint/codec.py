@@ -156,33 +156,21 @@ def run_result_to_dict(result) -> dict:
 
 
 def chaos_result_to_dict(result) -> dict:
-    """A :class:`~repro.experiments.faults.ChaosResult` as exact JSON
-    values (minus the spec it echoes back).
+    """A networked run's
+    :class:`~repro.engine.environment.NetworkOutcome` as exact JSON
+    values.
 
     The chaos counterpart of :func:`run_result_to_dict`: the CLI's
     ``chaos --result-out`` dump, byte-diffed by the resilience-smoke
-    CI job to pin quarantine-active kill-and-resume.
+    CI job to pin quarantine-active kill-and-resume (written with
+    sorted keys, so the outcome's own field order never shows).
     """
     return {
-        "humans_detected": result.humans_detected,
-        "humans_present": result.humans_present,
-        "delivered_messages": result.delivered_messages,
-        "dropped_messages": result.dropped_messages,
-        "retransmissions": result.retransmissions,
-        "gave_up": result.gave_up,
-        "duplicates_dropped": result.duplicates_dropped,
-        "suppressed_sends": result.suppressed_sends,
-        "battery_by_camera": dict(sorted(result.battery_by_camera.items())),
-        "num_decisions": result.num_decisions,
-        "final_assignment": dict(sorted(result.final_assignment.items())),
+        **vars(result),
         "fault_events": [fault_event_to_dict(e) for e in result.fault_events],
         "recovery_events": [
             fault_event_to_dict(e) for e in result.recovery_events
         ],
-        "simulated_s": result.simulated_s,
-        "corrupted_received": result.corrupted_received,
-        "breaker_blocked": result.breaker_blocked,
-        "camera_modes": dict(sorted(result.camera_modes.items())),
     }
 
 

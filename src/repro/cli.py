@@ -283,18 +283,20 @@ def _check_predictive_flags(args: argparse.Namespace) -> None:
             )
 
 
-def _make_checkpoint_config(args: argparse.Namespace):
+def _make_checkpointer(args: argparse.Namespace):
     if not args.checkpoint_dir:
         if args.resume:
             raise SystemExit("--resume requires --checkpoint-dir")
         return None
-    from repro.checkpoint import CheckpointConfig
+    from repro.checkpoint import CheckpointConfig, RunCheckpointer
 
-    return CheckpointConfig(
-        directory=args.checkpoint_dir,
-        every=args.checkpoint_every,
-        resume=args.resume,
-        crash_after=args.crash_after,
+    return RunCheckpointer(
+        CheckpointConfig(
+            directory=args.checkpoint_dir,
+            every=args.checkpoint_every,
+            resume=args.resume,
+            crash_after=args.crash_after,
+        )
     )
 
 
@@ -383,11 +385,7 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.checkpoint import (
-        CheckpointError,
-        CheckpointInterrupted,
-        RunCheckpointer,
-    )
+    from repro.checkpoint import CheckpointError, CheckpointInterrupted
     from repro.engine.spec import DeploymentSpec
 
     telemetry = _make_telemetry(args)
@@ -440,10 +438,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # A spec the engine would refuse (e.g. --cells on a flat
         # policy) is a usage error, not a crash.
         raise SystemExit(f"error: {exc}")
-    checkpoint_config = _make_checkpoint_config(args)
-    checkpointer = (
-        RunCheckpointer(checkpoint_config) if checkpoint_config else None
-    )
+    checkpointer = _make_checkpointer(args)
     if telemetry is None:
         engine = spec.build_engine(config=config)
     else:
@@ -497,61 +492,58 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     from repro.checkpoint import CheckpointError, CheckpointInterrupted
-    from repro.engine.context import shared_context
-    from repro.engine.core import DeploymentEngine
-    from repro.experiments.faults import (
-        ChaosSpec,
-        accuracy_retention,
-        run_chaos,
-    )
+    from repro.datasets.synthetic import DATASET_SPECS
+    from repro.engine.spec import DeploymentSpec
+    from repro.experiments.faults import accuracy_retention
     from repro.faults.plan import FaultPlan
 
-    engine = DeploymentEngine(
-        shared_context(args.dataset, train_seed=args.seed)
-    )
-    resilience = _make_resilience_config(args)
-    spec = ChaosSpec(
+    # --frames N: the first N ground-truth frames of the test segment.
+    dataset = DATASET_SPECS[args.dataset]
+    baseline_spec = DeploymentSpec(
         dataset_number=args.dataset,
-        loss_rate=args.loss_rate,
-        crash_count=args.crash,
-        seed=args.seed,
-        num_frames=args.frames,
+        network=True,
+        start=dataset.train_end,
+        end=dataset.train_end + args.frames * dataset.gt_every,
         budget=args.budget,
-        fault_camera_count=args.fault_cameras,
-        sensor_noise=args.sensor_noise,
-        sensor_fp_rate=args.sensor_fp_rate,
-        stuck=args.stuck,
-        score_drift_per_s=args.score_drift,
-        clock_skew=args.clock_skew,
-        corruption_rate=args.corruption_rate,
-        resilience=resilience,
+        seed=args.seed,
+        train_seed=args.seed,
     )
-    plan = FaultPlan.load(args.fault_plan) if args.fault_plan else None
+    try:
+        spec = replace(
+            baseline_spec,
+            loss_rate=args.loss_rate,
+            crash_count=args.crash,
+            fault_camera_count=args.fault_cameras,
+            sensor_noise=args.sensor_noise,
+            sensor_fp_rate=args.sensor_fp_rate,
+            stuck=args.stuck,
+            score_drift_per_s=args.score_drift,
+            clock_skew=args.clock_skew,
+            corruption_rate=args.corruption_rate,
+            resilience=_make_resilience_config(args),
+            fault_plan=(
+                FaultPlan.load(args.fault_plan) if args.fault_plan else None
+            ),
+        )
+    except ValueError as exc:
+        # E.g. --fault-plan combined with --loss-rate: a usage error.
+        raise SystemExit(f"error: {exc}")
     telemetry = _make_telemetry(args)
-    checkpoint_config = _make_checkpoint_config(args)
+    checkpointer = _make_checkpointer(args)
 
-    baseline = run_chaos(
-        ChaosSpec(
-            dataset_number=args.dataset,
-            seed=args.seed,
-            num_frames=args.frames,
-            budget=args.budget,
-        ),
-        engine,
-    )
+    engine = baseline_spec.build_engine()
+    baseline = baseline_spec.execute(engine=engine)
     # Only the faulty run is instrumented: its metrics are the ones
     # that show loss, retries and re-selection at work.  It is also
     # the only run checkpointed — the zero-fault baseline is cheap to
     # recompute on resume.
     exporter = _attach_live(telemetry, args)
     try:
-        result = run_chaos(
-            spec,
-            engine,
-            plan=plan,
-            telemetry=telemetry,
-            checkpoint=checkpoint_config,
+        result = spec.execute(
+            engine=engine, telemetry=telemetry, checkpointer=checkpointer
         )
     except CheckpointInterrupted as stop:
         print(f"interrupted: {stop}")
@@ -883,7 +875,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--fault-plan",
         default=None,
-        help="JSON FaultPlan file (overrides --loss-rate/--crash)",
+        help="JSON FaultPlan file to inject instead of the plan the "
+        "fault flags describe (combining it with any of them is an error)",
     )
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--frames", type=int, default=18)
@@ -940,8 +933,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--result-out",
         default=None,
-        help="dump the ChaosResult as exact JSON (two bit-identical "
-        "runs produce byte-identical files)",
+        help="dump the faulty run's NetworkOutcome as exact JSON (two "
+        "bit-identical runs produce byte-identical files)",
     )
     _add_resilience_flags(p)
     _add_checkpoint_flags(p, unit="frame tick")

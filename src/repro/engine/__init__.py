@@ -11,13 +11,15 @@ One simulation core behind every way the repo runs a deployment:
 * :mod:`repro.engine.executor` — :class:`DetectionExecutor`
   backends (serial reference, zero-copy shared-memory process
   pool), picked by worker count and bit-identical by construction.
-* :mod:`repro.engine.environment` — :class:`Environment` seam:
-  ideal in-process frame feed vs. the fault-injected network.
+* :mod:`repro.engine.environment` — the fault-injected network
+  (:class:`FaultInjectedEnvironment`), where ``network=True`` specs
+  run; ``network=False`` specs run the engine's own in-process loop.
 * :mod:`repro.engine.context` — the immutable trained substrate
   (:class:`DeploymentContext`) and the engine-owned
   :func:`shared_context` cache.
-* :mod:`repro.engine.spec` — :class:`DeploymentSpec`, the
-  declarative construction path shared by harness and CLI.
+* :mod:`repro.engine.spec` — :class:`DeploymentSpec`, the one
+  description of a run in either environment, shared by harness,
+  experiments and CLI.
 * :mod:`repro.engine.clock` — :class:`SimulationClock`, explicit
   frame-cadence simulated time.
 
@@ -40,13 +42,7 @@ from repro.engine.fleet import (
     clear_fleet_contexts,
     fleet_context,
 )
-from repro.engine.environment import (
-    Environment,
-    FaultInjectedEnvironment,
-    IdealEnvironment,
-    NetworkConditions,
-    NetworkOutcome,
-)
+from repro.engine.environment import FaultInjectedEnvironment, NetworkOutcome
 from repro.engine.executor import (
     DetectionExecutor,
     SerialDetectionExecutor,
@@ -77,15 +73,12 @@ __all__ = [
     "DeploymentEngine",
     "DeploymentSpec",
     "DetectionExecutor",
-    "Environment",
     "FaultInjectedEnvironment",
     "FixedAssignmentPolicy",
     "FullCellPolicy",
     "FullEECSPolicy",
-    "IdealEnvironment",
     "PeerPolicy",
     "PredictivePolicy",
-    "NetworkConditions",
     "NetworkOutcome",
     "RoundPlan",
     "RunResult",

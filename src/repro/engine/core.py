@@ -23,10 +23,12 @@ pluggable:
   :class:`~repro.detection.batch.DetectionBatch` and hands it to the
   backend (serial reference or zero-copy shared-memory process pool)
   — bit-identical by construction, because every task seeds its own
-  generator from the run entropy plus its coordinates;
-* **where the deployment runs** comes from an
-  :class:`~repro.engine.environment.Environment` (ideal in-process
-  frame feed, or the fault-injected discrete-event network).
+  generator from the run entropy plus its coordinates.
+
+This loop is the ideal in-process frame feed; a networked
+:class:`~repro.engine.spec.DeploymentSpec` runs the same trained
+engine in :class:`~repro.engine.environment.FaultInjectedEnvironment`
+instead.
 
 Telemetry and energy accounting hook the engine's phase boundaries:
 the run/round span tree, the phase spans (the only timer: untraced
@@ -87,7 +89,6 @@ from repro.resilience.ladder import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.checkpoint.hooks import RunCheckpointer
-    from repro.engine.environment import Environment
     from repro.fleet.runtime import FleetRuntime
     from repro.telemetry.core import Telemetry
 
@@ -1010,15 +1011,3 @@ class DeploymentEngine:
             "run_mean_fused_probability",
             "Mean fused detection probability of the latest run.",
         ).set(float(np.mean(probabilities)) if probabilities else 0.0)
-
-    # ------------------------------------------------------------------
-    # Environments
-    # ------------------------------------------------------------------
-    def deploy(self, environment: "Environment"):
-        """Execute a deployment in an execution environment.
-
-        The ideal in-process environment returns a
-        :class:`RunResult`; the fault-injected network environment
-        returns a :class:`~repro.engine.environment.NetworkOutcome`.
-        """
-        return environment.execute(self)

@@ -1,27 +1,25 @@
-"""Execution environments: where a deployment engine's fleet runs.
+"""The fault-injected network: where a networked spec's fleet runs.
 
-The engine knows the EECS protocol; an :class:`Environment` decides
-the conditions under which the trained fleet executes it:
+A :class:`~repro.engine.spec.DeploymentSpec` runs in one of two
+environments.  With ``network=False`` the engine's own loop
+(:meth:`~repro.engine.core.DeploymentEngine.run`) is the in-process
+frame feed: every frame arrives, every message is delivered, the only
+costs are the modelled processing and communication energy.  With
+``network=True`` this module's :class:`FaultInjectedEnvironment` runs
+the discrete-event network — reliable transport, heartbeats, liveness
+tracking, with a :class:`~repro.faults.plan.FaultPlan` injecting
+packet loss, camera crashes and data-plane faults — and produces a
+:class:`NetworkOutcome` measured on what the controller actually
+received.
 
-* :class:`IdealEnvironment` — the in-process frame loop: every frame
-  arrives, every message is delivered, the only costs are the modelled
-  processing and communication energy.  Produces a
-  :class:`~repro.engine.core.RunResult`.
-* :class:`FaultInjectedEnvironment` — the discrete-event network:
-  reliable transport, heartbeats, liveness tracking, with a
-  :class:`~repro.faults.plan.FaultPlan` injecting packet loss and
-  camera crashes.  Produces a :class:`NetworkOutcome` measured on what
-  the controller actually received.
-
-Both environments read the same shared engine (library, matcher,
-detectors, energy model) and provision their own controller and
-batteries through :meth:`~repro.engine.core.DeploymentEngine.build_controller`,
-so a trained engine stays pristine across deployments.
+The environment reads the shared engine (library, matcher, detectors,
+energy model) and provisions its own controller and batteries through
+:meth:`~repro.engine.core.DeploymentEngine.build_controller`, so a
+trained engine stays pristine across deployments.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -30,107 +28,98 @@ from repro.checkpoint.codec import (
     rng_state_to_dict,
     verify_event_prefix,
 )
-from repro.checkpoint.hooks import CheckpointConfig, RunCheckpointer
+from repro.checkpoint.hooks import RunCheckpointer
 from repro.checkpoint.store import CheckpointError
 from repro.datasets.groundtruth import persons_in_any_view
 from repro.engine.core import (
     DeploymentEngine,
-    RunResult,
     close_round,
     count_true_detections,
 )
 from repro.faults.events import FaultEvent, RecoveryEvent
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import (
+    CalibrationDrift,
+    ClockSkew,
+    Crash,
+    FaultPlan,
+    MessageCorruption,
+    SensorFault,
+)
 from repro.network.node import CameraSensorNode, ControllerNode
 from repro.network.simulator import EventSimulator
-from repro.resilience.ladder import ResilienceConfig, build_coordinator
+from repro.resilience.ladder import build_coordinator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.policy import CoordinationPolicy
+    from repro.engine.spec import DeploymentSpec
     from repro.telemetry.core import Telemetry
 
 
-class Environment(ABC):
-    """Conditions under which an engine deploys its fleet."""
-
-    @abstractmethod
-    def execute(self, engine: DeploymentEngine):
-        """Run one deployment of ``engine`` in this environment."""
-
-
-@dataclass
-class IdealEnvironment(Environment):
-    """The idealised in-process frame feed (no network, no faults)."""
-
-    policy: "CoordinationPolicy | str" = "full"
-    budget: float | None = None
-    assignment: dict[str, str] | None = None
-    start: int | None = None
-    end: int | None = None
-
-    def execute(self, engine: DeploymentEngine) -> RunResult:
-        return engine.run(
-            self.policy,
-            budget=self.budget,
-            assignment=self.assignment,
-            start=self.start,
-            end=self.end,
-        )
+#: Protocol constants of the networked deployment: frames per
+#: accuracy assessment, camera liveness beacon interval, heartbeats
+#: missed before a camera is declared dead, and the deadline for
+#: closing an assessment round on partial data.
+ASSESSMENT_FRAMES = 2
+HEARTBEAT_S = 2.0
+MISS_THRESHOLD = 3
+ASSESSMENT_TIMEOUT_S = 5.0
 
 
-@dataclass(frozen=True)
-class NetworkConditions:
-    """The resolved parameters of one fault-injected deployment.
+def fault_plan_for(
+    spec: "DeploymentSpec", camera_ids: list[str], horizon_s: float
+) -> FaultPlan:
+    """The plan a networked spec's fault fields describe.
 
-    A concrete description — the fault plan is already built — so the
-    environment depends only on the engine, not on experiment-level
-    spec types.
-
-    Attributes:
-        plan: The fault plan to inject (loss model plus crashes).
-        start: First dataset frame of the deployment window.
-        num_frames: Ground-truth frames in the window; the first
-            ``assessment_frames`` feed the assessment round.
-        assessment_frames: Frames per accuracy assessment.
-        budget: Per-frame energy budget applied to every camera.
-        seconds_per_frame: Operational cadence.
-        heartbeat_s: Camera liveness beacon interval.
-        miss_threshold: Heartbeats missed before a camera is declared
-            dead.
-        assessment_timeout_s: Deadline for closing an assessment round
-            on partial data.
-        horizon_s: Simulated duration of the deployment.
-        seed / loss_rate / crash_count: Provenance, recorded on the
-            run span for traceability.
-        resilience: Graceful-degradation configuration; ``None`` (or
-            ``enabled=False``) deploys without the resilience layer —
-            the bit-identical legacy behavior.
+    Uniform loss on every link; ``crash_count`` cameras (in camera-id
+    order) crash one third into the horizon; the data-plane faults hit
+    the first ``fault_camera_count`` cameras from one third into the
+    horizon (after the first assignment is in force) to its end.
     """
-
-    plan: FaultPlan
-    start: int
-    num_frames: int
-    assessment_frames: int
-    budget: float
-    seconds_per_frame: float
-    heartbeat_s: float
-    miss_threshold: int
-    assessment_timeout_s: float
-    horizon_s: float
-    seed: int = 0
-    loss_rate: float = 0.0
-    crash_count: int = 0
-    resilience: ResilienceConfig | None = None
+    onset = horizon_s / 3.0
+    plan = FaultPlan.uniform_loss(spec.loss_rate, seed=spec.seed)
+    plan = plan.with_crashes(
+        *(
+            Crash(camera_id, at_s=onset, reboot_s=spec.reboot_s)
+            for camera_id in camera_ids[: spec.crash_count]
+        )
+    )
+    window = {"start_s": onset, "end_s": horizon_s}
+    data_faults = []
+    for camera_id in camera_ids[: spec.fault_camera_count]:
+        if spec.sensor_noise or spec.sensor_fp_rate or spec.stuck:
+            data_faults.append(
+                SensorFault(
+                    node_id=camera_id,
+                    noise=spec.sensor_noise,
+                    false_positive_rate=spec.sensor_fp_rate,
+                    stuck=spec.stuck,
+                    **window,
+                )
+            )
+        if spec.score_drift_per_s:
+            data_faults.append(
+                CalibrationDrift(
+                    node_id=camera_id,
+                    score_drift_per_s=spec.score_drift_per_s,
+                    **window,
+                )
+            )
+        if spec.clock_skew:
+            data_faults.append(
+                ClockSkew(node_id=camera_id, skew=spec.clock_skew, **window)
+            )
+        if spec.corruption_rate:
+            data_faults.append(
+                MessageCorruption(
+                    node_a=camera_id, rate=spec.corruption_rate, **window
+                )
+            )
+    return plan.with_data_faults(*data_faults)
 
 
 @dataclass
 class NetworkOutcome:
-    """What a networked deployment measured.
-
-    Experiment-level wrappers (``ChaosResult``) combine this with the
-    spec that produced it.
-    """
+    """What a networked deployment measured."""
 
     humans_detected: int
     humans_present: int
@@ -149,6 +138,20 @@ class NetworkOutcome:
     corrupted_received: int = 0
     breaker_blocked: int = 0
     camera_modes: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def detection_rate(self) -> float:
+        """Fraction of present humans the controller confirmed."""
+        if self.humans_present == 0:
+            return 0.0
+        return self.humans_detected / self.humans_present
+
+    @property
+    def total_radio_joules(self) -> float:
+        return sum(self.battery_by_camera.values())
+
+    def fault_kinds(self) -> list[str]:
+        return [e.kind for e in self.fault_events]
 
 
 def _verify_chaos_replay(recorded: dict, sim, injector) -> None:
@@ -191,23 +194,25 @@ def _verify_chaos_replay(recorded: dict, sim, injector) -> None:
 
 
 @dataclass
-class FaultInjectedEnvironment(Environment):
+class FaultInjectedEnvironment:
     """The discrete-event network with injected faults.
 
-    Deploys the engine's trained fleet over
+    Deploys the engine's trained fleet over the ground-truth frames of
+    ``spec``'s window, one per ``seconds_per_frame`` tick, on
     :class:`~repro.network.simulator.EventSimulator` — lossy links
     force retransmissions (paid in Joules), crashed cameras go silent
     until the controller declares them dead and re-selects over the
     survivors — and measures accuracy on the metadata the controller
     actually received.
 
-    With a :class:`~repro.telemetry.core.Telemetry` attached, the run
+    The run records into ``telemetry`` (default: the engine's).  With
+    a :class:`~repro.telemetry.core.Telemetry` attached, the run
     emits the full observability surface — network/energy/controller
     metrics, a run → round → phase → camera-op span tree, and
     structured events mirroring the fault log — without perturbing any
     rng stream: the faulty trajectory is bit-identical either way.
 
-    With a :class:`~repro.checkpoint.hooks.CheckpointConfig` attached,
+    With a :class:`~repro.checkpoint.hooks.RunCheckpointer` attached,
     the run snapshots a *progress marker* (simulated time, message and
     fault-log counters, injector rng state, battery totals) every ``K``
     frame ticks.  The event queue itself — closures over live node
@@ -221,38 +226,48 @@ class FaultInjectedEnvironment(Environment):
     a checkpointed run is bit-identical to an unobserved one.
     """
 
-    conditions: NetworkConditions
+    spec: "DeploymentSpec"
     telemetry: "Telemetry | None" = None
-    checkpoint: CheckpointConfig | None = None
+    checkpointer: RunCheckpointer | None = None
 
     def execute(self, engine: DeploymentEngine) -> NetworkOutcome:
-        conditions = self.conditions
-        telemetry = self.telemetry
-        dataset = engine.dataset
-        end = conditions.start + conditions.num_frames * dataset.spec.gt_every
-        records = dataset.frames(
-            conditions.start, end, only_ground_truth=True
+        spec = self.spec
+        telemetry = (
+            self.telemetry if self.telemetry is not None else engine.telemetry
         )
-        records = records[: conditions.num_frames]
+        checkpointer = self.checkpointer
+        dataset = engine.dataset
+        start = dataset.spec.train_end if spec.start is None else spec.start
+        end = dataset.spec.total_frames if spec.end is None else spec.end
+        records = dataset.frames(start, end, only_ground_truth=True)
+        num_frames = len(records)
+        # One tick per frame plus start-up slack.
+        seconds_per_frame = engine.config.seconds_per_frame
+        horizon = seconds_per_frame * (num_frames + 4)
+        plan = (
+            spec.fault_plan
+            if spec.fault_plan is not None
+            else fault_plan_for(spec, dataset.camera_ids, horizon)
+        )
 
         sim = EventSimulator(telemetry=telemetry)
         controller = engine.build_controller(
             telemetry=telemetry, now_fn=lambda: sim.now
         )
 
-        injector = FaultInjector(conditions.plan)
+        injector = FaultInjector(plan)
         if telemetry is not None:
             telemetry.attach_fault_log(injector.log)
         coordinator = build_coordinator(
-            conditions.resilience,
+            spec.resilience,
             dataset.camera_ids,
             fault_log=injector.log,
         )
         controller_node = ControllerNode(
             "controller",
             controller,
-            assessment_frames=conditions.assessment_frames,
-            budget=conditions.budget,
+            assessment_frames=ASSESSMENT_FRAMES,
+            budget=spec.budget,
             reliable=True,
             fault_log=injector.log,
             telemetry=telemetry,
@@ -281,28 +296,23 @@ class FaultInjectedEnvironment(Environment):
             sim.connect(camera_id, "controller")
         injector.attach(sim)
 
-        checkpointer = (
-            RunCheckpointer(self.checkpoint)
-            if self.checkpoint is not None
-            else None
-        )
         resume_state = None
         if checkpointer is not None:
             resume_state = checkpointer.begin(
                 "chaos",
                 {
                     "dataset": dataset.spec.name,
-                    "plan": conditions.plan.to_dict(),
-                    "start": conditions.start,
-                    "num_frames": conditions.num_frames,
-                    "assessment_frames": conditions.assessment_frames,
-                    "budget": conditions.budget,
-                    "seconds_per_frame": conditions.seconds_per_frame,
-                    "heartbeat_s": conditions.heartbeat_s,
-                    "miss_threshold": conditions.miss_threshold,
-                    "assessment_timeout_s": conditions.assessment_timeout_s,
-                    "horizon_s": conditions.horizon_s,
-                    "seed": conditions.seed,
+                    "plan": plan.to_dict(),
+                    "start": start,
+                    "num_frames": num_frames,
+                    "assessment_frames": ASSESSMENT_FRAMES,
+                    "budget": spec.budget,
+                    "seconds_per_frame": seconds_per_frame,
+                    "heartbeat_s": HEARTBEAT_S,
+                    "miss_threshold": MISS_THRESHOLD,
+                    "assessment_timeout_s": ASSESSMENT_TIMEOUT_S,
+                    "horizon_s": horizon,
+                    "seed": spec.seed,
                 },
             )
             if resume_state is not None and telemetry is not None:
@@ -351,33 +361,26 @@ class FaultInjectedEnvironment(Environment):
             telemetry.tracer.begin(
                 "run",
                 mode="chaos",
-                seed=conditions.seed,
-                loss_rate=conditions.loss_rate,
-                crash_count=conditions.crash_count,
-                frames=conditions.num_frames,
+                seed=spec.seed,
+                loss_rate=spec.loss_rate,
+                crash_count=spec.crash_count,
+                frames=num_frames,
             )
             if telemetry is not None
             else None
         )
         try:
-            horizon = conditions.horizon_s
             for node in cameras.values():
                 node.start()
-                node.start_heartbeats(conditions.heartbeat_s, until=horizon)
-                node.start_operation(
-                    conditions.seconds_per_frame, until=horizon
-                )
+                node.start_heartbeats(HEARTBEAT_S, until=horizon)
+                node.start_operation(seconds_per_frame, until=horizon)
             controller_node.enable_liveness(
-                conditions.heartbeat_s,
-                miss_threshold=conditions.miss_threshold,
-                until=horizon,
+                HEARTBEAT_S, miss_threshold=MISS_THRESHOLD, until=horizon
             )
 
             camera_algorithms = {}
             for camera_id in dataset.camera_ids:
-                cam_plan = controller.camera_plan(
-                    camera_id, conditions.budget
-                )
+                cam_plan = controller.camera_plan(camera_id, spec.budget)
                 if cam_plan is None:
                     continue
                 camera_algorithms[camera_id] = sorted(
@@ -387,25 +390,24 @@ class FaultInjectedEnvironment(Environment):
                     <= cam_plan.budget
                 )
             controller_node.start_assessment(
-                camera_algorithms, timeout_s=conditions.assessment_timeout_s
+                camera_algorithms, timeout_s=ASSESSMENT_TIMEOUT_S
             )
 
             if checkpointer is not None or telemetry is not None:
-                spf = conditions.seconds_per_frame
-                total_ticks = max(1, int(horizon / spf))
+                total_ticks = max(1, int(horizon / seconds_per_frame))
 
                 for tick in range(total_ticks):
                     # Each frame tick is a round boundary: the same
                     # flush-then-checkpoint sequence as the run loop.
                     sim.schedule(
-                        (tick + 1) * spf - sim.now,
+                        (tick + 1) * seconds_per_frame - sim.now,
                         lambda t=tick: close_round(
                             t, total_ticks, sim.now, telemetry,
                             coordinator, checkpointer, _progress,
                         ),
                     )
 
-            sim.run(until=horizon + conditions.seconds_per_frame)
+            sim.run(until=horizon + seconds_per_frame)
         finally:
             if checkpointer is not None:
                 checkpointer.finish()
@@ -428,7 +430,7 @@ class FaultInjectedEnvironment(Environment):
         detected_total = 0
         present_total = 0
         for idx, record in enumerate(records):
-            if idx < conditions.assessment_frames:
+            if idx < ASSESSMENT_FRAMES:
                 continue
             present = persons_in_any_view(record.observations)
             present_total += len(present)

@@ -1,49 +1,95 @@
 """Declarative deployment specs: one object describes one run.
 
-A :class:`DeploymentSpec` is the single construction path the harness
-and the CLI share: it names the dataset, the coordination policy and
-the run parameters, validates them eagerly (a typo'd policy fails at
-spec construction, not minutes into training), and knows how to build
-the engine that executes it — training through the shared
+A :class:`DeploymentSpec` is the single construction path the harness,
+the CLI and the chaos experiment share, in either execution
+environment: the in-process frame feed (``network=False``) or the
+fault-injected discrete-event network (``network=True``).  It names
+the dataset, the coordination policy, the run parameters and — on the
+network — the faults to inject, validates them eagerly (a typo'd
+policy or a fault knob the environment cannot honour fails at spec
+construction, not minutes into training), and knows how to build the
+engine that executes it — training through the shared
 :func:`~repro.engine.context.shared_context` cache so each dataset is
 trained once per process.
 
 Specs are frozen and hashable.  Every run reseeds from its own
-configuration inside the engine, so the result depends only on the
-spec — never on ``workers``, which only decides whether detection
-batches run in-process or over a shared-memory process pool.
+configuration, so the result depends only on the spec — never on
+``workers``, which only decides whether detection batches run
+in-process or over a shared-memory process pool.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.checkpoint.hooks import CheckpointConfig, RunCheckpointer
 from repro.core.config import EECSConfig
 from repro.datasets.synthetic import DATASET_SPECS
 from repro.engine.context import shared_context
 from repro.engine.core import DeploymentEngine, RunResult
+from repro.engine.environment import FaultInjectedEnvironment, NetworkOutcome
 from repro.engine.executor import make_executor
 from repro.engine.fleet import fleet_context
 from repro.engine.policy import resolve_policy, validate_cells
+from repro.faults.plan import FaultPlan
 from repro.fleet.cells import validate_cells_value
 from repro.resilience.ladder import ResilienceConfig
+
+#: Tunables of the ``predictive`` policy.
+PREDICTIVE_FIELDS = (
+    "wake_threshold",
+    "predictor_warmup",
+    "wake_probe_every",
+    "max_sleepers",
+    "low_energy_below",
+)
+
+#: Knobs of the default fault plan (networked runs only); each is
+#: inert at its default.
+FAULT_FIELDS = (
+    "loss_rate",
+    "crash_count",
+    "reboot_s",
+    "fault_camera_count",
+    "sensor_noise",
+    "sensor_fp_rate",
+    "stuck",
+    "score_drift_per_s",
+    "clock_skew",
+    "corruption_rate",
+)
 
 
 @dataclass(frozen=True)
 class DeploymentSpec:
     """One fully described deployment run.
 
+    Each field is honoured in both environments or rejected at
+    construction in the one where it means nothing: the fault fields
+    need ``network=True``; ``policy`` other than ``"full"``,
+    ``assignment``, ``workers > 1``, ``fleet_cameras``, ``cells`` and
+    the predictive tunables need ``network=False``.
+
     Attributes:
         dataset_number: Which synthetic dataset to deploy on.
+        network: Deploy over the fault-injected discrete-event network
+            (:class:`~repro.engine.environment.FaultInjectedEnvironment`)
+            instead of the in-process frame feed.  The networked
+            controller always runs the full protocol (subset selection
+            plus downgrade) on the dataset's own cameras.
         policy: Registered coordination policy name (validated at
             construction).
-        budget: Per-frame energy budget for every camera.
-        start / end: Frame window (``None`` = dataset defaults).
+        budget: Per-frame energy budget for every camera (``None`` =
+            derived from the battery, as in the paper).
+        start / end: Frame window (``None`` = the dataset's test
+            segment); both environments process its ground-truth
+            frames.
         assignment: Static camera->algorithm pairs for
             assignment-taking policies, as a tuple of pairs to keep
             the spec hashable.
-        seed: Run-entropy seed (feeds every detection task's rng).
+        seed: Run-entropy seed: feeds every detection task's rng on
+            the ideal feed and the fault injector's rng on the
+            network.
         train_seed: Offline-training seed; ``None`` uses the shared
             per-dataset convention (``2017 + dataset_number``).
         workers: Detection executor width: 1 runs in-process
@@ -57,7 +103,8 @@ class DeploymentSpec:
             lets a caller state the backend it expects.
         checkpoint_dir: Directory for crash-safe run checkpoints
             (``None`` disables checkpointing).
-        checkpoint_every: Snapshot cadence in completed rounds.
+        checkpoint_every: Snapshot cadence in completed rounds (frame
+            ticks on the network).
         resume: Restore from ``checkpoint_dir``'s snapshot instead of
             starting fresh (no snapshot on disk = fresh start).
         resilience: Graceful-degradation layer configuration; ``None``
@@ -80,9 +127,24 @@ class DeploymentSpec:
             :class:`~repro.predictive.PredictiveConfig`); ``None``
             keeps each default.  ``max_sleepers=0`` spells "uncapped".
             Any of them set with a different policy is a spec error.
+        loss_rate / crash_count / reboot_s / fault_camera_count /
+        sensor_noise / sensor_fp_rate / stuck / score_drift_per_s /
+        clock_skew / corruption_rate: The default fault plan (see
+            :func:`~repro.engine.environment.fault_plan_for`): uniform
+            link loss; ``crash_count`` cameras crash (and reboot at
+            ``reboot_s``, if set); the first ``fault_camera_count``
+            cameras suffer sensor noise (suppressed real detections),
+            fabricated detections (a Poisson rate per message), a
+            frozen sensor, score drift per simulated second,
+            fractional clock skew (0.5 = 50% slow) and garbled
+            messages.  Each is inert at its default.
+        fault_plan: An explicit :class:`~repro.faults.plan.FaultPlan`
+            to inject instead of the one the fault fields describe;
+            setting both is a spec error.
     """
 
     dataset_number: int
+    network: bool = False
     policy: str = "full"
     budget: float | None = None
     start: int | None = None
@@ -103,8 +165,20 @@ class DeploymentSpec:
     wake_probe_every: int | None = None
     max_sleepers: int | None = None
     low_energy_below: float | None = None
+    loss_rate: float = 0.0
+    crash_count: int = 0
+    reboot_s: float | None = None
+    fault_camera_count: int = 1
+    sensor_noise: float = 0.0
+    sensor_fp_rate: float = 0.0
+    stuck: bool = False
+    score_drift_per_s: float = 0.0
+    clock_skew: float = 0.0
+    corruption_rate: float = 0.0
+    fault_plan: FaultPlan | None = None
 
     def __post_init__(self) -> None:
+        self._validate_environment()
         # Fail fast: resolve_policy raises the "valid policies are ..."
         # ValueError for unknown names; the policy then checks its own
         # requirements (e.g. "fixed" without an assignment).
@@ -152,14 +226,11 @@ class DeploymentSpec:
             validate_cells_value(
                 self.cells, field="cells", num_cameras=num_cameras
             )
-        predictive_fields = {
-            "wake_threshold": self.wake_threshold,
-            "predictor_warmup": self.predictor_warmup,
-            "wake_probe_every": self.wake_probe_every,
-            "max_sleepers": self.max_sleepers,
-            "low_energy_below": self.low_energy_below,
-        }
-        set_fields = [k for k, v in predictive_fields.items() if v is not None]
+        set_fields = [
+            name
+            for name in PREDICTIVE_FIELDS
+            if getattr(self, name) is not None
+        ]
         if set_fields and self.policy != "predictive":
             raise ValueError(
                 f"{', '.join(set_fields)} require(s) policy "
@@ -171,6 +242,45 @@ class DeploymentSpec:
             # training.  The same construction happens again in
             # execute(), so the two can never disagree.
             self._predictive_config()
+
+    def _validate_environment(self) -> None:
+        """Reject fields the chosen environment cannot honour."""
+        defaults = {f.name: f.default for f in fields(self)}
+        faults = [
+            name
+            for name in FAULT_FIELDS
+            if getattr(self, name) != defaults[name]
+        ]
+        if self.network:
+            ideal_only = {
+                "policy": self.policy != "full",
+                "assignment": self.assignment is not None,
+                "workers": self.workers > 1,
+                "fleet_cameras": self.fleet_cameras is not None,
+                "cells": self.cells is not None,
+            }
+            ideal_only.update(
+                (name, getattr(self, name) is not None)
+                for name in PREDICTIVE_FIELDS
+            )
+            rejected = [name for name, is_set in ideal_only.items() if is_set]
+            if rejected:
+                raise ValueError(
+                    f"{', '.join(rejected)} require(s) network=False: "
+                    "the networked controller always runs the full "
+                    "protocol, serially, on the dataset's own cameras"
+                )
+            if self.fault_plan is not None and faults:
+                raise ValueError(
+                    f"fault_plan replaces the fault fields; drop "
+                    f"{', '.join(faults)} or the plan"
+                )
+        elif faults or self.fault_plan is not None:
+            named = faults + ["fault_plan"] * (self.fault_plan is not None)
+            raise ValueError(
+                f"{', '.join(named)} require(s) network=True: the "
+                "ideal feed injects no faults"
+            )
 
     def _predictive_config(self):
         """The :class:`~repro.predictive.PredictiveConfig` this spec
@@ -198,18 +308,6 @@ class DeploymentSpec:
         from repro.engine.predictive import PredictivePolicy
 
         return PredictivePolicy(self._predictive_config())
-
-    def make_checkpointer(self) -> RunCheckpointer | None:
-        """The checkpoint driver this spec asks for (``None`` = off)."""
-        if self.checkpoint_dir is None:
-            return None
-        return RunCheckpointer(
-            CheckpointConfig(
-                directory=self.checkpoint_dir,
-                every=self.checkpoint_every,
-                resume=self.resume,
-            )
-        )
 
     def build_engine(
         self,
@@ -243,27 +341,52 @@ class DeploymentSpec:
         config: EECSConfig | None = None,
         telemetry=None,
         checkpointer: RunCheckpointer | None = None,
-    ) -> RunResult:
+    ) -> RunResult | NetworkOutcome:
         """Run this spec (building the engine unless one is supplied).
 
-        A supplied ``engine`` must carry this spec's seed (build it
-        with :meth:`build_engine`); a mismatch raises ``ValueError``
-        rather than silently running the engine's seed.
-        ``checkpointer`` overrides the spec's own checkpoint fields —
-        the hook tests and the CLI use it to attach a ``crash_after``
-        crash-injection config.
+        The ideal feed returns a :class:`~repro.engine.core.RunResult`;
+        the network returns a
+        :class:`~repro.engine.environment.NetworkOutcome`.
+
+        On the ideal feed a supplied ``engine`` must carry this spec's
+        seed (build it with :meth:`build_engine`) and ``telemetry``,
+        if given, must be the engine's own; a mismatch raises
+        ``ValueError`` rather than silently running the engine's seed
+        or dropping the telemetry.  The network draws nothing from the
+        engine's seed, and records into ``telemetry`` (default: the
+        engine's).  ``checkpointer`` overrides the spec's own
+        checkpoint fields — the hook tests and the CLI use it to
+        attach a ``crash_after`` crash-injection config.
         """
         owns_engine = engine is None
         if engine is None:
-            engine = self.build_engine(config=config, telemetry=telemetry)
-        elif engine.seed != self.seed:
-            raise ValueError(
-                f"engine seed {engine.seed} does not match the spec's "
-                f"seed {self.seed}"
+            engine = self.build_engine(
+                config=config, telemetry=None if self.network else telemetry
             )
-        if checkpointer is None:
-            checkpointer = self.make_checkpointer()
+        elif not self.network:
+            if engine.seed != self.seed:
+                raise ValueError(
+                    f"engine seed {engine.seed} does not match the "
+                    f"spec's seed {self.seed}"
+                )
+            if telemetry is not None and telemetry is not engine.telemetry:
+                raise ValueError(
+                    "the ideal feed records into the engine's telemetry; "
+                    "build the engine with this telemetry instead"
+                )
+        if checkpointer is None and self.checkpoint_dir is not None:
+            checkpointer = RunCheckpointer(
+                CheckpointConfig(
+                    directory=self.checkpoint_dir,
+                    every=self.checkpoint_every,
+                    resume=self.resume,
+                )
+            )
         try:
+            if self.network:
+                return FaultInjectedEnvironment(
+                    self, telemetry=telemetry, checkpointer=checkpointer
+                ).execute(engine)
             return engine.run(
                 self._runtime_policy(),
                 budget=self.budget,

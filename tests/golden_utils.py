@@ -1,10 +1,10 @@
 """Golden-fixture plumbing for the engine-equivalence regression.
 
 The fixtures under ``tests/goldens/`` were captured from the
-pre-refactor runner / ``run_chaos`` implementations (commit
-``fecd7f2``) and pin every externally visible field of
+pre-refactor runner / chaos implementations (commit ``fecd7f2``) and
+pin every externally visible field of
 :class:`~repro.engine.core.RunResult` and
-:class:`~repro.experiments.faults.ChaosResult` bit-for-bit.  The
+:class:`~repro.engine.environment.NetworkOutcome` bit-for-bit.  The
 equivalence tests in ``test_golden_equivalence.py`` replay the same
 configurations through the unified deployment engine and compare
 field-by-field — floats included, since JSON round-trips Python
@@ -43,11 +43,34 @@ def golden_run_configs(camera_ids: list[str]) -> dict[str, dict]:
     }
 
 
-#: Chaos configurations: a zero-fault baseline plus loss + crash.
+#: Chaos configurations (:func:`network_spec` arguments): a zero-fault
+#: baseline plus loss + crash.
 GOLDEN_CHAOS_CONFIGS = {
-    "zero_fault": {"num_frames": 8},
-    "faulty": {"loss_rate": 0.2, "crash_count": 1, "num_frames": 8},
+    "zero_fault": {"frames": 8, "seed": 7},
+    "faulty": {"frames": 8, "seed": 7, "loss_rate": 0.2, "crash_count": 1},
 }
+
+
+def network_spec(frames: int, seed: int = 7, budget: float = 2.0, **fields):
+    """A networked dataset-#1 spec over the first ``frames``
+    ground-truth frames of the test segment (frames 1000, 1025, ...)."""
+    from repro.engine.spec import DeploymentSpec
+
+    return DeploymentSpec(
+        dataset_number=1,
+        network=True,
+        start=1000,
+        end=1000 + 25 * frames,
+        seed=seed,
+        budget=budget,
+        **fields,
+    )
+
+
+def network_horizon_s(frames: int) -> float:
+    """Simulated duration of a ``frames``-frame networked run: one
+    2 s tick per frame plus four ticks of start-up slack."""
+    return 2.0 * (frames + 4)
 
 
 def decision_fingerprint(decision) -> dict:
@@ -96,7 +119,7 @@ def event_fingerprint(event) -> dict:
 
 
 def chaos_result_fingerprint(result) -> dict:
-    """Every field of a ChaosResult bar the spec it echoes back."""
+    """Every field of a NetworkOutcome."""
     return {
         "humans_detected": result.humans_detected,
         "humans_present": result.humans_present,
@@ -144,11 +167,9 @@ def collect_run_goldens(runner) -> dict:
 
 
 def collect_chaos_goldens(runner) -> dict:
-    from repro.experiments.faults import ChaosSpec, run_chaos
-
     out = {}
     for name, kwargs in GOLDEN_CHAOS_CONFIGS.items():
-        result = run_chaos(ChaosSpec(**kwargs), runner)
+        result = network_spec(**kwargs).execute(engine=runner)
         out[name] = chaos_result_fingerprint(result)
     return out
 

@@ -40,6 +40,7 @@ from tests.golden_utils import (
     golden_run_configs,
     load_golden,
     make_golden_runner,
+    network_spec,
     run_result_fingerprint,
 )
 
@@ -492,22 +493,21 @@ class TestChaosKillAndResume:
         """Kill the event-driven run mid-flight; the resumed
         (seeded-replay) run must match the uninterrupted golden and
         pass the recorded-prefix verification."""
-        from repro.experiments.faults import ChaosSpec, run_chaos
-
-        spec = ChaosSpec(**GOLDEN_CHAOS_CONFIGS[name])
+        spec = network_spec(**GOLDEN_CHAOS_CONFIGS[name])
         with pytest.raises(SimulatedCrash):
-            run_chaos(
-                spec,
-                crashed_runner,
-                checkpoint=CheckpointConfig(
-                    directory=tmp_path, every=2, crash_after=5
+            spec.execute(
+                engine=crashed_runner,
+                checkpointer=RunCheckpointer(
+                    CheckpointConfig(
+                        directory=tmp_path, every=2, crash_after=5
+                    )
                 ),
             )
-        resumed = run_chaos(
-            spec,
-            fresh_runner,
-            checkpoint=CheckpointConfig(directory=tmp_path, resume=True),
-        )
+        resumed = network_spec(
+            **GOLDEN_CHAOS_CONFIGS[name],
+            checkpoint_dir=str(tmp_path),
+            resume=True,
+        ).execute(engine=fresh_runner)
         assert normalize(chaos_result_fingerprint(resumed)) == (
             chaos_goldens[name]
         ), f"resumed chaos run {name!r} drifted from the golden"
@@ -517,15 +517,12 @@ class TestChaosKillAndResume:
     ):
         """Tampering with the recorded fault log must fail the
         replay-prefix verification instead of resuming silently."""
-        from repro.experiments.faults import ChaosSpec, run_chaos
-
-        spec = ChaosSpec(**GOLDEN_CHAOS_CONFIGS["faulty"])
+        spec = network_spec(**GOLDEN_CHAOS_CONFIGS["faulty"])
         with pytest.raises(SimulatedCrash):
-            run_chaos(
-                spec,
-                fresh_runner,
-                checkpoint=CheckpointConfig(
-                    directory=tmp_path, crash_after=8
+            spec.execute(
+                engine=fresh_runner,
+                checkpointer=RunCheckpointer(
+                    CheckpointConfig(directory=tmp_path, crash_after=8)
                 ),
             )
         store = CheckpointStore(tmp_path)
@@ -536,10 +533,8 @@ class TestChaosKillAndResume:
         document["state"]["fault_events"][0]["time_s"] += 1.0
         store.path.write_text(json.dumps(document))
         with pytest.raises(CheckpointError, match="diverges"):
-            run_chaos(
-                spec,
-                fresh_runner,
-                checkpoint=CheckpointConfig(
-                    directory=tmp_path, resume=True
-                ),
-            )
+            network_spec(
+                **GOLDEN_CHAOS_CONFIGS["faulty"],
+                checkpoint_dir=str(tmp_path),
+                resume=True,
+            ).execute(engine=fresh_runner)

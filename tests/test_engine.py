@@ -9,7 +9,6 @@ from repro.engine import (
     DeploymentEngine,
     DeploymentSpec,
     FullEECSPolicy,
-    IdealEnvironment,
     SerialDetectionExecutor,
     SharedMemoryDetectionExecutor,
     SimulationClock,
@@ -21,6 +20,38 @@ from repro.engine import (
     validate_policy_name,
 )
 from repro.engine.policy import _REGISTRY, RoundPlan
+from repro.engine.spec import FAULT_FIELDS, PREDICTIVE_FIELDS
+from repro.faults.plan import FaultPlan
+from repro.resilience.ladder import ResilienceConfig
+from tests.golden_utils import network_spec
+
+#: One non-default value per fault field.
+FAULT_VALUES = {
+    "loss_rate": 0.5,
+    "crash_count": 2,
+    "reboot_s": 25.0,
+    "fault_camera_count": 2,
+    "sensor_noise": 0.9,
+    "sensor_fp_rate": 1.0,
+    "stuck": True,
+    "score_drift_per_s": 0.1,
+    "clock_skew": 0.5,
+    "corruption_rate": 0.2,
+}
+
+#: One value per field the networked environment cannot honour.
+IDEAL_ONLY_VALUES = {
+    "policy": "subset",
+    "assignment": (("lab-cam1", "HOG"),),
+    "workers": 2,
+    "fleet_cameras": 8,
+    "cells": 2,
+    "wake_threshold": 9.0,
+    "predictor_warmup": 2,
+    "wake_probe_every": 4,
+    "max_sleepers": 1,
+    "low_energy_below": 0.2,
+}
 
 
 class TestSimulationClock:
@@ -239,6 +270,77 @@ class TestDeploymentSpec:
         ):
             spec.execute(engine=runner1)
 
+    def test_fault_fields_cover_every_default(self):
+        assert set(FAULT_VALUES) == set(FAULT_FIELDS)
+
+    @pytest.mark.parametrize("name", sorted(IDEAL_ONLY_VALUES))
+    def test_network_rejects_ideal_only_field(self, name):
+        fields = {name: IDEAL_ONLY_VALUES[name]}
+        if name in PREDICTIVE_FIELDS:
+            fields["policy"] = "predictive"
+        elif name == "cells":
+            fields["policy"] = "cell"
+        DeploymentSpec(dataset_number=1, **fields)
+        with pytest.raises(ValueError, match="require.*network=False"):
+            DeploymentSpec(dataset_number=1, network=True, **fields)
+
+    @pytest.mark.parametrize("name", sorted(FAULT_VALUES) + ["fault_plan"])
+    def test_ideal_feed_rejects_fault_field(self, name):
+        value = FAULT_VALUES.get(name, FaultPlan(seed=7))
+        DeploymentSpec(dataset_number=1, network=True, **{name: value})
+        with pytest.raises(ValueError, match=f"{name}.*network=True"):
+            DeploymentSpec(dataset_number=1, **{name: value})
+
+    @pytest.mark.parametrize("name", sorted(FAULT_VALUES))
+    def test_fault_plan_excludes_fault_fields(self, name):
+        """An explicit plan replaces the plan the fault fields describe,
+        so setting both would silently drop the fields."""
+        with pytest.raises(ValueError, match=f"fault_plan.*drop {name}"):
+            DeploymentSpec(
+                dataset_number=1,
+                network=True,
+                fault_plan=FaultPlan(seed=7),
+                **{name: FAULT_VALUES[name]},
+            )
+
+    def test_network_spec_is_hashable(self):
+        def make():
+            return network_spec(
+                8,
+                resilience=ResilienceConfig(enabled=True),
+                fault_plan=FaultPlan.uniform_loss(0.2),
+            )
+
+        assert make() == make()
+        assert hash(make()) == hash(make())
+
+    def test_ideal_feed_rejects_foreign_telemetry(self, runner1):
+        from repro.telemetry import Telemetry
+
+        spec = DeploymentSpec(
+            dataset_number=1, budget=2.0, start=1000, end=1100
+        )
+        with pytest.raises(ValueError, match="engine's telemetry"):
+            spec.execute(engine=runner1, telemetry=Telemetry(run_id="t"))
+        traced = DeploymentEngine(
+            runner1.context, telemetry=Telemetry(run_id="own")
+        )
+        spec.execute(engine=traced, telemetry=traced.telemetry)
+        assert traced.telemetry.tracer.spans
+
+    def test_network_records_into_given_telemetry(self, runner1):
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry(run_id="given")
+        network_spec(4).execute(engine=runner1, telemetry=telemetry)
+        assert "run" in {s.name for s in telemetry.tracer.spans}
+        # Without one, the network records into the engine's.
+        traced = DeploymentEngine(
+            runner1.context, telemetry=Telemetry(run_id="engine")
+        )
+        network_spec(4).execute(engine=traced)
+        assert "run" in {s.name for s in traced.telemetry.tracer.spans}
+
 
 class TestEngineSeams:
     def test_round_boundary_flushes_before_checkpoint(
@@ -247,7 +349,6 @@ class TestEngineSeams:
         """The ideal run loop and the chaos frame ticks share one
         round-boundary sequence: flush unit i, then checkpoint unit i."""
         from repro.checkpoint import CheckpointConfig, RunCheckpointer
-        from repro.experiments.faults import ChaosSpec, run_chaos
         from repro.telemetry import Telemetry
 
         calls = []
@@ -287,23 +388,10 @@ class TestEngineSeams:
             ),
         )
         assert_interleaved()
-        run_chaos(
-            ChaosSpec(num_frames=4),
-            runner1,
-            telemetry=Telemetry(run_id="order"),
-            checkpoint=CheckpointConfig(directory=tmp_path / "chaos"),
+        network_spec(4, checkpoint_dir=str(tmp_path / "chaos")).execute(
+            engine=runner1, telemetry=Telemetry(run_id="order")
         )
         assert_interleaved()
-
-    def test_ideal_environment_matches_direct_run(self, runner1):
-        engine = runner1
-        direct = engine.run("all_best", budget=2.0, start=1000, end=1200)
-        deployed = engine.deploy(
-            IdealEnvironment(
-                policy="all_best", budget=2.0, start=1000, end=1200
-            )
-        )
-        assert vars(deployed) == vars(direct)
 
     def test_custom_executor_backend_is_bit_identical(self, runner1):
         """A user-supplied backend slots in without engine changes."""

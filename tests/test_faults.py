@@ -32,6 +32,7 @@ from repro.network.messages import EnergyReport
 from repro.network.node import CameraSensorNode, ControllerNode
 from repro.network.reliability import node_seed
 from repro.network.simulator import EventSimulator, Node
+from tests.golden_utils import network_spec
 
 
 class Recorder(Node):
@@ -478,10 +479,7 @@ class TestZeroFaultDeterminism:
 
 class TestControllerLivenessAndReselection:
     def test_crash_triggers_dead_mark_and_reselection(self, runner1):
-        from repro.experiments.faults import ChaosSpec, run_chaos
-
-        spec = ChaosSpec(crash_count=1, num_frames=10)
-        result = run_chaos(spec, runner1)
+        result = network_spec(10, crash_count=1).execute(engine=runner1)
         kinds = result.fault_kinds()
         assert "node_crash" in kinds
         assert "camera_marked_dead" in kinds
@@ -495,10 +493,8 @@ class TestControllerLivenessAndReselection:
         )
 
     def test_lossy_run_retransmits_and_charges_energy(self, runner1):
-        from repro.experiments.faults import ChaosSpec, run_chaos
-
-        clean = run_chaos(ChaosSpec(num_frames=8), runner1)
-        lossy = run_chaos(ChaosSpec(loss_rate=0.25, num_frames=8), runner1)
+        clean = network_spec(8).execute(engine=runner1)
+        lossy = network_spec(8, loss_rate=0.25).execute(engine=runner1)
         assert clean.retransmissions == 0
         assert clean.dropped_messages == 0
         assert lossy.retransmissions > 0
@@ -512,21 +508,17 @@ class TestControllerLivenessAndReselection:
         assert max(deltas) > 0
 
     def test_chaos_run_is_deterministic(self, runner1):
-        from repro.experiments.faults import ChaosSpec, run_chaos
-
-        spec = ChaosSpec(loss_rate=0.2, crash_count=1, num_frames=8)
-        first = run_chaos(spec, runner1)
-        second = run_chaos(spec, runner1)
+        spec = network_spec(8, loss_rate=0.2, crash_count=1)
+        first = spec.execute(engine=runner1)
+        second = spec.execute(engine=runner1)
         assert first.humans_detected == second.humans_detected
         assert first.battery_by_camera == second.battery_by_camera
         assert first.fault_kinds() == second.fault_kinds()
         assert first.delivered_messages == second.delivered_messages
 
     def test_heartbeat_revives_marked_dead_camera(self, runner1):
-        from repro.experiments.faults import ChaosSpec, run_chaos
-
-        spec = ChaosSpec(crash_count=1, reboot_s=25.0, num_frames=12)
-        result = run_chaos(spec, runner1)
+        spec = network_spec(12, crash_count=1, reboot_s=25.0)
+        result = spec.execute(engine=runner1)
         recovery_kinds = [e.kind for e in result.recovery_events]
         assert "node_reboot" in recovery_kinds
         assert "camera_marked_alive" in recovery_kinds

@@ -1,10 +1,10 @@
 """Golden regression: the engine refactor is bit-identical.
 
 The fixtures under ``tests/goldens/`` were captured from the
-pre-refactor runner/``run_chaos`` implementations (see
+pre-refactor runner/chaos implementations (see
 ``golden_utils.capture``).  These tests re-run the same configurations
 through the unified deployment engine and compare every ``RunResult``
-/ ``ChaosResult`` field — floats by exact equality, since JSON
+/ ``NetworkOutcome`` field — floats by exact equality, since JSON
 round-trips Python doubles exactly — on the serial executor and on
 the shared-memory process pool (``make_executor(2)``).
 
@@ -25,6 +25,7 @@ from tests.golden_utils import (
     golden_run_configs,
     load_golden,
     make_golden_runner,
+    network_spec,
     run_result_fingerprint,
 )
 
@@ -99,11 +100,9 @@ class TestChaosGoldens:
         )
 
     def test_every_field_compared(self, golden_runner):
-        from repro.experiments.faults import ChaosSpec, run_chaos
-
-        result = run_chaos(
-            ChaosSpec(**GOLDEN_CHAOS_CONFIGS["zero_fault"]), golden_runner
+        result = network_spec(**GOLDEN_CHAOS_CONFIGS["zero_fault"]).execute(
+            engine=golden_runner
         )
         fingerprint = chaos_result_fingerprint(result)
-        missing = set(vars(result)) - set(fingerprint) - {"spec"}
+        missing = set(vars(result)) - set(fingerprint)
         assert not missing, f"fields not pinned by the golden: {missing}"

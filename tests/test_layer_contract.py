@@ -12,6 +12,10 @@ The checker walks every module in the constrained packages and
 resolves ``import x`` / ``from x import y`` / relative imports to
 absolute module paths — string matching on source would miss aliased
 and relative forms.
+
+The same walk keeps the chaos shim (``ChaosSpec`` / ``run_chaos`` in
+``repro.experiments.faults``) perfbench-only: a networked run is a
+``DeploymentSpec(network=True, ...)`` everywhere else.
 """
 
 import ast
@@ -19,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).parent.parent / "src"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src"
 
 #: package -> packages it must never import (even under TYPE_CHECKING:
 #: a type-only upward dependency is still an upward dependency).
@@ -93,7 +98,8 @@ CONTRACTS = {
 
 
 def module_name(path: Path) -> str:
-    relative = path.relative_to(SRC).with_suffix("")
+    base = SRC if path.is_relative_to(SRC) else ROOT
+    relative = path.relative_to(base).with_suffix("")
     parts = list(relative.parts)
     if parts[-1] == "__init__":
         parts = parts[:-1]
@@ -103,15 +109,15 @@ def module_name(path: Path) -> str:
 def imported_modules(path: Path) -> set[str]:
     """Absolute module names imported by a source file."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    package_parts = module_name(path).split(".")
-    if path.name != "__init__.py":
-        package_parts = package_parts[:-1]
     imports: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imports.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             if node.level:  # relative: resolve against the package
+                package_parts = module_name(path).split(".")
+                if path.name != "__init__.py":
+                    package_parts = package_parts[:-1]
                 base = package_parts[: len(package_parts) - node.level + 1]
                 prefix = ".".join(base + ([node.module] if node.module else []))
             else:
@@ -137,6 +143,48 @@ def violations(package: str, forbidden: tuple[str, ...]) -> list[str]:
                         f"(forbidden: {banned})"
                     )
     return found
+
+
+#: The perfbench-only shim, and the only files that may touch it: its
+#: definition and the test pinning it to the spec it spells.
+SHIM = ("ChaosSpec", "run_chaos")
+SHIM_MODULE = "repro.experiments.faults"
+SHIM_ALLOWED = (
+    SRC / "repro" / "experiments" / "faults.py",
+    ROOT / "tests" / "test_chaos_shim.py",
+)
+SHIM_SCANNED = ("src", "tests", "benchmarks", "examples")
+
+
+def shim_uses(path: Path) -> list[str]:
+    """Imports of the shim names, and attribute reads of them (which
+    catch ``faults.run_chaos`` after ``from ... import faults``)."""
+    found = [
+        imported
+        for imported in sorted(imported_modules(path))
+        if imported in {f"{SHIM_MODULE}.{name}" for name in SHIM}
+    ]
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found += [
+        f".{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in SHIM
+    ]
+    return found
+
+
+def test_chaos_shim_is_perfbench_only():
+    found = [
+        f"{path.relative_to(ROOT)}: {use}"
+        for top in SHIM_SCANNED
+        for path in sorted((ROOT / top).rglob("*.py"))
+        if path not in SHIM_ALLOWED
+        for use in shim_uses(path)
+    ]
+    assert not found, (
+        "ChaosSpec/run_chaos exist only for perfbench; build "
+        "DeploymentSpec(network=True, ...) instead:\n" + "\n".join(found)
+    )
 
 
 @pytest.mark.parametrize("package", sorted(CONTRACTS))
@@ -176,3 +224,15 @@ class TestCheckerCatchesViolations:
             assert "repro.experiments.harness" in resolved
         finally:
             bad.unlink()
+
+    def test_shim_import_detected(self, tmp_path):
+        bad = tmp_path / "uses_shim.py"
+        bad.write_text(
+            "from repro.experiments.faults import ChaosSpec\n"
+            "from repro.experiments import faults\n"
+            "faults.run_chaos\n"
+        )
+        assert shim_uses(bad) == [
+            "repro.experiments.faults.ChaosSpec",
+            ".run_chaos",
+        ]

@@ -19,13 +19,19 @@ guarantees the tentpole promises:
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.checkpoint import CheckpointConfig, CheckpointStore, SimulatedCrash
+from repro.checkpoint import (
+    CheckpointConfig,
+    CheckpointStore,
+    RunCheckpointer,
+    SimulatedCrash,
+)
 from repro.core.controller import (
     CAMERA_ACTIVE,
     CAMERA_DEGRADED,
@@ -33,7 +39,6 @@ from repro.core.controller import (
 )
 from repro.engine.core import DeploymentEngine
 from repro.engine.executor import make_executor
-from repro.experiments.faults import ChaosSpec, run_chaos
 from repro.faults.events import FaultLog
 from repro.faults.plan import FaultPlan, LinkFault, MessageCorruption, SensorFault
 from repro.resilience import (
@@ -52,6 +57,8 @@ from tests.golden_utils import (
     chaos_result_fingerprint,
     golden_run_configs,
     load_golden,
+    network_horizon_s,
+    network_spec,
     run_result_fingerprint,
 )
 
@@ -407,9 +414,7 @@ class TestInertness:
         """The networked path: same fingerprint as the zero-fault
         golden except the (all-active) camera-mode map the enabled
         layer reports."""
-        result = run_chaos(
-            ChaosSpec(num_frames=8, resilience=ON), runner1
-        )
+        result = network_spec(8, resilience=ON).execute(engine=runner1)
         fingerprint = normalize(chaos_result_fingerprint(result))
         modes = fingerprint.pop("camera_modes")
         assert set(modes.values()) == {CAMERA_ACTIVE}
@@ -421,9 +426,13 @@ class TestInertness:
 # ----------------------------------------------------------------------
 # Fault-driven integration: breakers, give-up events, corruption
 # ----------------------------------------------------------------------
-def _spec(resilience=None):
-    """The benchmark operating point: two of four cameras selected."""
-    return ChaosSpec(num_frames=14, budget=1.0, resilience=resilience)
+#: The benchmark operating point: two of four cameras selected.
+FRAMES = 14
+HORIZON_S = network_horizon_s(FRAMES)
+
+
+def _spec(**fields):
+    return network_spec(FRAMES, budget=1.0, **fields)
 
 
 class TestFaultIntegration:
@@ -432,7 +441,6 @@ class TestFaultIntegration:
         ``transport_give_up`` records land in the event log (with and
         without the resilience layer), and the guarded run folds the
         give-ups into the camera's health."""
-        horizon = _spec().horizon_s
         plan = FaultPlan(
             seed=3,
             link_faults=(
@@ -440,19 +448,21 @@ class TestFaultIntegration:
                     "controller",
                     "lab-cam3",
                     loss_rate=1.0,
-                    start_s=horizon / 3.0,
-                    end_s=horizon,
+                    start_s=HORIZON_S / 3.0,
+                    end_s=HORIZON_S,
                 ),
             ),
         )
-        bare = run_chaos(_spec(), runner1, plan=plan)
+        bare = _spec(fault_plan=plan).execute(engine=runner1)
         assert "transport_give_up" in bare.fault_kinds()
         give_up = next(
             e for e in bare.fault_events if e.kind == "transport_give_up"
         )
         assert "attempts" in give_up.detail
 
-        guarded = run_chaos(_spec(resilience=ON), runner1, plan=plan)
+        guarded = _spec(resilience=ON, fault_plan=plan).execute(
+            engine=runner1
+        )
         assert "transport_give_up" in guarded.fault_kinds()
         # The controller's give-ups toward the dark camera register as
         # health evidence before liveness declares it dead outright.
@@ -555,32 +565,30 @@ class TestFaultIntegration:
         assert [m.residual_joules for m in b.processed] == [1.0]
 
     def test_corruption_discard_forces_retransmit(self, runner1):
-        horizon = _spec().horizon_s
         plan = FaultPlan(seed=5).with_data_faults(
             MessageCorruption(
                 node_a="lab-cam3",
                 rate=0.5,
-                start_s=horizon / 3.0,
-                end_s=horizon,
+                start_s=HORIZON_S / 3.0,
+                end_s=HORIZON_S,
             )
         )
-        result = run_chaos(_spec(resilience=ON), runner1, plan=plan)
+        result = _spec(resilience=ON, fault_plan=plan).execute(engine=runner1)
         assert result.corrupted_received > 0
         assert "message_corrupted" in result.fault_kinds()
         # Discarded-without-ack payloads come back via the retry ladder.
         assert result.retransmissions > 0
 
     def test_stuck_camera_is_quarantined_and_probed(self, runner1):
-        horizon = _spec().horizon_s
         plan = FaultPlan(seed=7).with_data_faults(
             SensorFault(
                 node_id="lab-cam3",
                 stuck=True,
-                start_s=horizon / 3.0,
-                end_s=horizon,
+                start_s=HORIZON_S / 3.0,
+                end_s=HORIZON_S,
             )
         )
-        result = run_chaos(_spec(resilience=ON), runner1, plan=plan)
+        result = _spec(resilience=ON, fault_plan=plan).execute(engine=runner1)
         assert result.camera_modes.get("lab-cam3") == CAMERA_QUARANTINED
         assert "camera_quarantined" in result.fault_kinds()
         assert "quarantine_probe" in [
@@ -594,7 +602,7 @@ class TestFaultIntegration:
 # ----------------------------------------------------------------------
 # Property: arbitrary fault plans never break the engine
 # ----------------------------------------------------------------------
-_PROP_SPEC = ChaosSpec(num_frames=4)
+_PROP_FRAMES = 4
 _CAMERAS = ("lab-cam1", "lab-cam2", "lab-cam3", "lab-cam4")
 
 
@@ -604,7 +612,7 @@ def fault_plans(draw):
     (plus optional uniform loss) over random windows."""
     from repro.faults.plan import CalibrationDrift, ClockSkew
 
-    horizon = _PROP_SPEC.horizon_s
+    horizon = network_horizon_s(_PROP_FRAMES)
     plan = FaultPlan.uniform_loss(
         draw(st.sampled_from([0.0, 0.1, 0.3])),
         seed=draw(st.integers(0, 2**16)),
@@ -671,10 +679,12 @@ class TestChaosNeverBreaks:
     ):
         """Any plan, resilience on or off: the deployment completes,
         the result is well-formed, and no battery reads negative."""
-        spec = ChaosSpec(
-            num_frames=4, resilience=ON if resilience_on else None
+        spec = network_spec(
+            _PROP_FRAMES,
+            resilience=ON if resilience_on else None,
+            fault_plan=plan,
         )
-        result = run_chaos(spec, runner1, plan=plan)
+        result = spec.execute(engine=runner1)
         assert result.humans_present >= 0
         assert 0 <= result.humans_detected
         assert 0.0 <= result.detection_rate <= 1.0 or (
@@ -703,25 +713,25 @@ class TestQuarantineKillAndResume:
     ):
         """Crash while a camera sits in quarantine; the resumed run
         must finish bit-identically to the uninterrupted one."""
-        spec = _spec(resilience=ON)
         plan = FaultPlan(seed=7).with_data_faults(
             SensorFault(
                 node_id="lab-cam3",
                 stuck=True,
-                start_s=spec.horizon_s / 3.0,
-                end_s=spec.horizon_s,
+                start_s=HORIZON_S / 3.0,
+                end_s=HORIZON_S,
             )
         )
-        reference = run_chaos(spec, runner1, plan=plan)
+        spec = _spec(resilience=ON, fault_plan=plan)
+        reference = spec.execute(engine=runner1)
         assert reference.camera_modes.get("lab-cam3") == CAMERA_QUARANTINED
 
         with pytest.raises(SimulatedCrash):
-            run_chaos(
-                spec,
-                runner1,
-                plan=plan,
-                checkpoint=CheckpointConfig(
-                    directory=tmp_path, every=2, crash_after=10
+            spec.execute(
+                engine=runner1,
+                checkpointer=RunCheckpointer(
+                    CheckpointConfig(
+                        directory=tmp_path, every=2, crash_after=10
+                    )
                 ),
             )
         # The checkpoint really was taken with the quarantine in force.
@@ -731,12 +741,9 @@ class TestQuarantineKillAndResume:
         ]
         assert "camera_quarantined" in recorded
 
-        resumed = run_chaos(
-            spec,
-            runner1,
-            plan=plan,
-            checkpoint=CheckpointConfig(directory=tmp_path, resume=True),
-        )
+        resumed = replace(
+            spec, checkpoint_dir=str(tmp_path), resume=True
+        ).execute(engine=runner1)
         assert normalize(chaos_result_fingerprint(resumed)) == normalize(
             chaos_result_fingerprint(reference)
         )

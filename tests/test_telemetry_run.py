@@ -12,15 +12,15 @@ import pytest
 
 from repro.cli import main
 from repro.engine import DeploymentEngine
-from repro.experiments.faults import ChaosSpec, run_chaos
 from repro.telemetry import Telemetry
 from repro.telemetry.schema import (
     validate_events_file,
     validate_metrics_file,
     validate_trace_file,
 )
+from tests.golden_utils import network_spec
 
-SPEC = ChaosSpec(loss_rate=0.2, crash_count=1, num_frames=10)
+SPEC = network_spec(10, loss_rate=0.2, crash_count=1)
 
 
 def _series_names(telemetry):
@@ -38,9 +38,9 @@ class TestTelemetryIsInvisibleToTheSimulation:
         assert vars(a) == vars(b)
 
     def test_chaos_outputs_bit_identical(self, runner1):
-        plain = run_chaos(SPEC, runner1)
-        faulty = run_chaos(
-            SPEC, runner1, telemetry=Telemetry(run_id="reg")
+        plain = SPEC.execute(engine=runner1)
+        faulty = SPEC.execute(
+            engine=runner1, telemetry=Telemetry(run_id="reg")
         )
         assert plain.humans_detected == faulty.humans_detected
         assert plain.humans_present == faulty.humans_present
@@ -56,7 +56,7 @@ class TestChaosTelemetrySurface:
     @pytest.fixture(scope="class")
     def chaos_telemetry(self, runner1):
         telemetry = Telemetry(run_id="chaos-test")
-        run_chaos(SPEC, runner1, telemetry=telemetry)
+        SPEC.execute(engine=runner1, telemetry=telemetry)
         return telemetry
 
     def test_emits_at_least_ten_distinct_series(self, chaos_telemetry):
@@ -139,7 +139,7 @@ class TestTelemetryReportCli:
     def dumps(self, runner1, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("telemetry")
         telemetry = Telemetry(run_id="cli-test")
-        run_chaos(SPEC, runner1, telemetry=telemetry)
+        SPEC.execute(engine=runner1, telemetry=telemetry)
         paths = {
             "metrics": tmp / "m.json",
             "trace": tmp / "t.jsonl",
