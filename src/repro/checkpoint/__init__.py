@@ -11,7 +11,7 @@ interrupted.
 
 Layers:
 
-* :mod:`repro.checkpoint.store` — the ``repro.checkpoint.v1``
+* :mod:`repro.checkpoint.store` — the ``repro.checkpoint.v2``
   document, fingerprint validation, atomic persistence.
 * :mod:`repro.checkpoint.codec` — exact JSON encoding of rng states,
   decisions, controller state and run results.

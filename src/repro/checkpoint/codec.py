@@ -16,6 +16,9 @@ execution environments can share it.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 
 from repro.core.accuracy import DesiredAccuracy, GlobalAccuracy
@@ -138,7 +141,7 @@ def run_result_to_dict(result) -> dict:
 
     Used by the CLI's ``--result-out`` dump; two bit-identical runs
     produce byte-identical documents, which is what the
-    checkpoint-smoke CI job diffs.
+    ``kill-and-resume`` CI matrix diffs.
     """
     return {
         "mode": result.mode,
@@ -161,8 +164,8 @@ def chaos_result_to_dict(result) -> dict:
     values.
 
     The chaos counterpart of :func:`run_result_to_dict`: the CLI's
-    ``chaos --result-out`` dump, byte-diffed by the resilience-smoke
-    CI job to pin quarantine-active kill-and-resume (written with
+    ``chaos --result-out`` dump, byte-diffed by the ``kill-and-resume``
+    CI matrix to pin quarantine-active kill-and-resume (written with
     sorted keys, so the outcome's own field order never shows).
     """
     return {
@@ -175,7 +178,7 @@ def chaos_result_to_dict(result) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Fault-log positions (chaos replay verification)
+# Fault-log digests (chaos replay verification)
 # ----------------------------------------------------------------------
 def fault_event_to_dict(event) -> dict:
     return {
@@ -186,30 +189,35 @@ def fault_event_to_dict(event) -> dict:
     }
 
 
-def verify_event_prefix(
-    recorded: list[dict], replayed: list, label: str
-) -> None:
-    """Assert that a replayed fault/recovery log starts with exactly
-    the events a checkpoint recorded.
+class EventLogDigest:
+    """Running SHA-256 of a growing fault or recovery log.
 
-    The discrete-event environment resumes by seeded replay; this is
-    the consistency check that the replay really is the same
-    trajectory the checkpoint came from.  Raises ``ValueError`` on the
-    first divergence.
+    A chaos checkpoint records, instead of the events themselves, the
+    digest of the canonical JSON of :func:`fault_event_to_dict` over
+    the first ``n`` events of each log (``n`` is the injector
+    position's ``faults_logged`` / ``recoveries_logged``).  The log is
+    append-only, so :meth:`hexdigest` feeds only the events appended
+    since its previous call and each checkpoint costs what the tick
+    added, not what the run accumulated.
     """
-    if len(replayed) < len(recorded):
-        raise ValueError(
-            f"replayed {label} log has {len(replayed)} events but the "
-            f"checkpoint recorded {len(recorded)}: the resumed run is "
-            f"not the checkpointed trajectory"
-        )
-    for index, expected in enumerate(recorded):
-        actual = fault_event_to_dict(replayed[index])
-        if actual != expected:
-            raise ValueError(
-                f"replayed {label} event #{index} diverges from the "
-                f"checkpoint: expected {expected!r}, got {actual!r}"
+
+    def __init__(self, events: list) -> None:
+        self._events = events
+        self._fed = 0
+        self._hasher = hashlib.sha256()
+
+    def hexdigest(self) -> str:
+        for event in self._events[self._fed:]:
+            self._hasher.update(
+                json.dumps(
+                    fault_event_to_dict(event),
+                    sort_keys=True,
+                    separators=(",", ":"),
+                ).encode()
+                + b"\n"
             )
+        self._fed = len(self._events)
+        return self._hasher.hexdigest()
 
 
 def policy_state_to_dict(policy) -> dict | None:

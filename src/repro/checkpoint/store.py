@@ -4,12 +4,14 @@ A checkpoint directory holds one ``checkpoint.json``: the latest
 consistent snapshot of a run in flight.  Every save goes through
 :func:`~repro.ioutils.atomic_write_json`, so a controller crash at any
 instant — including mid-checkpoint — leaves either the previous
-complete checkpoint or the new one on disk, never a torn file.
+complete checkpoint or the new one on disk, never a torn file.  The
+document is written compact (no indentation, keys sorted), which keeps
+serialisation on CPython's C encoder: a chaos run saves every tick.
 
-The document format (``repro.checkpoint.v1``, documented next to the
+The document format (``repro.checkpoint.v2``, documented next to the
 telemetry schemas in :mod:`repro.telemetry.schema`)::
 
-    {"schema": "repro.checkpoint.v1",
+    {"schema": "repro.checkpoint.v2",
      "kind": "run" | "chaos",
      "fingerprint": {...},   # the configuration that produced it
      "state": {...}}         # kind-specific resume payload
@@ -18,7 +20,9 @@ The ``fingerprint`` pins the run configuration (policy, seed, window,
 budget, dataset, fault plan ...): :meth:`CheckpointStore.load` refuses
 a checkpoint whose fingerprint does not match the resuming run's,
 because restoring state into a different configuration would silently
-produce garbage instead of a bit-identical continuation.
+produce garbage instead of a bit-identical continuation.  A v1
+document is refused with a message telling the user to restart the
+run without resuming.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from pathlib import Path
 from repro.ioutils import atomic_write_json
 
 #: Schema tag written into (and required from) every checkpoint file.
-CHECKPOINT_SCHEMA = "repro.checkpoint.v1"
+CHECKPOINT_SCHEMA = "repro.checkpoint.v2"
 
 
 class CheckpointError(RuntimeError):
@@ -68,6 +72,7 @@ class CheckpointStore:
                 "fingerprint": _normalize(fingerprint),
                 "state": state,
             },
+            indent=None,
         )
 
     def load(self, kind: str, fingerprint: dict) -> dict | None:
@@ -75,9 +80,9 @@ class CheckpointStore:
         exists (a crash before the first save resumes from scratch).
 
         Raises:
-            CheckpointError: The file is not a ``repro.checkpoint.v1``
-                document of the requested kind, or it was written by a
-                different run configuration.
+            CheckpointError: The file is not a ``repro.checkpoint.v2``
+                document (a JSON object) of the requested kind, or it
+                was written by a different run configuration.
         """
         if not self.exists():
             return None
@@ -87,7 +92,18 @@ class CheckpointStore:
             raise CheckpointError(
                 f"unreadable checkpoint at {self.path}: {exc}"
             ) from exc
+        if not isinstance(document, dict):
+            raise CheckpointError(
+                f"{self.path}: checkpoint is a JSON "
+                f"{type(document).__name__}, not an object"
+            )
         schema = document.get("schema")
+        if schema == "repro.checkpoint.v1":
+            raise CheckpointError(
+                f"{self.path}: a repro.checkpoint.v1 document cannot be "
+                f"resumed by this version ({CHECKPOINT_SCHEMA}); restart "
+                f"the run without --resume"
+            )
         if schema != CHECKPOINT_SCHEMA:
             raise CheckpointError(
                 f"{self.path}: schema {schema!r} is not "

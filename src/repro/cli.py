@@ -185,7 +185,7 @@ def _add_checkpoint_flags(p: argparse.ArgumentParser, unit: str) -> None:
     p.add_argument(
         "--checkpoint-dir",
         default=None,
-        help="crash-safe checkpoint directory (repro.checkpoint.v1); "
+        help="crash-safe checkpoint directory (repro.checkpoint.v2); "
         "snapshots are written atomically, and SIGTERM checkpoints at "
         f"the next {unit} boundary before exiting with status 3",
     )

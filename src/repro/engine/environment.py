@@ -23,11 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.checkpoint.codec import (
-    fault_event_to_dict,
-    rng_state_to_dict,
-    verify_event_prefix,
-)
+from repro.checkpoint.codec import EventLogDigest
 from repro.checkpoint.hooks import RunCheckpointer
 from repro.checkpoint.store import CheckpointError
 from repro.datasets.groundtruth import persons_in_any_view
@@ -154,42 +150,89 @@ class NetworkOutcome:
         return [e.kind for e in self.fault_events]
 
 
-def _verify_chaos_replay(recorded: dict, sim, injector) -> None:
+#: Progress counters a chaos checkpoint records and a seeded replay
+#: must reach at least (they only ever grow).
+_MONOTONE_COUNTERS = (
+    "delivered_messages",
+    "dropped_messages",
+    "num_decisions",
+    "operational_metadata",
+)
+
+#: Every key of a chaos checkpoint's state: the replay markers
+#: :func:`_verify_chaos_replay` reads, plus the battery totals.
+_CHAOS_STATE_KEYS = frozenset(
+    {
+        "sim_now",
+        "injector",
+        "fault_log_sha256",
+        "recovery_log_sha256",
+        "battery_by_camera",
+        *_MONOTONE_COUNTERS,
+    }
+)
+
+
+def _verify_chaos_replay(
+    recorded: dict, sim, injector, counters: dict[str, int]
+) -> None:
     """Prove a replayed chaos run retraced the checkpointed trajectory.
 
     Seeded replay is only a valid resume if it reproduces what the
-    crashed process already observed: the recorded fault and recovery
-    events must be an exact prefix of the replayed logs, and the
-    replay must have advanced at least as far as the checkpoint.
+    crashed process already observed: the first ``faults_logged`` /
+    ``recoveries_logged`` events of the replayed logs must hash to the
+    recorded digests, and the replay must have advanced at least as
+    far as the checkpoint on every counter.
     """
-    try:
-        verify_event_prefix(
-            recorded.get("fault_events", []), injector.log.faults, "fault"
+    missing = sorted(_CHAOS_STATE_KEYS - set(recorded))
+    if missing:
+        raise CheckpointError(
+            f"chaos checkpoint lacks replay markers: {', '.join(missing)}"
         )
-        verify_event_prefix(
-            recorded.get("recovery_events", []),
-            injector.log.recoveries,
+    marker = recorded["injector"]
+    replayed = injector.position()
+    if not isinstance(marker, dict) or not set(marker) >= set(replayed):
+        raise CheckpointError(
+            f"chaos checkpoint has a malformed injector marker: {marker!r}"
+        )
+    for label, events, count_key, digest_key in (
+        ("fault", injector.log.faults, "faults_logged", "fault_log_sha256"),
+        (
             "recovery",
-        )
-    except ValueError as exc:
-        raise CheckpointError(str(exc)) from exc
+            injector.log.recoveries,
+            "recoveries_logged",
+            "recovery_log_sha256",
+        ),
+    ):
+        count = marker[count_key]
+        if len(events) < count:
+            raise CheckpointError(
+                f"replayed {label} log has {len(events)} events but the "
+                f"checkpoint recorded {count}: the resumed run is not "
+                f"the checkpointed trajectory"
+            )
+        if EventLogDigest(events[:count]).hexdigest() != recorded[digest_key]:
+            raise CheckpointError(
+                f"replayed {label} log diverges from the checkpoint: its "
+                f"first {count} events do not hash to the recorded digest"
+            )
     if recorded["sim_now"] > sim.now + 1e-9:
         raise CheckpointError(
             f"replayed run ended at t={sim.now} s but the checkpoint "
             f"was taken at t={recorded['sim_now']} s: the resumed run "
             f"did not reach the checkpointed progress"
         )
-    marker = recorded.get("injector", {})
-    replayed = injector.position()
+    progress = {**marker, **{k: recorded[k] for k in _MONOTONE_COUNTERS}}
+    reached = {**replayed, **counters}
     diverged = {
-        key: (value, replayed[key])
-        for key, value in marker.items()
-        if replayed.get(key, 0) < value
+        key: (value, reached.get(key, 0))
+        for key, value in progress.items()
+        if reached.get(key, 0) < value
     }
     if diverged:
         raise CheckpointError(
-            "replayed fault-injector position fell short of the "
-            f"checkpoint: {diverged} (recorded, replayed)"
+            "replayed run fell short of the checkpoint's progress: "
+            f"{diverged} (recorded, replayed)"
         )
 
 
@@ -213,17 +256,19 @@ class FaultInjectedEnvironment:
     rng stream: the faulty trajectory is bit-identical either way.
 
     With a :class:`~repro.checkpoint.hooks.RunCheckpointer` attached,
-    the run snapshots a *progress marker* (simulated time, message and
-    fault-log counters, injector rng state, battery totals) every ``K``
-    frame ticks.  The event queue itself — closures over live node
-    state — is not serialisable, so a resumed chaos run continues by
-    **deterministic replay**: every stream is seeded, so re-executing
-    from ``t = 0`` retraces the checkpointed trajectory exactly, and
-    the environment verifies that by checking the recorded fault and
-    recovery logs are a prefix of the replayed ones (a mismatch raises
-    :class:`~repro.checkpoint.store.CheckpointError`).  Checkpoint
-    ticks never draw from any rng and never mutate simulator state, so
-    a checkpointed run is bit-identical to an unobserved one.
+    the run snapshots a *progress marker* (simulated time, message,
+    decision and injector counters, a SHA-256 digest of each of the
+    fault and recovery logs, battery totals) every ``K`` frame ticks.
+    The event queue itself — closures over live node state — is not
+    serialisable, so a resumed chaos run continues by **deterministic
+    replay**: every stream is seeded, so re-executing from ``t = 0``
+    retraces the checkpointed trajectory exactly, and the environment
+    verifies that by checking that the replayed logs' first
+    ``faults_logged`` / ``recoveries_logged`` events hash to the
+    recorded digests and that every counter got at least as far (a
+    mismatch raises :class:`~repro.checkpoint.store.CheckpointError`).
+    Checkpoint ticks never draw from any rng and never mutate simulator
+    state, so a checkpointed run is bit-identical to an unobserved one.
     """
 
     spec: "DeploymentSpec"
@@ -321,41 +366,34 @@ class FaultInjectedEnvironment:
                 # the replay rebuilds it without duplicates.
                 telemetry.prepare_resume(0)
 
-        def _progress() -> dict:
-            # Replay markers, not resumable state: what a seeded
-            # re-execution must reproduce to prove it is the same
-            # trajectory.  The metrics snapshot rides along for
-            # operators; replay regenerates telemetry from scratch, so
-            # it is never merged back.
-            state = {
-                "sim_now": sim.now,
+        fault_digest = EventLogDigest(injector.log.faults)
+        recovery_digest = EventLogDigest(injector.log.recoveries)
+
+        def _counters() -> dict[str, int]:
+            return {
                 "delivered_messages": sim.delivered_messages,
                 "dropped_messages": sim.dropped_messages,
-                "injector": injector.position(),
-                "injector_rng": rng_state_to_dict(injector.rng),
-                "fault_events": [
-                    fault_event_to_dict(e) for e in injector.log.faults
-                ],
-                "recovery_events": [
-                    fault_event_to_dict(e) for e in injector.log.recoveries
-                ],
-                "battery_by_camera": {
-                    camera_id: node.battery.consumed
-                    for camera_id, node in cameras.items()
-                },
                 "num_decisions": len(controller_node.decisions),
                 "operational_metadata": len(
                     controller_node.operational_metadata
                 ),
             }
-            if coordinator is not None:
-                # Informational (resume is by seeded replay, which
-                # rebuilds this state; ladder transitions join the
-                # fault-event prefix verification above).
-                state["resilience"] = coordinator.snapshot()
-            if telemetry is not None:
-                state["metrics"] = telemetry.registry.snapshot()
-            return state
+
+        def _progress() -> dict:
+            # Replay markers, not resumable state: what a seeded
+            # re-execution must reproduce to prove it is the same
+            # trajectory (keys: _CHAOS_STATE_KEYS).
+            return {
+                "sim_now": sim.now,
+                "injector": injector.position(),
+                "fault_log_sha256": fault_digest.hexdigest(),
+                "recovery_log_sha256": recovery_digest.hexdigest(),
+                "battery_by_camera": {
+                    camera_id: node.battery.consumed
+                    for camera_id, node in cameras.items()
+                },
+                **_counters(),
+            }
 
         run_span = (
             telemetry.tracer.begin(
@@ -416,7 +454,7 @@ class FaultInjectedEnvironment:
                 telemetry.tracer.end(run_span, simulated_s=sim.now)
 
         if resume_state is not None:
-            _verify_chaos_replay(resume_state, sim, injector)
+            _verify_chaos_replay(resume_state, sim, injector, _counters())
 
         # Accuracy over the operational window, measured on what the
         # controller actually received: metadata from crashed cameras

@@ -91,18 +91,19 @@ and ``alert_cleared``; ``detail`` carries the firing rule expression,
 metric, series labels, observed value, threshold and operator.
 
 A fifth versioned artefact, the crash-safe deployment checkpoint
-(``--checkpoint-dir``, ``repro.checkpoint.v1``), is documented here
+(``--checkpoint-dir``, ``repro.checkpoint.v2``), is documented here
 for completeness but owned by :mod:`repro.checkpoint.store` (telemetry
 sits below checkpointing in the layer contract, so the validator —
 ``CheckpointStore.load`` — lives there)::
 
-    {"schema": "repro.checkpoint.v1",
+    {"schema": "repro.checkpoint.v2",   # one compact line, keys sorted
      "kind": "run"|"chaos",
      "fingerprint": {...},    # the run configuration that wrote it;
                               # load() refuses a mismatched resume
      "state": {...}}          # kind-specific payload: "run" carries
                               # restorable engine state, "chaos"
                               # carries replay-verification markers
+                              # (counters, SHA-256 of each event log)
 
 The validators raise :class:`SchemaError` naming the offending field;
 they are used by the local pytest suite and by the ``telemetry-smoke``

@@ -85,6 +85,33 @@ class TestCheckpointStore:
         with pytest.raises(CheckpointError, match="schema"):
             store.load("run", self.FP)
 
+    def test_v1_document_rejected_naming_v1(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        store.path.write_text(json.dumps({
+            "schema": "repro.checkpoint.v1",
+            "kind": "run",
+            "fingerprint": self.FP,
+            "state": {"next_round": 1},
+        }))
+        with pytest.raises(CheckpointError, match=r"checkpoint\.v1.*--resume"):
+            store.load("run", self.FP)
+
+    @pytest.mark.parametrize("document", [[1, 2], "v2", 3, None])
+    def test_non_object_document_rejected(self, tmp_path, document):
+        store = CheckpointStore(tmp_path)
+        store.path.write_text(json.dumps(document))
+        with pytest.raises(CheckpointError, match="not an object"):
+            store.load("run", self.FP)
+
+    def test_document_is_compact(self, tmp_path):
+        """One line, sorted keys: the C encoder's output."""
+        store = CheckpointStore(tmp_path)
+        store.save("run", self.FP, {"b": [1, 2], "a": {"y": 1, "x": 2}})
+        text = store.path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        assert json.loads(text)["schema"] == "repro.checkpoint.v2"
+
     def test_corrupt_json_rejected(self, tmp_path):
         store = CheckpointStore(tmp_path)
         store.directory.mkdir(exist_ok=True)
@@ -492,7 +519,7 @@ class TestChaosKillAndResume:
     ):
         """Kill the event-driven run mid-flight; the resumed
         (seeded-replay) run must match the uninterrupted golden and
-        pass the recorded-prefix verification."""
+        pass the recorded-digest verification."""
         spec = network_spec(**GOLDEN_CHAOS_CONFIGS[name])
         with pytest.raises(SimulatedCrash):
             spec.execute(
@@ -515,8 +542,8 @@ class TestChaosKillAndResume:
     def test_divergent_replay_is_rejected(
         self, fresh_runner, tmp_path
     ):
-        """Tampering with the recorded fault log must fail the
-        replay-prefix verification instead of resuming silently."""
+        """Tampering with the recorded fault-log digest must fail the
+        replay verification instead of resuming silently."""
         spec = network_spec(**GOLDEN_CHAOS_CONFIGS["faulty"])
         with pytest.raises(SimulatedCrash):
             spec.execute(
@@ -527,10 +554,14 @@ class TestChaosKillAndResume:
             )
         store = CheckpointStore(tmp_path)
         document = json.loads(store.path.read_text())
-        assert document["state"]["fault_events"], (
+        state = document["state"]
+        assert state["injector"]["faults_logged"] > 0, (
             "the faulty golden should have faults before the crash"
         )
-        document["state"]["fault_events"][0]["time_s"] += 1.0
+        digest = state["fault_log_sha256"]
+        state["fault_log_sha256"] = (
+            "0" if digest[0] != "0" else "1"
+        ) + digest[1:]
         store.path.write_text(json.dumps(document))
         with pytest.raises(CheckpointError, match="diverges"):
             network_spec(
@@ -538,3 +569,95 @@ class TestChaosKillAndResume:
                 checkpoint_dir=str(tmp_path),
                 resume=True,
             ).execute(engine=fresh_runner)
+
+
+def crash_chaos(runner, directory, crash_after, **overrides):
+    """Kill a ``faulty``-golden chaos run after tick ``crash_after``;
+    returns the checkpoint document it left behind."""
+    spec = network_spec(**dict(GOLDEN_CHAOS_CONFIGS["faulty"], **overrides))
+    with pytest.raises(SimulatedCrash):
+        spec.execute(
+            engine=runner,
+            checkpointer=RunCheckpointer(
+                CheckpointConfig(directory=directory, crash_after=crash_after)
+            ),
+        )
+    return json.loads(CheckpointStore(directory).path.read_text())
+
+
+def resume_faulty_chaos(runner, directory):
+    return network_spec(
+        **GOLDEN_CHAOS_CONFIGS["faulty"],
+        checkpoint_dir=str(directory),
+        resume=True,
+    ).execute(engine=runner)
+
+
+class TestChaosCheckpointV2:
+    """The chaos checkpoint carries replay markers only."""
+
+    #: Every key a chaos state may hold: what the replay verifier reads
+    #: (``battery_by_camera`` is also read by the benchmark's checks).
+    ALLOWED_KEYS = {
+        "sim_now",
+        "battery_by_camera",
+        "injector",
+        "fault_log_sha256",
+        "recovery_log_sha256",
+        "delivered_messages",
+        "dropped_messages",
+        "num_decisions",
+        "operational_metadata",
+    }
+
+    def test_state_keys_are_exactly_the_replay_markers(
+        self, fresh_runner, tmp_path
+    ):
+        document = crash_chaos(fresh_runner, tmp_path, crash_after=8)
+        assert document["schema"] == "repro.checkpoint.v2"
+        assert set(document["state"]) == self.ALLOWED_KEYS
+
+    def test_checkpoint_size_does_not_grow_with_ticks(
+        self, fresh_runner, tmp_path
+    ):
+        """The markers have a fixed size, so a late checkpoint is the
+        size of an early one."""
+        sizes = {}
+        for crash_after in (5, 60):
+            directory = tmp_path / str(crash_after)
+            crash_chaos(fresh_runner, directory, crash_after, frames=60)
+            sizes[crash_after] = CheckpointStore(directory).path.stat().st_size
+        assert abs(sizes[60] - sizes[5]) <= 64, sizes
+
+    @pytest.mark.parametrize("key", sorted(ALLOWED_KEYS - {"battery_by_camera"}))
+    def test_missing_replay_marker_is_rejected(
+        self, fresh_runner, tmp_path, key
+    ):
+        document = crash_chaos(fresh_runner, tmp_path, crash_after=8)
+        del document["state"][key]
+        CheckpointStore(tmp_path).path.write_text(json.dumps(document))
+        with pytest.raises(CheckpointError, match=f"lacks replay markers: {key}"):
+            resume_faulty_chaos(fresh_runner, tmp_path)
+
+    def test_fault_count_beyond_replay_is_rejected(
+        self, fresh_runner, tmp_path
+    ):
+        document = crash_chaos(fresh_runner, tmp_path, crash_after=8)
+        document["state"]["injector"]["faults_logged"] += 1000
+        CheckpointStore(tmp_path).path.write_text(json.dumps(document))
+        with pytest.raises(CheckpointError, match="fault log has"):
+            resume_faulty_chaos(fresh_runner, tmp_path)
+
+    def test_counter_beyond_replay_is_rejected(self, fresh_runner, tmp_path):
+        document = crash_chaos(fresh_runner, tmp_path, crash_after=8)
+        document["state"]["num_decisions"] += 1000
+        CheckpointStore(tmp_path).path.write_text(json.dumps(document))
+        with pytest.raises(CheckpointError, match="fell short.*num_decisions"):
+            resume_faulty_chaos(fresh_runner, tmp_path)
+
+    def test_v1_checkpoint_refuses_resume(self, fresh_runner, tmp_path):
+        document = crash_chaos(fresh_runner, tmp_path, crash_after=8)
+        document["schema"] = "repro.checkpoint.v1"
+        CheckpointStore(tmp_path).path.write_text(json.dumps(document))
+        with pytest.raises(CheckpointError, match=r"checkpoint\.v1"):
+            resume_faulty_chaos(fresh_runner, tmp_path)

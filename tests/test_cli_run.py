@@ -55,6 +55,19 @@ class TestCliCheckpoint:
         assert code == 0
         assert reference.read_bytes() == resumed.read_bytes()
 
+    def test_non_object_checkpoint_is_a_clean_error(self, capsys, tmp_path):
+        """A checkpoint that is valid JSON but not an object exits 2
+        with a message instead of a traceback."""
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        (ckpt / "checkpoint.json").write_text("[1, 2]")
+        code = main([
+            "chaos", "--dataset", "1", "--frames", "4",
+            "--checkpoint-dir", str(ckpt), "--resume",
+        ])
+        assert code == 2
+        assert "not an object" in capsys.readouterr().err
+
     def test_resume_requires_checkpoint_dir(self):
         with pytest.raises(SystemExit):
             main(self.BASE + ["--resume"])
