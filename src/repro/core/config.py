@@ -8,6 +8,7 @@ operation time with one processed frame every 2 seconds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -60,3 +61,9 @@ class EECSConfig:
             )
         if self.operation_time_s <= 0 or self.seconds_per_frame <= 0:
             raise ValueError("operation time and cadence must be positive")
+        for name in ("ground_radius_m", "color_threshold"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value}"
+                )

@@ -24,7 +24,7 @@ from repro.core.accuracy import (
 from repro.core.calibration import TrainingItem
 from repro.core.ranking import efficiency_candidates
 from repro.detection.base import Detection
-from repro.reid.matcher import CrossCameraMatcher
+from repro.reid.matcher import CrossCameraMatcher, GroupingMemo
 
 
 @dataclass
@@ -46,6 +46,13 @@ class AssessmentData:
     #: assessment whose metadata it summarises.
     accuracy_cache: dict[tuple, "GlobalAccuracy"] = field(
         default_factory=dict, repr=False, compare=False
+    )
+    #: Ground points and colour distances of the detections in
+    #: ``frames``, reused as selection regroups them under each
+    #: candidate assignment.  Keyed by ``id()``, so it lives exactly as
+    #: long as the frames that keep those detections alive.
+    grouping_memo: GroupingMemo = field(
+        default_factory=GroupingMemo, repr=False, compare=False
     )
 
     @property
@@ -129,7 +136,9 @@ class SelectionEngine:
                 detections.extend(
                     assessment.detections(frame_idx, camera_id, algorithm)
                 )
-            frame_groups.append(self.matcher.group(detections))
+            frame_groups.append(
+                self.matcher.group(detections, assessment.grouping_memo)
+            )
         result = estimate_global_accuracy(frame_groups)
         assessment.accuracy_cache[key] = result
         return result

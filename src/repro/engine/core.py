@@ -81,6 +81,7 @@ from repro.engine.policy import (
 )
 from repro.faults.events import FaultLog
 from repro.fleet.cells import CellLayout, normalize_cells
+from repro.reid.matcher import GroupingMemo
 from repro.resilience.ladder import (
     ResilienceConfig,
     ResilienceCoordinator,
@@ -504,8 +505,12 @@ class DeploymentEngine:
         assignment: dict[str, str],
         meter: EnergyMeter,
         detections_cache: dict[str, list[Detection]] | None = None,
+        memo: GroupingMemo | None = None,
     ) -> tuple[int, int, list[float]]:
         """Detect with the active assignment, fuse, count humans.
+
+        ``memo`` may be passed only when every detection comes from
+        ``detections_cache`` and outlives it (see :class:`GroupingMemo`).
 
         Returns (detected, present, fused probabilities).
         """
@@ -526,7 +531,7 @@ class DeploymentEngine:
                     computed[(record.frame_index, camera_id, algorithm)]
                 )
         with self._section("reid_grouping"):
-            groups = self.matcher.group(detections)
+            groups = self.matcher.group(detections, memo)
         present = persons_in_any_view(record.observations)
         probabilities = [g.fused_probability for g in groups]
         return (
@@ -876,7 +881,8 @@ class DeploymentEngine:
             present_total = 0
             probabilities: list[float] = []
             # Assessment frames are also operational: the all-best
-            # detections are already available, reuse them.
+            # detections are already available, reuse them, and the
+            # ground points and colour distances selection memoised.
             for idx, record in enumerate(assess_records):
                 cache = {
                     camera_id: assessment.detections(
@@ -890,6 +896,7 @@ class DeploymentEngine:
                     decision.assignment,
                     meter,
                     detections_cache=cache,
+                    memo=assessment.grouping_memo,
                 )
                 detected_total += detected
                 present_total += present

@@ -249,6 +249,8 @@ class FleetRuntime:
         assessment: AssessmentData, members: tuple[str, ...]
     ) -> AssessmentData:
         member_set = set(members)
+        # The cell's detections are the fleet assessment's own objects,
+        # so the fleet memo is valid for them and outlives the cell.
         return AssessmentData(
             frames=[
                 {
@@ -257,7 +259,8 @@ class FleetRuntime:
                     if camera_id in member_set
                 }
                 for frame in assessment.frames
-            ]
+            ],
+            grouping_memo=assessment.grouping_memo,
         )
 
     def select_round(

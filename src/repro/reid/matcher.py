@@ -24,6 +24,70 @@ from repro.reid.mahalanobis import MahalanobisMetric
 DEFAULT_GROUND_RADIUS_M = 0.9
 DEFAULT_COLOR_THRESHOLD = 3.5
 
+#: Stand-in grid index for a coordinate whose quotient by the cell side
+#: overflows a float; it lies beyond every ``math.floor`` of a finite
+#: double, so its neighbouring indices hold no other cell.
+_FAR_INDEX = 1 << 1100
+
+
+class GroupingMemo:
+    """Values :meth:`CrossCameraMatcher.group` computes per detection
+    (ground point, reduced colour feature) and per detection pair
+    (colour distance).
+
+    Keys are ``id()``s and the memo holds no reference to the
+    detections, so it must not outlive them: a recycled id would
+    return another detection's values.  Each
+    :class:`~repro.core.selection.AssessmentData` owns one, since its
+    frames hold the detections that selection regroups; every other
+    caller gets a fresh memo per call.
+    """
+
+    __slots__ = ("points", "reduced", "colors")
+
+    def __init__(self) -> None:
+        self.points: dict[int, tuple[float, float]] = {}
+        self.reduced: dict[int, np.ndarray] = {}
+        self.colors: dict[tuple[int, int], float] = {}
+
+
+def _cell_side(radius: float) -> float:
+    """Side of the grid cells that bucket group centroids.
+
+    The smallest power of two above ``radius * (1 + 1e-9)``.  A power
+    of two makes ``x / side`` exact, and the margin exceeds the few
+    ulps by which a scalar gating distance below the radius can
+    understate the true one.  So a centroid within the radius of a
+    point is always within one cell of it on each axis.
+    """
+    return math.ldexp(1.0, math.frexp(radius * (1.0 + 1e-9))[1])
+
+
+def _axis_index(quotient: float) -> int:
+    if math.isfinite(quotient):
+        return math.floor(quotient)
+    return _FAR_INDEX if quotient > 0 else -_FAR_INDEX
+
+
+def _grid_cell(x: float, y: float, side: float) -> tuple[int, int] | None:
+    """The grid cell of ground point ``(x, y)``; None if it is not
+    finite (a projection on the horizon line), since no distance to
+    such a point is ever below the radius."""
+    try:
+        return math.floor(x / side), math.floor(y / side)
+    except (OverflowError, ValueError):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return None
+        # A finite coordinate whose quotient overflows: float spacing
+        # there dwarfs the radius, so points within it are equal and
+        # share the stand-in index.
+        return _axis_index(x / side), _axis_index(y / side)
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
 
 class CrossCameraMatcher:
     """Groups one frame's multi-camera detections into objects."""
@@ -49,8 +113,8 @@ class CrossCameraMatcher:
         """
         if not image_to_ground:
             raise ValueError("need at least one camera homography")
-        if ground_radius <= 0:
-            raise ValueError("ground_radius must be positive")
+        _require_positive("ground_radius", ground_radius)
+        _require_positive("color_threshold", color_threshold)
         if use_color and color_metric is not None and not color_metric.is_fitted:
             raise ValueError("color_metric must be fitted before use")
         self.image_to_ground = dict(image_to_ground)
@@ -58,35 +122,15 @@ class CrossCameraMatcher:
         self.color_metric = color_metric
         self.color_threshold = color_threshold
         self.use_color = use_color and color_metric is not None
-        # Selection re-groups the same assessment detections under many
-        # candidate assignments, so the per-detection projection and
-        # per-pair colour distance are memoised.  The cached values are
-        # the unmemoised scalars, computed once — grouping stays
-        # bit-identical.  Values keep a strong reference to their
-        # detections so the id() keys cannot be recycled.
-        self._point_cache: dict[int, tuple[Detection, np.ndarray]] = {}
-        self._color_cache: dict[
-            tuple[int, int], tuple[Detection, Detection, float]
-        ] = {}
-        self._reduced_cache: dict[int, tuple[Detection, np.ndarray]] = {}
-        self._cache_limit = 200_000
+        self._cell_side = _cell_side(ground_radius)
 
-    def clear_caches(self) -> None:
-        """Drop memoised projections and colour distances."""
-        self._point_cache.clear()
-        self._color_cache.clear()
-        self._reduced_cache.clear()
+    def _project(self, detection: Detection) -> tuple[float, float]:
+        """:meth:`ground_point` as two floats.
 
-    def _cached_point(self, detection: Detection) -> np.ndarray:
-        key = id(detection)
-        hit = self._point_cache.get(key)
-        if hit is not None:
-            return hit[1]
-        if len(self._point_cache) >= self._cache_limit:
-            self._point_cache.clear()
-        # Single-point fast path: the 3-vector product computes the
-        # same values as ground_point()'s apply_homography call without
-        # its batching scaffolding (verified bit-identical).
+        The 3-vector product computes the same values as
+        ``apply_homography`` without its batching scaffolding
+        (verified bit-identical).
+        """
         try:
             homography = self.image_to_ground[detection.camera_id]
         except KeyError:
@@ -96,10 +140,11 @@ class CrossCameraMatcher:
         x, y = detection.bbox.bottom_center
         projected = homography.matrix @ np.array([x, y, 1.0])
         point = projected[:2] / projected[2]
-        self._point_cache[key] = (detection, point)
-        return point
+        return float(point[0]), float(point[1])
 
-    def _reduced_feature(self, detection: Detection) -> np.ndarray:
+    def _reduced_feature(
+        self, detection: Detection, memo: GroupingMemo
+    ) -> np.ndarray:
         """The detection's PCA-reduced colour feature, memoised.
 
         ``MahalanobisMetric.distance`` re-reduces both endpoints on
@@ -109,40 +154,31 @@ class CrossCameraMatcher:
         once per pair.
         """
         key = id(detection)
-        hit = self._reduced_cache.get(key)
-        if hit is not None:
-            return hit[1]
-        if len(self._reduced_cache) >= self._cache_limit:
-            self._reduced_cache.clear()
-        reduced = self.color_metric._reduce(detection.color_feature)
-        self._reduced_cache[key] = (detection, reduced)
+        reduced = memo.reduced.get(key)
+        if reduced is None:
+            reduced = self.color_metric._reduce(detection.color_feature)
+            memo.reduced[key] = reduced
         return reduced
 
-    def _color_distance(self, a: Detection, b: Detection) -> float:
+    def _color_distance(
+        self, a: Detection, b: Detection, memo: GroupingMemo
+    ) -> float:
         """`MahalanobisMetric.distance` with the reductions memoised;
         the remaining arithmetic is the metric's own, verbatim."""
-        diff = self._reduced_feature(a) - self._reduced_feature(b)
+        diff = self._reduced_feature(a, memo) - self._reduced_feature(b, memo)
         value = float(diff @ self.color_metric._precision @ diff)
         return float(np.sqrt(max(0.0, value)))
 
-    def _cached_color_distance(self, a: Detection, b: Detection) -> float:
-        key = (id(a), id(b)) if id(a) <= id(b) else (id(b), id(a))
-        hit = self._color_cache.get(key)
-        if hit is not None:
-            return hit[2]
-        if len(self._color_cache) >= self._cache_limit:
-            self._color_cache.clear()
-        dist = self._color_distance(a, b)
-        self._color_cache[key] = (a, b, dist)
-        return dist
-
     def _color_compatible_cached(
-        self, detection: Detection, members: list[Detection]
+        self,
+        detection: Detection,
+        members: list[Detection],
+        memo: GroupingMemo,
     ) -> bool:
-        """`_color_compatible` with the cache lookups inlined — the
+        """Does ``detection``'s colour agree with every member's?  The
         grouping scan calls this tens of thousands of times per
-        selection, so attribute and call overhead matter."""
-        cache = self._color_cache
+        selection, so the pair memo lookup is inlined."""
+        colors = memo.colors
         threshold = self.color_threshold
         det_id = id(detection)
         for member in members:
@@ -152,14 +188,11 @@ class CrossCameraMatcher:
                 if det_id <= member_id
                 else (member_id, det_id)
             )
-            hit = cache.get(key)
-            if hit is None:
-                if len(cache) >= self._cache_limit:
-                    cache.clear()
-                dist = self._color_distance(detection, member)
-                cache[key] = (detection, member, dist)
-            else:
-                dist = hit[2]
+            dist = colors.get(key)
+            if dist is None:
+                dist = colors[key] = self._color_distance(
+                    detection, member, memo
+                )
             if dist > threshold:
                 return False
         return True
@@ -174,18 +207,11 @@ class CrossCameraMatcher:
             ) from None
         return homography.apply(np.array(detection.bbox.bottom_center))
 
-    def _color_compatible(
-        self, detection: Detection, group: ObjectGroup
-    ) -> bool:
-        if not self.use_color:
-            return True
-        for member in group.detections:
-            dist = self._cached_color_distance(detection, member)
-            if dist > self.color_threshold:
-                return False
-        return True
-
-    def group(self, detections: list[Detection]) -> list[ObjectGroup]:
+    def group(
+        self,
+        detections: list[Detection],
+        memo: GroupingMemo | None = None,
+    ) -> list[ObjectGroup]:
         """Cluster one frame's detections across cameras.
 
         Highest-confidence detections seed groups first; a detection
@@ -193,26 +219,44 @@ class CrossCameraMatcher:
         come from other cameras and whose colours agree, otherwise it
         starts a new group.
 
-        This is a scalar restatement of :meth:`group_reference` with
-        the numpy overhead stripped from the inner scan: distances and
-        centroid updates run on plain Python floats, which execute the
-        same IEEE-double operations as the reference's elementwise
+        This restates :meth:`group_reference` with two savings.  Group
+        centroids sit in a uniform ground-plane grid (see
+        :func:`_cell_side`), so a detection measures only the groups in
+        the 3×3 cells around it instead of every group; a centroid that
+        crosses a cell edge as members join is re-bucketed.  Distances
+        and centroid updates run on plain Python floats, which execute
+        the same IEEE-double operations as the reference's elementwise
         numpy expressions.  The one numerical difference is the gating
         distance itself — ``math.sqrt(dx*dx + dy*dy)`` instead of the
         reference's BLAS-backed ``np.linalg.norm`` — so membership can
         differ from the reference only when a distance sits within one
         ulp of the radius or of a competing group's distance.
+
+        Args:
+            detections: One frame's detections, any cameras.
+            memo: Projections and colour distances to reuse across
+                calls over the same detections (see
+                :class:`GroupingMemo`); a fresh one by default.
         """
+        if memo is None:
+            memo = GroupingMemo()
+        points = memo.points
         groups: list[ObjectGroup] = []
         group_cameras: list[set[str]] = []
         centroids: list[tuple[float, float]] = []
-        counts: list[int] = []
+        cells: list[tuple[int, int] | None] = []
+        grid: dict[tuple[int, int], list[int]] = {}
         radius = self.ground_radius
+        side = self._cell_side
         use_color = self.use_color
         for det in sorted(detections, key=lambda d: -d.score):
-            point = self._cached_point(det)
-            px, py = float(point[0]), float(point[1])
+            key = id(det)
+            point = points.get(key)
+            if point is None:
+                point = points[key] = self._project(det)
+            px, py = point
             camera = det.camera_id
+            cell = _grid_cell(px, py, side)
             # The reference scan accepts strictly-improving distances,
             # so colour-rejected groups never update the best: the
             # winner is the colour-compatible eligible group of
@@ -220,33 +264,39 @@ class CrossCameraMatcher:
             # and taking the first colour pass computes the same
             # winner with the fewest colour checks.
             candidates: list[tuple[float, int]] = []
-            for idx in range(len(groups)):
-                if camera in group_cameras[idx]:
-                    continue
-                cx, cy = centroids[idx]
-                dx = px - cx
-                dy = py - cy
-                dist = math.sqrt(dx * dx + dy * dy)
-                if dist < radius:
-                    candidates.append((dist, idx))
-            candidates.sort()
+            if cell is not None:
+                gx, gy = cell
+                for nx in (gx - 1, gx, gx + 1):
+                    for ny in (gy - 1, gy, gy + 1):
+                        for idx in grid.get((nx, ny), ()):
+                            if camera in group_cameras[idx]:
+                                continue
+                            cx, cy = centroids[idx]
+                            dx = px - cx
+                            dy = py - cy
+                            dist = math.sqrt(dx * dx + dy * dy)
+                            if dist < radius:
+                                candidates.append((dist, idx))
+                candidates.sort()
             best_group = None
             for _, idx in candidates:
                 if not use_color or self._color_compatible_cached(
-                    det, groups[idx].detections
+                    det, groups[idx].detections, memo
                 ):
                     best_group = idx
                     break
             if best_group is None:
+                if cell is not None:
+                    grid.setdefault(cell, []).append(len(groups))
                 groups.append(
                     ObjectGroup(detections=[det], ground_point=(px, py))
                 )
                 group_cameras.append({camera})
                 centroids.append((px, py))
-                counts.append(1)
+                cells.append(cell)
             else:
                 group = groups[best_group]
-                count = counts[best_group]
+                count = len(group)
                 group.add(det)
                 group_cameras[best_group].add(camera)
                 cx, cy = centroids[best_group]
@@ -256,16 +306,26 @@ class CrossCameraMatcher:
                     (cy * count + py) / (count + 1),
                 )
                 centroids[best_group] = centroid
-                counts[best_group] = count + 1
                 group.ground_point = centroid
+                moved = _grid_cell(centroid[0], centroid[1], side)
+                if moved != cells[best_group]:
+                    if cells[best_group] is not None:
+                        grid[cells[best_group]].remove(best_group)
+                    if moved is not None:
+                        grid.setdefault(moved, []).append(best_group)
+                    cells[best_group] = moved
         return groups
 
     def group_reference(
-        self, detections: list[Detection]
+        self,
+        detections: list[Detection],
+        memo: GroupingMemo | None = None,
     ) -> list[ObjectGroup]:
-        """The unmemoised clustering loop, kept verbatim as the pinned
-        oracle for equivalence tests and as the honest per-call
-        baseline for the scale benchmarks."""
+        """The unmemoised linear-scan clustering loop, kept verbatim as
+        the pinned oracle for equivalence tests and as the honest
+        per-call baseline for the scale benchmarks.  ``memo`` is
+        accepted and ignored, so the oracle can stand in for
+        :meth:`group`."""
         groups: list[ObjectGroup] = []
         centroids: list[np.ndarray] = []
         for det in sorted(detections, key=lambda d: -d.score):
