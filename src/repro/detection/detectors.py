@@ -35,6 +35,8 @@ from repro.detection.view_stats import (
     nominal_statistics,
 )
 from repro.vision.color import (
+    COLOR_FEATURE_DIM,
+    synthetic_color_base,
     synthetic_color_feature,
     synthetic_color_from_gauss,
 )
@@ -333,7 +335,9 @@ class SimulatedDetector(Detector):
                     truth_id=view.person_id,
                 )
             )
-        background_shade = self.environment.brightness
+        fp_color_base = synthetic_color_base(
+            self.environment.brightness * 0.6
+        )
         n_wall = rng.poisson(self._fp_count)
         n_conf = rng.poisson(self._conf_count) if self._conf_count > 0 else 0
         fp_scores = (
@@ -346,24 +350,63 @@ class SimulatedDetector(Detector):
                     + rng.normal(scale=self._sigma_eff, size=n_conf)
                 ).tolist()
             )
+        clutter = observation.clutter_regions
         for score in fp_scores:
             if threshold is not None and score < threshold:
                 continue
+            bbox = self._draw_false_positive_box(clutter, rng)
+            # synthetic_color_feature(shade * 0.6, rng, noise=0.08),
+            # built in place on the same standard normals.
+            color = rng.standard_normal(COLOR_FEATURE_DIM)
+            color *= 0.08
+            color += fp_color_base
+            np.maximum(0.0, color, out=color)
+            np.minimum(1.0, color, out=color)
             detections.append(
                 Detection(
-                    bbox=self._false_positive_box(observation, rng),
+                    bbox=bbox,
                     score=score,
                     camera_id=camera_id,
                     frame_index=frame_index,
                     algorithm=self.name,
-                    color_feature=synthetic_color_feature(
-                        background_shade * 0.6, rng, noise=0.08
-                    ),
+                    color_feature=color,
                     truth_id=None,
                 )
             )
         detections.sort(key=lambda d: -d.score)
         return detections
+
+    def _draw_false_positive_box(
+        self,
+        clutter: list[tuple[float, float, float, float]],
+        rng: np.random.Generator,
+    ) -> BoundingBox:
+        """:meth:`_false_positive_box` for the fast path.
+
+        ``uniform(a, b)`` computes ``a + (b - a) * rng.random()``, which
+        is ``Generator.uniform``'s own arithmetic on the same double
+        without its per-call overhead, so the box is bit-identical.
+        """
+        env = self.environment
+        random = rng.random
+
+        def uniform(low: float, high: float) -> float:
+            return low + (high - low) * random()
+
+        if clutter and random() < 0.8:
+            cx, cy, cw, ch = clutter[rng.integers(len(clutter))]
+            h = float(min(env.height, max(8.0, ch * uniform(0.7, 1.1))))
+            w = h * uniform(0.35, 0.5)
+            x = float(
+                min(env.width - w, max(0.0, cx + uniform(-0.2, 0.8) * cw))
+            )
+            y = float(min(env.height - h, max(0.0, cy + ch - h)))
+        else:
+            h = uniform(0.15, 0.45) * env.height
+            w = h * uniform(0.35, 0.5)
+            x = uniform(0.0, max(1.0, env.width - w))
+            y = uniform(0.2 * env.height, max(1.0, env.height - h))
+        return BoundingBox(x=float(x), y=float(y), w=float(w), h=float(h))
 
     def detect_reference(
         self,

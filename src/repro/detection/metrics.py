@@ -8,6 +8,8 @@ paper uses per (algorithm, training video) pair (Section VI-A).
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +56,32 @@ def f_score(recall: float, precision: float) -> float:
     return 2.0 * recall * precision / (recall + precision)
 
 
+def _greedy_matches(
+    detections: list[Detection],
+    ground_truth: list[BoundingBox],
+    iou_threshold: float,
+) -> Iterator[tuple[Detection, bool]]:
+    """Greedy IoU matching, one decision at a time.
+
+    Yields each detection in decreasing score order (ties keep their
+    input order) with whether it claimed a truth box.  A decision
+    depends only on the detections yielded before it.
+    """
+    available = list(range(len(ground_truth)))
+    for det in sorted(detections, key=lambda d: -d.score):
+        best_iou = 0.0
+        best_idx = None
+        for idx in available:
+            iou = det.bbox.iou(ground_truth[idx])
+            if iou > best_iou:
+                best_iou = iou
+                best_idx = idx
+        matched = best_idx is not None and best_iou >= iou_threshold
+        if matched:
+            available.remove(best_idx)
+        yield det, matched
+
+
 def match_detections(
     detections: list[Detection],
     ground_truth: list[BoundingBox],
@@ -64,23 +92,15 @@ def match_detections(
     Each ground-truth box absorbs at most one detection; detections
     are considered in decreasing score order.
     """
-    counts = DetectionCounts()
-    available = list(range(len(ground_truth)))
-    for det in sorted(detections, key=lambda d: -d.score):
-        best_iou = 0.0
-        best_idx = None
-        for idx in available:
-            iou = det.bbox.iou(ground_truth[idx])
-            if iou > best_iou:
-                best_iou = iou
-                best_idx = idx
-        if best_idx is not None and best_iou >= iou_threshold:
-            counts.tp += 1
-            available.remove(best_idx)
-        else:
-            counts.fp += 1
-    counts.fn = len(available)
-    return counts
+    tp = sum(
+        matched
+        for _, matched in _greedy_matches(
+            detections, ground_truth, iou_threshold
+        )
+    )
+    return DetectionCounts(
+        tp=tp, fp=len(detections) - tp, fn=len(ground_truth) - tp
+    )
 
 
 def precision_recall(
@@ -109,21 +129,61 @@ def sweep_thresholds(
     """Evaluate counts across a range of score thresholds.
 
     The candidate thresholds span the observed score range; returns
-    (threshold, counts) pairs in ascending threshold order.
+    (threshold, counts) pairs in ascending threshold order, equal to
+    ``precision_recall(frames, t)`` at every threshold ``t``.
+
+    One matching pass per frame serves every threshold: a cut-off
+    ``score >= t`` keeps a prefix of the decreasing-score order (a tie
+    group is kept or dropped whole), and no greedy decision depends on
+    a later detection, so the kept detections match exactly as they do
+    in the full pass.  ``tp(t)`` and ``fp(t)`` then count the matched
+    and unmatched scores ``>= t``.
+
+    Raises:
+        ValueError: if a score is NaN or infinite: it has no place in
+            the score order, and the thresholds spanning it would be
+            NaN or infinite (a NaN ``d_t`` keeps every candidate).
     """
     scores = np.array(
         [d.score for detections, _ in frames for d in detections]
     )
     if scores.size == 0:
         return []
+    finite = np.isfinite(scores)
+    if not finite.all():
+        bad = float(scores[~finite][0])
+        raise ValueError(
+            f"cannot sweep thresholds over non-finite score {bad!r}"
+        )
     lo, hi = float(scores.min()), float(scores.max())
     if hi - lo < 1e-12:
         thresholds = [lo]
     else:
         thresholds = list(np.linspace(lo, hi, num_steps))
+    tp_scores: list[float] = []
+    fp_scores: list[float] = []
+    truths = 0
+    for detections, ground_truth in frames:
+        truths += len(ground_truth)
+        for det, matched in _greedy_matches(
+            detections, ground_truth, iou_threshold
+        ):
+            (tp_scores if matched else fp_scores).append(det.score)
+    tp_at = _count_at_least(tp_scores, thresholds)
+    fp_at = _count_at_least(fp_scores, thresholds)
     return [
-        (t, precision_recall(frames, t, iou_threshold)) for t in thresholds
+        (t, DetectionCounts(tp=tp, fp=fp, fn=truths - tp))
+        for t, tp, fp in zip(thresholds, tp_at, fp_at)
     ]
+
+
+def _count_at_least(
+    values: list[float], thresholds: list[float]
+) -> list[int]:
+    """How many ``values`` are ``>= t``, for each threshold ``t``
+    (sorts ``values`` in place)."""
+    values.sort()
+    return [len(values) - bisect_left(values, t) for t in thresholds]
 
 
 def best_threshold(

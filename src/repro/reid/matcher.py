@@ -139,7 +139,14 @@ class CrossCameraMatcher:
             ) from None
         x, y = detection.bbox.bottom_center
         projected = homography.matrix @ np.array([x, y, 1.0])
-        point = projected[:2] / projected[2]
+        w = projected[2]
+        if w != 0.0 and math.isfinite(w):
+            point = projected[:2] / w
+        else:
+            # A point on the horizon line projects to ±inf/NaN, as in
+            # ``apply_homography``, and just as quietly.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                point = projected[:2] / w
         return float(point[0]), float(point[1])
 
     def _reduced_feature(

@@ -10,6 +10,11 @@ configurations through the unified deployment engine and compare
 field-by-field — floats included, since JSON round-trips Python
 doubles exactly.
 
+``training_results.json`` pins the offline-trained libraries of
+datasets 1-3 (the process-shared contexts, seeds ``2017 + N``): every
+profile's threshold, precision, recall, f_score and calibrator
+weight/bias, as float ``repr`` strings.
+
 Regenerate (only when a deliberate behaviour change is made)::
 
     PYTHONPATH=src python tests/golden_utils.py
@@ -174,6 +179,41 @@ def collect_chaos_goldens(runner) -> dict:
     return out
 
 
+#: Datasets whose trained libraries ``training_results.json`` pins.
+TRAINING_DATASETS = (1, 2, 3)
+
+
+def training_fingerprint(library) -> dict:
+    """Every trained profile's sweep outcome and calibrator, exactly."""
+    out = {}
+    for item_name in library.names:
+        item = library.get(item_name)
+        out[item_name] = {
+            algorithm: {
+                field: repr(float(value))
+                for field, value in (
+                    ("threshold", profile.threshold),
+                    ("precision", profile.precision),
+                    ("recall", profile.recall),
+                    ("f_score", profile.f_score),
+                    ("weight", profile.calibrator.weight),
+                    ("bias", profile.calibrator.bias),
+                )
+            }
+            for algorithm, profile in item.profiles.items()
+        }
+    return out
+
+
+def collect_training_goldens() -> dict:
+    from repro.engine.context import shared_context
+
+    return {
+        str(number): training_fingerprint(shared_context(number).library)
+        for number in TRAINING_DATASETS
+    }
+
+
 def load_golden(name: str) -> dict:
     with open(GOLDEN_DIR / f"{name}.json") as fh:
         return json.load(fh)
@@ -185,6 +225,7 @@ def capture() -> None:
     for name, data in (
         ("run_results", collect_run_goldens(runner)),
         ("chaos_results", collect_chaos_goldens(runner)),
+        ("training_results", collect_training_goldens()),
     ):
         path = GOLDEN_DIR / f"{name}.json"
         path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")

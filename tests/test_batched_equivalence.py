@@ -19,7 +19,9 @@ import numpy as np
 import pytest
 
 from repro.checkpoint import CheckpointConfig, RunCheckpointer, SimulatedCrash
+from repro.datasets.synthetic import make_dataset
 from repro.detection.base import BoundingBox, Detection
+from repro.detection.detectors import make_detector_suite
 from repro.engine.core import DeploymentEngine
 from repro.engine.executor import (
     SerialDetectionExecutor,
@@ -45,26 +47,37 @@ def _detection_signature(detections: list[Detection]):
 
 
 class TestDetectorBatchEquivalence:
-    def test_detect_matches_reference(self, runner1):
-        """The vectorised scoring path is the pinned model, bit for bit."""
-        engine = runner1
-        records = engine.dataset.frames(1000, 1200, only_ground_truth=True)
+    def test_detect_matches_reference(self):
+        """The vectorised scoring path is the pinned model, bit for bit,
+        on every dataset, keeping every candidate (as offline training
+        does) and at the profile threshold (as deployment does)."""
         checked = 0
-        for record in records[:6]:
-            for camera_id in engine.dataset.camera_ids:
-                observation = record.observation(camera_id)
-                for name, detector in engine.detectors.items():
-                    entropy = [2017, record.frame_index, checked]
-                    fast = detector.detect(
-                        observation, np.random.default_rng(entropy)
-                    )
-                    reference = detector.detect_reference(
-                        observation, np.random.default_rng(entropy)
-                    )
-                    assert _detection_signature(fast) == (
-                        _detection_signature(reference)
-                    ), f"{name} drifted from detect_reference"
-                    checked += 1
+        for number in (1, 2, 3, 4):
+            dataset = make_dataset(number)
+            detectors = make_detector_suite(dataset.environment)
+            for record in dataset.training_segment().frames[:3]:
+                for camera_id in dataset.camera_ids:
+                    observation = record.observation(camera_id)
+                    for name, detector in detectors.items():
+                        for threshold in (None, detector.profile.threshold):
+                            entropy = [2017, record.frame_index, checked]
+                            fast = detector.detect(
+                                observation,
+                                np.random.default_rng(entropy),
+                                threshold,
+                            )
+                            reference = detector.detect_reference(
+                                observation,
+                                np.random.default_rng(entropy),
+                                threshold,
+                            )
+                            assert _detection_signature(fast) == (
+                                _detection_signature(reference)
+                            ), (
+                                f"{name} drifted from detect_reference on "
+                                f"dataset {number} at threshold {threshold}"
+                            )
+                            checked += 1
         assert checked > 0
 
     def test_detect_batch_matches_sequential_detect(self, runner1):

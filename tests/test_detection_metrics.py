@@ -1,6 +1,12 @@
 """Tests for detection metrics: matching, precision/recall, sweeps."""
 
+import math
+import re
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.detection.base import BoundingBox, Detection
 from repro.detection.metrics import (
@@ -129,3 +135,70 @@ class TestSweeps:
 
     def test_sweep_empty_detections(self):
         assert sweep_thresholds([([], [BoundingBox(0, 0, 1, 1)])]) == []
+
+    def test_single_threshold_when_all_scores_tie(self):
+        frames = self._frames()
+        tied = [(
+            [det(d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h, 0.5)
+             for d in frames[0][0]],
+            frames[0][1],
+        )]
+        assert sweep_thresholds(tied, num_steps=10) == [
+            (0.5, precision_recall(tied, 0.5))
+        ]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_is_refused(self, bad):
+        frames = self._frames()
+        frames[0][0].append(det(300, 0, 10, 20, bad))
+        message = rf"non-finite score {re.escape(repr(bad))}"
+        with pytest.raises(ValueError, match=message):
+            sweep_thresholds(frames)
+        with pytest.raises(ValueError, match=message):
+            best_threshold(frames)
+
+
+#: Coarse lattices so boxes overlap (truths with truths too), scores
+#: tie, and scores land exactly on the swept thresholds.
+_coords = st.integers(0, 6).map(lambda v: 5.0 * v)
+_sizes = st.integers(1, 4).map(lambda v: 5.0 * v)
+_boxes = st.builds(BoundingBox, _coords, _coords, _sizes, _sizes)
+_scores = st.one_of(
+    st.integers(0, 4).map(lambda v: v / 4),
+    st.floats(-2.0, 2.0, allow_nan=False),
+)
+_detections = st.lists(
+    st.builds(
+        lambda box, score: det(box.x, box.y, box.w, box.h, score),
+        _boxes,
+        _scores,
+    ),
+    max_size=6,
+)
+_frames = st.lists(
+    st.tuples(_detections, st.lists(_boxes, max_size=4)), max_size=4
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    frames=_frames,
+    num_steps=st.integers(1, 9),
+    iou_threshold=st.sampled_from([0.1, 0.4, 0.7]),
+)
+def test_sweep_equals_per_threshold_oracle(frames, num_steps, iou_threshold):
+    """The single-pass sweep reproduces one ``precision_recall`` pass
+    per threshold exactly: thresholds, counts and so every ratio."""
+    sweep = sweep_thresholds(frames, num_steps, iou_threshold)
+    scores = [d.score for detections, _ in frames for d in detections]
+    if not scores:
+        assert sweep == []
+        return
+    lo, hi = min(scores), max(scores)
+    if hi - lo < 1e-12:
+        thresholds = [lo]
+    else:
+        thresholds = list(np.linspace(lo, hi, num_steps))
+    assert sweep == [
+        (t, precision_recall(frames, t, iou_threshold)) for t in thresholds
+    ]

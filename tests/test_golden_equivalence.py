@@ -7,6 +7,8 @@ through the unified deployment engine and compare every ``RunResult``
 / ``NetworkOutcome`` field — floats by exact equality, since JSON
 round-trips Python doubles exactly — on the serial executor and on
 the shared-memory process pool (``make_executor(2)``).
+``TestTrainingGoldens`` pins offline training the same way: the
+trained libraries of datasets 1-3 (``training_results.json``).
 
 If one of these fails, the engine's behaviour has drifted from the
 historical implementation; that is a bug in the change, not in the
@@ -20,6 +22,7 @@ import pytest
 
 from tests.golden_utils import (
     GOLDEN_CHAOS_CONFIGS,
+    TRAINING_DATASETS,
     chaos_result_fingerprint,
     collect_chaos_goldens,
     golden_run_configs,
@@ -27,6 +30,7 @@ from tests.golden_utils import (
     make_golden_runner,
     network_spec,
     run_result_fingerprint,
+    training_fingerprint,
 )
 
 
@@ -106,3 +110,16 @@ class TestChaosGoldens:
         fingerprint = chaos_result_fingerprint(result)
         missing = set(vars(result)) - set(fingerprint)
         assert not missing, f"fields not pinned by the golden: {missing}"
+
+
+class TestTrainingGoldens:
+    @pytest.mark.parametrize("number", TRAINING_DATASETS)
+    def test_trained_library_matches_golden(self, number):
+        """Offline training (detection draws, threshold sweep, score
+        calibration) reproduces every profile to the last bit."""
+        from repro.engine.context import shared_context
+
+        library = shared_context(number).library
+        assert training_fingerprint(library) == (
+            load_golden("training_results")[str(number)]
+        ), f"dataset {number}'s trained library drifted from the golden"

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -342,7 +343,7 @@ class TestGroundGrid:
         """``c1`` maps image row 128 onto the horizon line (w = 0), so
         one detection projects to infinity and another to NaN.  Each
         starts its own group that nothing can join, as in the
-        reference."""
+        reference, and neither projection warns."""
         horizon = Homography(
             np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1 / 128, 1.0]])
         )
@@ -363,7 +364,11 @@ class TestGroundGrid:
             point_detection("c1", 0.5, 0.0, score=0.6),
             point_detection("c3", 0.2, 0.1, score=0.5),
         ]
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            matcher.group(detections)
+        # Only the reference's norm of the 1e300 offset may overflow.
+        with np.errstate(over="ignore"):
             groups = assert_matches_reference(matcher, detections)
         assert [len(g) for g in groups] == [1, 1, 1, 3]
         assert groups[0].ground_point == (math.inf, math.inf)
