@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from repro.checkpoint.store import CheckpointStore
+from repro.checkpoint.store import CheckpointStore, normalize_fingerprint
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,11 @@ class RunCheckpointer:
     def begin(self, kind: str, fingerprint: dict) -> dict | None:
         """Start (or resume) a run; returns the state to restore."""
         self._kind = kind
-        self._fingerprint = fingerprint
+        # Normalised once: every save writes the same fingerprint.
+        self._fingerprint = normalize_fingerprint(fingerprint)
         self._install_sigterm_handler()
         if self.config.resume:
-            return self.store.load(kind, fingerprint)
+            return self.store.load(kind, self._fingerprint)
         return None
 
     def finish(self) -> None:

@@ -40,7 +40,7 @@ class CheckpointError(RuntimeError):
     """A checkpoint document is unreadable, mistyped or mismatched."""
 
 
-def _normalize(value: object) -> object:
+def normalize_fingerprint(value: object) -> object:
     """Canonicalise through JSON so in-memory fingerprints (tuples,
     ints vs floats) compare equal to their on-disk form."""
     return json.loads(json.dumps(value, sort_keys=True))
@@ -62,14 +62,21 @@ class CheckpointStore:
         return self.path.exists()
 
     def save(self, kind: str, fingerprint: dict, state: dict) -> Path:
-        """Atomically persist one snapshot (replacing any previous)."""
+        """Atomically persist one snapshot (replacing any previous).
+
+        ``fingerprint`` is written as given, so a run that saves many
+        times normalises it once (:func:`normalize_fingerprint`, as
+        :class:`~repro.checkpoint.hooks.RunCheckpointer` does).  JSON
+        encodes a tuple as a list, so only a dict with non-string keys
+        needs it for the bytes to match its normalised form.
+        """
         self.directory.mkdir(parents=True, exist_ok=True)
         return atomic_write_json(
             self.path,
             {
                 "schema": CHECKPOINT_SCHEMA,
                 "kind": kind,
-                "fingerprint": _normalize(fingerprint),
+                "fingerprint": fingerprint,
                 "state": state,
             },
             indent=None,
@@ -115,7 +122,7 @@ class CheckpointStore:
                 f"does not match this deployment ({kind!r})"
             )
         stored = document.get("fingerprint")
-        expected = _normalize(fingerprint)
+        expected = normalize_fingerprint(fingerprint)
         if stored != expected:
             drift = sorted(
                 key

@@ -12,6 +12,7 @@ computed all-best baseline ``(N*, P*)`` anchors the desired accuracy
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -85,14 +86,24 @@ def estimate_global_accuracy(
         Total detected-object count over the frames and the mean fused
         probability across all groups.
     """
-    num_objects = sum(len(groups) for groups in frame_groups)
+    return accuracy_from_probabilities(
+        [
+            group.fused_probability
+            for groups in frame_groups
+            for group in groups
+        ]
+    )
+
+
+def accuracy_from_probabilities(
+    probabilities: Sequence[float] | np.ndarray,
+) -> GlobalAccuracy:
+    """``(N, P-bar)`` from every detected object's fused probability,
+    frame by frame in group creation order (``np.mean`` sums in that
+    order, so the order is part of the result)."""
+    num_objects = len(probabilities)
     if num_objects == 0:
         return GlobalAccuracy(num_objects=0, mean_probability=0.0)
-    probabilities = [
-        group.fused_probability
-        for groups in frame_groups
-        for group in groups
-    ]
     return GlobalAccuracy(
         num_objects=float(num_objects),
         mean_probability=float(np.mean(probabilities)),

@@ -110,7 +110,9 @@ class EECSController:
             # counters live with the library that owns the training
             # data, so recalibration cost is visible in one place.
             comparator.cache = library.cache
-        self.engine = SelectionEngine(matcher)
+        self.engine = SelectionEngine(
+            matcher, telemetry.tracer if telemetry is not None else None
+        )
         self._cameras: dict[str, CameraState] = {}
         self.telemetry = telemetry
         #: Simulated-time source for decision events; the owning loop
@@ -354,6 +356,9 @@ class EECSController:
             achieved = self.engine.global_accuracy(assessment, assignment)
         else:
             assignment = {p.camera_id: p.best_algorithm for p in chosen}
+        # The grouping greedy left for downgrade is spent; the
+        # assessment itself lives on through the operation phase.
+        assessment.regrouping = None
 
         decision = SelectionDecision(
             assignment=assignment,

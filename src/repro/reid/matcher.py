@@ -13,6 +13,7 @@ imperfect homography matching").
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 import numpy as np
 
@@ -239,89 +240,19 @@ class CrossCameraMatcher:
         differ from the reference only when a distance sits within one
         ulp of the radius or of a competing group's distance.
 
+        The per-detection step lives in :class:`GroupingRun`: this is a
+        fresh run fed every detection in decreasing score order, the
+        same step incremental regrouping re-feeds.
+
         Args:
             detections: One frame's detections, any cameras.
             memo: Projections and colour distances to reuse across
                 calls over the same detections (see
                 :class:`GroupingMemo`); a fresh one by default.
         """
-        if memo is None:
-            memo = GroupingMemo()
-        points = memo.points
-        groups: list[ObjectGroup] = []
-        group_cameras: list[set[str]] = []
-        centroids: list[tuple[float, float]] = []
-        cells: list[tuple[int, int] | None] = []
-        grid: dict[tuple[int, int], list[int]] = {}
-        radius = self.ground_radius
-        side = self._cell_side
-        use_color = self.use_color
-        for det in sorted(detections, key=lambda d: -d.score):
-            key = id(det)
-            point = points.get(key)
-            if point is None:
-                point = points[key] = self._project(det)
-            px, py = point
-            camera = det.camera_id
-            cell = _grid_cell(px, py, side)
-            # The reference scan accepts strictly-improving distances,
-            # so colour-rejected groups never update the best: the
-            # winner is the colour-compatible eligible group of
-            # minimal (distance, index).  Sorting the gated candidates
-            # and taking the first colour pass computes the same
-            # winner with the fewest colour checks.
-            candidates: list[tuple[float, int]] = []
-            if cell is not None:
-                gx, gy = cell
-                for nx in (gx - 1, gx, gx + 1):
-                    for ny in (gy - 1, gy, gy + 1):
-                        for idx in grid.get((nx, ny), ()):
-                            if camera in group_cameras[idx]:
-                                continue
-                            cx, cy = centroids[idx]
-                            dx = px - cx
-                            dy = py - cy
-                            dist = math.sqrt(dx * dx + dy * dy)
-                            if dist < radius:
-                                candidates.append((dist, idx))
-                candidates.sort()
-            best_group = None
-            for _, idx in candidates:
-                if not use_color or self._color_compatible_cached(
-                    det, groups[idx].detections, memo
-                ):
-                    best_group = idx
-                    break
-            if best_group is None:
-                if cell is not None:
-                    grid.setdefault(cell, []).append(len(groups))
-                groups.append(
-                    ObjectGroup(detections=[det], ground_point=(px, py))
-                )
-                group_cameras.append({camera})
-                centroids.append((px, py))
-                cells.append(cell)
-            else:
-                group = groups[best_group]
-                count = len(group)
-                group.add(det)
-                group_cameras[best_group].add(camera)
-                cx, cy = centroids[best_group]
-                # Running mean keeps the centroid stable as members join.
-                centroid = (
-                    (cx * count + px) / (count + 1),
-                    (cy * count + py) / (count + 1),
-                )
-                centroids[best_group] = centroid
-                group.ground_point = centroid
-                moved = _grid_cell(centroid[0], centroid[1], side)
-                if moved != cells[best_group]:
-                    if cells[best_group] is not None:
-                        grid[cells[best_group]].remove(best_group)
-                    if moved is not None:
-                        grid.setdefault(moved, []).append(best_group)
-                    cells[best_group] = moved
-        return groups
+        run = GroupingRun(self, memo if memo is not None else GroupingMemo())
+        run.feed(sorted(detections, key=lambda d: -d.score))
+        return run.groups
 
     def group_reference(
         self,
@@ -398,3 +329,175 @@ class CrossCameraMatcher:
             and len({d.truth_id for d in g.detections}) == 1
         )
         return pure / len(multi)
+
+
+class GroupingRun:
+    """One frame's clustering in progress: the state of
+    :meth:`CrossCameraMatcher.group` between two detections.
+
+    :meth:`feed` runs the per-detection step of ``group`` for each
+    detection given, in the order given; ``group`` is a fresh run fed
+    every detection in decreasing score order.  ``groups`` is the
+    result so far, in creation order.
+
+    With ``track`` set the run also records what incremental
+    regrouping (:mod:`repro.reid.incremental`) needs to split a frame
+    into independent parts: ``assigned`` (the group each fed detection
+    ended in), ``trails`` (per group, the grid cells of its centroids
+    and of its members' ground points) and a union-find over groups
+    that links every group a detection *examined* — every group in the
+    3×3 cells around it, whether its camera excluded it or not — to
+    the group the detection ended in (:meth:`component_of`).
+    """
+
+    __slots__ = (
+        "matcher",
+        "memo",
+        "groups",
+        "assigned",
+        "trails",
+        "_parents",
+        "_cameras",
+        "_centroids",
+        "_cells",
+        "_grid",
+    )
+
+    def __init__(
+        self,
+        matcher: CrossCameraMatcher,
+        memo: GroupingMemo,
+        track: bool = False,
+    ) -> None:
+        self.matcher = matcher
+        self.memo = memo
+        self.groups: list[ObjectGroup] = []
+        self.assigned: list[int] | None = [] if track else None
+        self.trails: list[set[tuple[int, int]]] | None = (
+            [] if track else None
+        )
+        self._parents: list[int] | None = [] if track else None
+        self._cameras: list[set[str]] = []
+        self._centroids: list[tuple[float, float]] = []
+        self._cells: list[tuple[int, int] | None] = []
+        self._grid: dict[tuple[int, int], list[int]] = {}
+
+    def component_of(self, index: int) -> int:
+        """Union-find root of group ``index`` (tracked runs only)."""
+        parents = self._parents
+        while parents[index] != index:
+            parents[index] = parents[parents[index]]
+            index = parents[index]
+        return index
+
+    def feed(self, detections: Iterable[Detection]) -> None:
+        """Cluster ``detections`` into the groups built so far.
+
+        Each detection joins the nearest group within the gating
+        radius whose members come from other cameras and whose colours
+        agree, otherwise it starts a new group.
+        """
+        matcher = self.matcher
+        memo = self.memo
+        points = memo.points
+        groups = self.groups
+        group_cameras = self._cameras
+        centroids = self._centroids
+        cells = self._cells
+        grid = self._grid
+        assigned = self.assigned
+        trails = self.trails
+        parents = self._parents
+        track = parents is not None
+        radius = matcher.ground_radius
+        side = matcher._cell_side
+        use_color = matcher.use_color
+        for det in detections:
+            key = id(det)
+            point = points.get(key)
+            if point is None:
+                point = points[key] = matcher._project(det)
+            px, py = point
+            camera = det.camera_id
+            cell = _grid_cell(px, py, side)
+            # The reference scan accepts strictly-improving distances,
+            # so colour-rejected groups never update the best: the
+            # winner is the colour-compatible eligible group of
+            # minimal (distance, index).  Sorting the gated candidates
+            # and taking the first colour pass computes the same
+            # winner with the fewest colour checks.
+            candidates: list[tuple[float, int]] = []
+            if cell is not None:
+                gx, gy = cell
+                for nx in (gx - 1, gx, gx + 1):
+                    for ny in (gy - 1, gy, gy + 1):
+                        for idx in grid.get((nx, ny), ()):
+                            if camera in group_cameras[idx]:
+                                continue
+                            cx, cy = centroids[idx]
+                            dx = px - cx
+                            dy = py - cy
+                            dist = math.sqrt(dx * dx + dy * dy)
+                            if dist < radius:
+                                candidates.append((dist, idx))
+                candidates.sort()
+            best_group = None
+            for _, idx in candidates:
+                if not use_color or matcher._color_compatible_cached(
+                    det, groups[idx].detections, memo
+                ):
+                    best_group = idx
+                    break
+            if best_group is None:
+                best_group = len(groups)
+                if cell is not None:
+                    grid.setdefault(cell, []).append(best_group)
+                groups.append(
+                    ObjectGroup(detections=[det], ground_point=(px, py))
+                )
+                group_cameras.append({camera})
+                centroids.append((px, py))
+                cells.append(cell)
+                moved = cell
+            else:
+                group = groups[best_group]
+                count = len(group)
+                group.add(det)
+                group_cameras[best_group].add(camera)
+                cx, cy = centroids[best_group]
+                # Running mean keeps the centroid stable as members join.
+                centroid = (
+                    (cx * count + px) / (count + 1),
+                    (cy * count + py) / (count + 1),
+                )
+                centroids[best_group] = centroid
+                group.ground_point = centroid
+                moved = _grid_cell(centroid[0], centroid[1], side)
+                if moved != cells[best_group]:
+                    if cells[best_group] is not None:
+                        grid[cells[best_group]].remove(best_group)
+                    if moved is not None:
+                        grid.setdefault(moved, []).append(best_group)
+                    cells[best_group] = moved
+            if track:
+                if best_group == len(parents):
+                    parents.append(best_group)
+                    trails.append(set())
+                trail = trails[best_group]
+                if cell is not None:
+                    trail.add(cell)
+                if moved is not None:
+                    trail.add(moved)
+                assigned.append(best_group)
+                if cell is None:
+                    continue
+                # The groups this detection examined: those in its 3×3
+                # cells, as they stand after it joined one (which only
+                # adds its own group, or moves that group).
+                root = self.component_of(best_group)
+                for nx in (gx - 1, gx, gx + 1):
+                    for ny in (gy - 1, gy, gy + 1):
+                        for idx in grid.get((nx, ny), ()):
+                            other = self.component_of(idx)
+                            if other != root:
+                                parents[other] = root

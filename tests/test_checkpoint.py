@@ -340,6 +340,27 @@ class TestRunCheckpointer:
         # run, which needs no checkpoint.
         assert saved == [1, 3]
 
+    def test_fingerprint_normalised_once_per_run(self, tmp_path, monkeypatch):
+        """Every save writes the fingerprint ``begin`` normalised; the
+        document holds its JSON form (tuples as lists)."""
+        from repro.checkpoint import hooks
+
+        calls = []
+        normalize = hooks.normalize_fingerprint
+        monkeypatch.setattr(
+            hooks,
+            "normalize_fingerprint",
+            lambda value: calls.append(value) or normalize(value),
+        )
+        ck = RunCheckpointer(CheckpointConfig(directory=tmp_path))
+        ck.begin("run", {"seed": 1, "window": (1000, 1300)})
+        for position in range(4):
+            ck.unit_complete(position, 5, lambda: {"at": position})
+        ck.finish()
+        assert len(calls) == 1
+        document = json.loads((tmp_path / "checkpoint.json").read_text())
+        assert document["fingerprint"] == {"seed": 1, "window": [1000, 1300]}
+
     def test_crash_after_writes_then_raises(self, tmp_path):
         ck = RunCheckpointer(
             CheckpointConfig(directory=tmp_path, crash_after=2)
