@@ -125,6 +125,17 @@ class RunCheckpointer:
         """Unconditionally persist ``capture()`` as position+1 done."""
         return self.store.save(self._kind, self._fingerprint, capture())
 
+    def save_due(self, position: int, total: int) -> bool:
+        """Whether :meth:`unit_complete` at ``position`` will save: on
+        the cadence (never after the last unit), at the crash hook, or
+        after a SIGTERM."""
+        completed = position + 1
+        return (
+            (completed % self.config.every == 0 and completed < total)
+            or self.config.crash_after == position
+            or self._sigterm_received
+        )
+
     def unit_complete(
         self,
         position: int,
@@ -138,10 +149,7 @@ class RunCheckpointer:
                 ``position`` is on disk.
             SimulatedCrash: The ``crash_after`` hook fired.
         """
-        completed = position + 1
-        crash_here = self.config.crash_after == position
-        due = completed % self.config.every == 0 and completed < total
-        if due or crash_here or self._sigterm_received:
+        if self.save_due(position, total):
             path = self.save(position, capture)
             if self._sigterm_received:
                 raise CheckpointInterrupted(
@@ -150,7 +158,7 @@ class RunCheckpointer:
                     path=path,
                     position=position,
                 )
-            if crash_here:
+            if self.config.crash_after == position:
                 raise SimulatedCrash(
                     f"simulated controller crash after unit {position} "
                     f"(checkpoint at {path})",

@@ -12,7 +12,7 @@ algorithm each should run until the next re-calibration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from repro.core.config import EECSConfig
 from repro.core.ranking import best_affordable
 from repro.core.selection import AssessmentData, CameraPlan, SelectionEngine
 from repro.detection.base import Detection
+from repro.detection.scores import logistic
 from repro.domain_adaptation.similarity import VideoComparator
 from repro.energy.battery import Battery
 from repro.energy.communication import CommunicationEnergyModel
@@ -40,6 +41,24 @@ CAMERA_ACTIVE = "active"
 CAMERA_DEGRADED = "degraded"
 CAMERA_QUARANTINED = "quarantined"
 CAMERA_MODES = (CAMERA_ACTIVE, CAMERA_DEGRADED, CAMERA_QUARANTINED)
+
+
+#: Detections per elementwise pass of
+#: :meth:`EECSController.calibrate_batch`.
+CALIBRATION_PASS = 256
+
+
+def _fill_probabilities(
+    targets: list[Detection], weights: list[float], biases: list[float]
+) -> None:
+    """Set each target's probability from its calibrator's weight and
+    bias in one elementwise pass."""
+    scores = np.fromiter(
+        (det.score for det in targets), dtype=float, count=len(targets)
+    )
+    probabilities = logistic(np.array(weights) * scores + np.array(biases))
+    for det, probability in zip(targets, probabilities.tolist()):
+        det.probability = probability
 
 
 @dataclass
@@ -236,28 +255,45 @@ class EECSController:
     ) -> list[Detection]:
         """Fill each detection's probability from the matched item's
         per-algorithm score calibrator (footnote 5 of the paper)."""
-        state = self.camera(camera_id)
-        if state.matched_item is None:
-            raise RuntimeError(
-                f"camera {camera_id!r} has no matched training item"
-            )
-        item = self.library.get(state.matched_item)
-        by_algorithm: dict[str, list[Detection]] = {}
-        for det in detections:
-            by_algorithm.setdefault(det.algorithm, []).append(det)
-        for algorithm, dets in by_algorithm.items():
-            calibrator = item.profile(algorithm).calibrator
-            if not calibrator.is_fitted:
-                continue
-            # One elementwise pass per algorithm; each element sees the
-            # exact ops the scalar __call__ applies, so probabilities
-            # are bit-identical to per-detection calibration.
-            probs = calibrator.predict_proba(
-                np.array([det.score for det in dets])
-            )
-            for det, prob in zip(dets, probs):
-                det.probability = float(prob)
+        self.calibrate_batch([(camera_id, detections)])
         return detections
+
+    def calibrate_batch(
+        self, batch: Iterable[tuple[str, list[Detection]]]
+    ) -> None:
+        """:meth:`calibrate_probabilities` for many (camera,
+        detections) pairs at once.
+
+        Each detection takes the weight and bias of its camera's
+        matched item's calibrator for its algorithm; detections whose
+        calibrator is unfitted keep their NaN probability.  Scores are
+        calibrated in elementwise passes of about
+        :data:`CALIBRATION_PASS` detections — enough to amortise
+        numpy's per-call cost, few enough that a pass's temporaries
+        stay small — applying exactly the elementwise ops of
+        :meth:`~repro.detection.scores.ScoreCalibrator.__call__`, so
+        probabilities are bit-identical to per-detection calibration.
+        """
+        targets: list[Detection] = []
+        weights: list[float] = []
+        biases: list[float] = []
+        for camera_id, detections in batch:
+            state = self.camera(camera_id)
+            if state.matched_item is None:
+                raise RuntimeError(
+                    f"camera {camera_id!r} has no matched training item"
+                )
+            item = self.library.get(state.matched_item)
+            for det in detections:
+                calibrator = item.profile(det.algorithm).calibrator
+                if calibrator.is_fitted:
+                    targets.append(det)
+                    weights.append(calibrator.weight)
+                    biases.append(calibrator.bias)
+            if len(targets) >= CALIBRATION_PASS:
+                _fill_probabilities(targets, weights, biases)
+                targets, weights, biases = [], [], []
+        _fill_probabilities(targets, weights, biases)
 
     # ------------------------------------------------------------------
     # Selection (Sections IV-B.3 and IV-B.4)

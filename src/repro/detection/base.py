@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.detection.batch import seeded_generators
 from repro.world.renderer import FrameObservation
 
 
@@ -128,19 +129,18 @@ class Detector(abc.ABC):
 
         ``tasks`` are :class:`~repro.detection.batch.DetectionTask`
         records (or anything with ``observation`` / ``entropy`` /
-        ``threshold``).  The default seeds one generator per task and
-        loops :meth:`detect`; batch-aware detectors override this to
+        ``threshold``).  The default seeds the whole group at once
+        (:func:`~repro.detection.batch.seeded_generators`) and loops
+        :meth:`detect`; batch-aware detectors override this to
         vectorise shared work across the group.  Either way the
         results are bit-identical — every task's generator depends
         only on its own entropy.
         """
         return [
-            self.detect(
-                task.observation,
-                np.random.default_rng(list(task.entropy)),
-                threshold=task.threshold,
+            self.detect(task.observation, rng, threshold=task.threshold)
+            for task, rng in zip(
+                tasks, seeded_generators(task.entropy for task in tasks)
             )
-            for task in tasks
         ]
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

@@ -24,10 +24,13 @@ scenes really do produce more false alarms.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 import numpy as np
 from scipy import stats
 
 from repro.detection.base import BoundingBox, Detection, Detector
+from repro.detection.batch import seeded_generators
 from repro.detection.profiles import ResponseProfile, get_profile
 from repro.detection.view_stats import (
     SIZE_REFERENCE_FRACTION,
@@ -38,7 +41,6 @@ from repro.vision.color import (
     COLOR_FEATURE_DIM,
     synthetic_color_base,
     synthetic_color_feature,
-    synthetic_color_from_gauss,
 )
 from repro.world.environment import Environment
 from repro.world.renderer import FrameObservation, ObjectView
@@ -48,6 +50,14 @@ ALGORITHM_NAMES = ("HOG", "ACF", "C4", "LSVM")
 #: Precision targets of 1.0 are treated as this value when sizing the
 #: false-positive rate (a literal zero-FP target is degenerate).
 _MAX_PRECISION = 0.99
+
+#: Localisation noise: box jitter as a fraction of the box size.
+_BOX_JITTER = 0.04
+#: Colour-feature noise of true (pedestrian) and false detections.
+_TP_COLOR_NOISE = 0.03
+_FP_COLOR_NOISE = 0.08
+
+_score = attrgetter("score")
 
 
 class SimulatedDetector(Detector):
@@ -81,6 +91,11 @@ class SimulatedDetector(Detector):
             self._conf_mu,
             self._conf_count,
         ) = self._calibrate_false_positives()
+        # False alarms sit on background clutter: their noise-free
+        # colour is the environment's darkened background shade.
+        self._fp_color_base = synthetic_color_base(
+            environment.brightness * 0.6
+        )
 
     # ------------------------------------------------------------------
     # Calibration
@@ -259,16 +274,20 @@ class SimulatedDetector(Detector):
             observation,
             rng,
             threshold,
-            self._penalties(observation.objects),
+            self._penalties(observation.objects).tolist(),
+            {},
         )
 
     def detect_batch(self, tasks) -> list[list[Detection]]:
-        """Batched entry point: vectorise per-view penalties across a
-        whole group of tasks, then run each task on its own generator.
+        """Batched entry point: seed every task's generator at once,
+        vectorise per-view penalties across the group, then run each
+        task through the response model.
 
-        The penalty model is deterministic, so hoisting it out of the
-        per-task loop changes nothing; each task still consumes its
-        coordinate-seeded generator exactly as :meth:`detect` would.
+        The penalty model is deterministic and the batch seeder puts
+        one reused generator in exactly each task's
+        ``default_rng(list(entropy))`` state, so hoisting both out of
+        the per-task loop changes nothing: every task consumes its
+        coordinate-seeded stream exactly as :meth:`detect` would.
         """
         all_views: list[ObjectView] = []
         offsets = [0]
@@ -276,14 +295,18 @@ class SimulatedDetector(Detector):
             all_views.extend(task.observation.objects)
             offsets.append(len(all_views))
         penalties = self._penalties(all_views)
+        shade_bases: dict[float, np.ndarray] = {}
         return [
             self._detect_with_penalties(
                 task.observation,
-                np.random.default_rng(list(task.entropy)),
+                rng,
                 task.threshold,
-                penalties[offsets[index] : offsets[index + 1]],
+                penalties[offsets[index] : offsets[index + 1]].tolist(),
+                shade_bases,
             )
-            for index, task in enumerate(tasks)
+            for index, (task, rng) in enumerate(
+                zip(tasks, seeded_generators(t.entropy for t in tasks))
+            )
         ]
 
     def _detect_with_penalties(
@@ -291,7 +314,8 @@ class SimulatedDetector(Detector):
         observation: FrameObservation,
         rng: np.random.Generator,
         threshold: float | None,
-        penalties: np.ndarray,
+        penalties: list[float],
+        shade_bases: dict[float, np.ndarray],
     ) -> list[Detection]:
         """The response model with view penalties precomputed.
 
@@ -302,78 +326,90 @@ class SimulatedDetector(Detector):
         unbatched path draws one by one, and an ``exponential(size=n)``
         fill matches n sequential scalar draws — so the output is
         bit-identical to :meth:`detect_reference`.
+
+        Each colour feature is built in place in its own 40-element
+        array (scale the noise, add the shade's base, clamp to
+        [0, 1]): the same elementwise ops as
+        :func:`~repro.vision.color.synthetic_color_feature`.
+        ``shade_bases`` memoises the noise-free base per clothing
+        shade; callers share it across a batch.
         """
         detections: list[Detection] = []
+        append = detections.append
         camera_id = observation.camera_id
         frame_index = observation.frame_index
+        name = self.name
         mu = self._tp_mu
         sigma = self._sigma
-        jitter = 0.04
-        for index, view in enumerate(observation.objects):
-            score = float(mu - penalties[index] + sigma * rng.standard_normal())
+        normal = rng.standard_normal
+        maximum = np.maximum
+        minimum = np.minimum
+        for view, penalty in zip(observation.objects, penalties):
+            score = mu - penalty + sigma * normal()
             if threshold is not None and score < threshold:
                 continue
-            gauss = rng.standard_normal(44)
+            gauss = normal(4 + COLOR_FEATURE_DIM)
+            dx, dy, dw, dh = gauss[:4].tolist()
+            # A fresh array: the colour does not keep the draw alive.
+            color = gauss[4:] * _TP_COLOR_NOISE
+            base = shade_bases.get(view.shade)
+            if base is None:
+                base = shade_bases[view.shade] = synthetic_color_base(
+                    view.shade
+                )
+            color += base
+            maximum(color, 0.0, out=color)
+            minimum(color, 1.0, out=color)
             bx, by, bw, bh = view.bbox
-            x_scale = jitter * max(bw, 1.0)
-            y_scale = jitter * max(bh, 1.0)
-            detections.append(
+            append(
                 Detection(
                     bbox=BoundingBox(
-                        x=bx + x_scale * gauss[0],
-                        y=by + y_scale * gauss[1],
-                        w=max(1.0, bw * (1.0 + jitter * gauss[2])),
-                        h=max(1.0, bh * (1.0 + jitter * gauss[3])),
+                        x=bx + _BOX_JITTER * max(bw, 1.0) * dx,
+                        y=by + _BOX_JITTER * max(bh, 1.0) * dy,
+                        w=max(1.0, bw * (1.0 + _BOX_JITTER * dw)),
+                        h=max(1.0, bh * (1.0 + _BOX_JITTER * dh)),
                     ),
                     score=score,
                     camera_id=camera_id,
                     frame_index=frame_index,
-                    algorithm=self.name,
-                    color_feature=synthetic_color_from_gauss(
-                        view.shade, gauss[4:]
-                    ),
+                    algorithm=name,
+                    color_feature=color,
                     truth_id=view.person_id,
                 )
             )
-        fp_color_base = synthetic_color_base(
-            self.environment.brightness * 0.6
-        )
         n_wall = rng.poisson(self._fp_count)
         n_conf = rng.poisson(self._conf_count) if self._conf_count > 0 else 0
-        fp_scores = (
-            self._fp_loc + rng.exponential(self._fp_tail, size=n_wall)
-        ).tolist()
+        fp_scores = self._fp_loc + rng.exponential(self._fp_tail, size=n_wall)
         if n_conf:
-            fp_scores.extend(
-                (
-                    self._conf_mu
-                    + rng.normal(scale=self._sigma_eff, size=n_conf)
-                ).tolist()
-            )
+            fp_scores = np.concatenate((
+                fp_scores,
+                self._conf_mu + rng.normal(scale=self._sigma_eff, size=n_conf),
+            ))
+        if threshold is not None:
+            fp_scores = fp_scores[fp_scores >= threshold]
         clutter = observation.clutter_regions
-        for score in fp_scores:
-            if threshold is not None and score < threshold:
-                continue
+        fp_base = self._fp_color_base
+        for score in fp_scores.tolist():
             bbox = self._draw_false_positive_box(clutter, rng)
-            # synthetic_color_feature(shade * 0.6, rng, noise=0.08),
-            # built in place on the same standard normals.
-            color = rng.standard_normal(COLOR_FEATURE_DIM)
-            color *= 0.08
-            color += fp_color_base
-            np.maximum(0.0, color, out=color)
-            np.minimum(1.0, color, out=color)
-            detections.append(
+            color = normal(COLOR_FEATURE_DIM)
+            color *= _FP_COLOR_NOISE
+            color += fp_base
+            maximum(color, 0.0, out=color)
+            minimum(color, 1.0, out=color)
+            append(
                 Detection(
                     bbox=bbox,
                     score=score,
                     camera_id=camera_id,
                     frame_index=frame_index,
-                    algorithm=self.name,
+                    algorithm=name,
                     color_feature=color,
                     truth_id=None,
                 )
             )
-        detections.sort(key=lambda d: -d.score)
+        # Stable, so tied scores keep draw order, as the reference's
+        # ``key=-score`` sort does.
+        detections.sort(key=_score, reverse=True)
         return detections
 
     def _draw_false_positive_box(

@@ -13,6 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 
+def logistic(logits: np.ndarray) -> np.ndarray:
+    """The calibrated probability of each logit, clipped to +-30 so
+    ``exp`` never overflows; elementwise, so an entry never depends on
+    the rest of the array."""
+    return 1.0 / (1.0 + np.exp(-np.clip(logits, -30, 30)))
+
+
 class ScoreCalibrator:
     """Logistic mapping from raw detector score to P(true positive)."""
 
@@ -77,7 +84,7 @@ class ScoreCalibrator:
         w, b = 0.0, 0.0
         for _ in range(max_iterations):
             logits = w * x + b
-            p = 1.0 / (1.0 + np.exp(-np.clip(logits, -30, 30)))
+            p = logistic(logits)
             grad_w = np.sum((p - labels) * x) + l2 * w
             grad_b = np.sum(p - labels)
             s = np.maximum(p * (1 - p), 1e-6)
@@ -104,8 +111,7 @@ class ScoreCalibrator:
         if not self._fitted:
             raise RuntimeError("ScoreCalibrator used before fit")
         scores = np.asarray(scores, dtype=float)
-        logits = self.weight * scores + self.bias
-        return 1.0 / (1.0 + np.exp(-np.clip(logits, -30, 30)))
+        return logistic(self.weight * scores + self.bias)
 
     def __call__(self, score: float) -> float:
         return float(self.predict_proba(np.array([score]))[0])

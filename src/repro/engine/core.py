@@ -149,13 +149,20 @@ def close_round(
     The live flush comes *before* the checkpoint decision: a crash
     right after the save then finds every unit <= the checkpoint
     already streamed, which is what resume stitching assumes.
+
+    With telemetry attached, the flush and every checkpoint write run
+    in their own ``telemetry.flush`` / ``checkpoint.save`` spans, so a
+    profile splits our own bookkeeping from the pipeline's layers.
     """
     if telemetry is not None:
-        if resilience is not None and telemetry.live_enabled:
-            resilience.record_metrics(telemetry)
-        telemetry.flush_round(unit, now_s)
+        with telemetry.tracer.span("telemetry.flush"):
+            if resilience is not None and telemetry.live_enabled:
+                resilience.record_metrics(telemetry)
+            telemetry.flush_round(unit, now_s)
     if checkpointer is not None:
-        checkpointer.unit_complete(unit, total, capture)
+        saving = telemetry is not None and checkpointer.save_due(unit, total)
+        with telemetry.tracer.span("checkpoint.save") if saving else _NO_SPAN:
+            checkpointer.unit_complete(unit, total, capture)
 
 
 def count_true_detections(groups, present: set) -> int:
@@ -338,8 +345,9 @@ class DeploymentEngine:
         """Detect every requested (frame, camera, algorithm) triple.
 
         Detection itself fans out over the engine's executor backend;
-        accounting (probability calibration, energy metering, latency)
-        runs serially afterwards in request order.
+        the controller then calibrates the whole batch's probabilities
+        in elementwise passes, and the rest of the accounting (energy
+        metering, latency) runs serially in request order.
 
         Returns detections keyed by
         ``(frame_index, camera_id, algorithm)``.
@@ -366,11 +374,14 @@ class DeploymentEngine:
             elapsed = time.perf_counter() - elapsed
         if self.telemetry is not None:
             self._record_batch_metrics(batch, elapsed)
+        self.controller.calibrate_batch(
+            (camera_id, detections)
+            for (_, camera_id, _), detections in zip(requests, results)
+        )
         out: dict[tuple[int, str, str], list[Detection]] = {}
         for (record, camera_id, algorithm), detections in zip(
             requests, results
         ):
-            self.controller.calibrate_probabilities(camera_id, detections)
             if self._resilience is not None:
                 # Same stream the networked controller scores from its
                 # metadata messages; pure bookkeeping, no rng.

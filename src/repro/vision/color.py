@@ -78,18 +78,3 @@ def synthetic_color_feature(
         ),
     )
 
-
-def synthetic_color_from_gauss(
-    shade: float, gauss: np.ndarray, noise: float = 0.03
-) -> np.ndarray:
-    """:func:`synthetic_color_feature` from pre-drawn standard normals.
-
-    ``noise * gauss`` consumes exactly the values a
-    ``rng.normal(scale=noise, size=40)`` fill would draw, element for
-    element, so callers that batch their generator reads (one
-    ``standard_normal`` block per detection) reproduce the unbatched
-    feature bit for bit.
-    """
-    return np.minimum(
-        1.0, np.maximum(0.0, synthetic_color_base(shade) + noise * gauss)
-    )

@@ -38,10 +38,10 @@ def _shm_entries() -> set[str]:
         return set()
 
 
-def _detection_signature(detections: list[Detection]):
+def _detection_signature(detections: list[Detection], color: bool = True):
     return [
         (d.bbox, d.score, d.camera_id, d.frame_index, d.algorithm,
-         tuple(d.color_feature), d.truth_id)
+         tuple(d.color_feature) if color else None, d.truth_id)
         for d in detections
     ]
 
@@ -81,33 +81,62 @@ class TestDetectorBatchEquivalence:
         assert checked > 0
 
     def test_detect_batch_matches_sequential_detect(self, runner1):
-        """Grouping tasks by algorithm changes nothing per task."""
+        """Batch seeding and grouping tasks by algorithm change nothing
+        per task, at ``threshold=None`` (offline training) and at the
+        library thresholds (deployment), for the whole batch and for
+        any split into contiguous chunks (as the shm executor ships
+        them).  Every colour feature is its own contiguous 40-element
+        array, not a view into a larger draw."""
         from repro.detection.batch import DetectionTask, run_batch
+        from repro.engine.executor import _chunk_evenly
 
         engine = runner1
         records = engine.dataset.frames(1000, 1100, only_ground_truth=True)
         tasks = []
         for index, record in enumerate(records[:3]):
             for camera_id in engine.dataset.camera_ids:
+                item = engine.library.get(f"T-{camera_id}")
                 for name in sorted(engine.detectors):
-                    tasks.append(
-                        DetectionTask(
-                            algorithm=name,
-                            observation=record.observation(camera_id),
-                            entropy=(2017, record.frame_index, index),
-                            threshold=None,
+                    for threshold in (None, item.profile(name).threshold):
+                        tasks.append(
+                            DetectionTask(
+                                algorithm=name,
+                                observation=record.observation(camera_id),
+                                entropy=(2017, record.frame_index, index),
+                                threshold=threshold,
+                            )
                         )
-                    )
-        batched = run_batch(engine.detectors, tasks)
         sequential = [
             engine.detectors[t.algorithm].detect(
                 t.observation, t.make_rng(), threshold=t.threshold
             )
             for t in tasks
         ]
-        assert [
-            _detection_signature(dets) for dets in batched
-        ] == [_detection_signature(dets) for dets in sequential]
+        rng = np.random.default_rng(11)
+        cuts = sorted(rng.choice(len(tasks), size=5, replace=False))
+        splits = [
+            [tasks],
+            _chunk_evenly(tasks, 3),
+            [tasks[a:b] for a, b in zip([0, *cuts], [*cuts, len(tasks)])],
+        ]
+        for chunks in splits:
+            batched = [
+                output
+                for chunk in chunks
+                for output in run_batch(engine.detectors, chunk)
+            ]
+            assert len(batched) == len(sequential)
+            for fast, slow in zip(batched, sequential):
+                assert _detection_signature(fast, color=False) == (
+                    _detection_signature(slow, color=False)
+                )
+                for det, ref in zip(fast, slow):
+                    color = det.color_feature
+                    assert np.array_equal(color, ref.color_feature)
+                    assert color.base is None
+                    assert color.flags.c_contiguous
+                    assert color.shape == (40,)
+                    assert color.dtype == np.float64
 
 
 class TestDescriptorEquivalence:

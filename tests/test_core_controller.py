@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.calibration import TrainingItem, TrainingLibrary
 from repro.core.config import EECSConfig
-from repro.core.controller import EECSController
+from repro.core.controller import CALIBRATION_PASS, EECSController
 from repro.core.selection import AssessmentData
 from repro.detection.base import BoundingBox, Detection
 from repro.detection.scores import ScoreCalibrator
@@ -114,6 +114,57 @@ class TestCalibrateProbabilities:
         controller.calibrate_probabilities("c1", [det])
         assert 0.0 <= det.probability <= 1.0
         assert det.probability > 0.5  # high score -> high probability
+
+    def test_batch_matches_scalar_calibrator_bit_for_bit(self, controller):
+        """One batched pass equals ``ScoreCalibrator.__call__`` per
+        detection, across cameras, mixed algorithms, clipped logits,
+        unfitted calibrators (NaN stays) and empty lists; the batch is
+        large enough to span several elementwise passes."""
+        controller.library.get("T-c2").profile("CHEAP").calibrator = (
+            ScoreCalibrator()
+        )
+        rng = np.random.default_rng(3)
+        batch = []
+        for index in range(2 * CALIBRATION_PASS // 25 + 3):
+            camera = CAMERAS[index % 2]
+            scores = rng.normal(0.0, 2.0, size=int(rng.integers(0, 101)))
+            if index == 1:
+                scores = np.array([-400.0, -15.0, 0.0, 15.0, 400.0])
+            if index == 2:
+                scores = np.empty(0)
+            batch.append((
+                camera,
+                [
+                    Detection(
+                        bbox=BoundingBox(0, 0, 10, 20),
+                        score=float(score),
+                        camera_id=camera,
+                        frame_index=index,
+                        algorithm=("GOOD", "CHEAP")[int(rng.integers(2))],
+                    )
+                    for score in scores
+                ],
+            ))
+        assert any(not dets for _, dets in batch)
+        assert sum(len(dets) for _, dets in batch) > 2 * CALIBRATION_PASS
+        controller.calibrate_batch(iter(batch))
+        unfitted = 0
+        for camera, detections in batch:
+            item = controller.library.get(f"T-{camera}")
+            for det in detections:
+                calibrator = item.profile(det.algorithm).calibrator
+                if calibrator.is_fitted:
+                    assert type(det.probability) is float
+                    assert det.probability == calibrator(det.score)
+                else:
+                    assert np.isnan(det.probability)
+                    unfitted += 1
+        assert unfitted > 0
+
+    def test_batch_without_matched_item_raises(self, controller):
+        controller.camera("c1").matched_item = None
+        with pytest.raises(RuntimeError):
+            controller.calibrate_batch([("c1", [])])
 
 
 class TestSelect:

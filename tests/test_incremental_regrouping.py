@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.core import selection
@@ -165,6 +165,9 @@ def assessments(draw):
 #: The limit fixture patches a module constant, the same for every
 #: example, so the function-scoped fixture is safe to share.
 FIXTURE_OK = [HealthCheck.function_scoped_fixture]
+#: Report a counterexample as found: shrinking one over these lattices
+#: ran for minutes, so a regression would stall CI before reporting.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 edits = st.tuples(
     st.permutations(CAMERAS),
@@ -220,7 +223,12 @@ def whole_frame_limit(request, monkeypatch):
 
 
 class TestIncrementalRegrouping:
-    @settings(max_examples=60, deadline=None, suppress_health_check=FIXTURE_OK)
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=FIXTURE_OK,
+        phases=NO_SHRINK,
+    )
     @given(case=assessments(), steps=edits, use_color=st.booleans())
     def test_every_prefix_and_trial_equals_group(
         self, whole_frame_limit, case, steps, use_color
@@ -320,7 +328,12 @@ class _Plan:
 
 
 class TestSelectionEngineEquivalence:
-    @settings(max_examples=30, deadline=None, suppress_health_check=FIXTURE_OK)
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=FIXTURE_OK,
+        phases=NO_SHRINK,
+    )
     @given(
         case=assessments(),
         order=st.permutations(CAMERAS),

@@ -37,6 +37,39 @@ class TestTelemetryIsInvisibleToTheSimulation:
         b = instrumented.run("full", budget=2.0, start=1000, end=1400)
         assert vars(a) == vars(b)
 
+    def test_round_boundary_spans(self, runner1, tmp_path):
+        """The shared round boundary traces its own bookkeeping: one
+        ``telemetry.flush`` span per round and one ``checkpoint.save``
+        span per snapshot written, without changing the run."""
+        from repro.checkpoint import CheckpointConfig, RunCheckpointer
+
+        telemetry = Telemetry(run_id="boundary")
+        engine = DeploymentEngine(runner1.context, telemetry=telemetry)
+        traced = engine.run(
+            "full",
+            budget=2.0,
+            start=1000,
+            end=2500,
+            checkpointer=RunCheckpointer(
+                CheckpointConfig(directory=tmp_path, every=2)
+            ),
+        )
+        plain = DeploymentEngine(runner1.context).run(
+            "full", budget=2.0, start=1000, end=2500
+        )
+        assert vars(traced) == vars(plain)
+        spans = telemetry.tracer.spans
+        run = next(s for s in spans if s.name == "run")
+        flushes = [s for s in spans if s.name == "telemetry.flush"]
+        saves = [s for s in spans if s.name == "checkpoint.save"]
+        rounds = len(flushes)
+        assert rounds >= 3
+        assert len(saves) == sum(
+            1 for done in range(1, rounds) if done % 2 == 0
+        )
+        assert all(s.parent_id == run.span_id for s in flushes + saves)
+        assert all(s.end_s is not None for s in flushes + saves)
+
     def test_chaos_outputs_bit_identical(self, runner1):
         plain = SPEC.execute(engine=runner1)
         faulty = SPEC.execute(
