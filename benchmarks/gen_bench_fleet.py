@@ -35,7 +35,6 @@ def best_of(repeats, context, policy, **kwargs):
         t0 = time.perf_counter()
         result = engine.run(policy, budget=2.0, **kwargs)
         best = min(best, time.perf_counter() - t0)
-        engine.close()
     return best, result
 
 

@@ -70,7 +70,6 @@ def _run_once(context, policy, end, **kwargs):
     elapsed, result = timed(
         engine.run, policy, budget=2.0, start=START, end=end, **kwargs
     )
-    engine.close()
     return elapsed, result
 
 

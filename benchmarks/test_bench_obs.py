@@ -1,12 +1,11 @@
-"""Live-streaming overhead benchmarks for the batched-executor era.
+"""Live-streaming overhead benchmarks.
 
 The always-on telemetry budget (``test_bench_micro``) pins plain
 instrumentation at <=5% of an uninstrumented run.  This file pins the
 *live* layer on top of that: per-round ``flush_round`` calls feeding
 a JSONL sink plus an alert rule must add <=5% over an
-instrumented-but-not-streamed run, on every executor backend.  The
-recorded evidence lives in ``BENCH_obs.json``; regenerate it with the
-recipe in EXPERIMENTS.md.
+instrumented-but-not-streamed run.  The recorded evidence lives in
+``BENCH_obs.json``; regenerate it with the recipe in EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -31,22 +30,15 @@ START, END = 1000, 2800
 OBS_OVERHEAD_BUDGET = env_float("OBS_OVERHEAD_BUDGET", 0.05)
 
 
-def _spec(workers: int = 1, executor: str | None = None) -> DeploymentSpec:
+def _spec() -> DeploymentSpec:
     return DeploymentSpec(
-        dataset_number=1,
-        policy="full",
-        budget=2.0,
-        start=START,
-        end=END,
-        workers=workers,
-        executor=executor,
+        dataset_number=1, policy="full", budget=2.0, start=START, end=END
     )
 
 
 def _timed_run(spec: DeploymentSpec, telemetry: Telemetry) -> float:
     engine = spec.build_engine(telemetry=telemetry)
     elapsed, _ = timed(spec.execute, engine=engine)
-    engine.close()
     return elapsed
 
 
@@ -74,8 +66,8 @@ def _overhead_thunks(spec: DeploymentSpec, tmp_path: Path):
 
 
 def test_live_flush_overhead_under_budget(tmp_path):
-    """Interleaved min-of-N on the serial backend: instrumented run
-    with a live sink + alert rule vs instrumented run without."""
+    """Interleaved min-of-N: instrumented run with a live sink + alert
+    rule vs instrumented run without."""
     spec = _spec()
     _timed_run(spec, Telemetry(run_id="warm"))  # warm caches
     best_plain, best_live = interleaved_best(
@@ -86,32 +78,17 @@ def test_live_flush_overhead_under_budget(tmp_path):
     )
 
 
-@pytest.mark.parametrize("workers,executor", [(2, "shm")])
-def test_live_flush_overhead_parallel_backends(tmp_path, workers, executor):
-    """The flush happens on the coordinator, so worker fan-out must
-    not change the overhead story; best-of-3 keeps this cheap."""
-    spec = _spec(workers=workers, executor=executor)
-    _timed_run(spec, Telemetry(run_id="warm"))
-    best_plain, best_live = interleaved_best(
-        3, *_overhead_thunks(spec, tmp_path)
-    )
-    assert_overhead_within(
-        best_live, best_plain, OBS_OVERHEAD_BUDGET, f"{executor} live"
-    )
-
-
 def test_bench_obs_json_records_acceptance():
-    """BENCH_obs.json pins <=5% live-flush overhead per backend; keep
-    the recorded evidence self-consistent."""
+    """BENCH_obs.json pins <=5% live-flush overhead; keep the
+    recorded evidence self-consistent."""
     path = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
     data = json.loads(path.read_text())
     assert data["units"] == "seconds_best_of_n"
-    for backend, entry in data["results"].items():
-        overhead = entry["live_seconds"] / entry["plain_seconds"] - 1.0
-        assert overhead == pytest.approx(
-            entry["overhead_fraction"], abs=0.005
-        ), backend
-        assert entry["overhead_fraction"] <= 0.05, (
-            f"{backend}: recorded overhead {entry['overhead_fraction']:.1%} "
-            "breaks the pinned 5% budget"
-        )
+    assert sorted(data["results"]) == ["serial"]
+    entry = data["results"]["serial"]
+    overhead = entry["live_seconds"] / entry["plain_seconds"] - 1.0
+    assert overhead == pytest.approx(entry["overhead_fraction"], abs=0.005)
+    assert entry["overhead_fraction"] <= 0.05, (
+        f"recorded overhead {entry['overhead_fraction']:.1%} breaks the "
+        "pinned 5% budget"
+    )

@@ -6,7 +6,7 @@ Usage::
     python -m repro table5 --frames 16 --repeats 2
     python -m repro fig3|fig4|fig5a|fig5b|fig6
     python -m repro run --dataset 1 --mode full --budget 2.0
-    python -m repro run --dataset 1 --workers 4 --perf-report
+    python -m repro run --dataset 1 --perf-report
     python -m repro run --metrics-out m.json --trace-out t.jsonl
     python -m repro run --checkpoint-dir ckpt --result-out result.json
     python -m repro run --checkpoint-dir ckpt --resume
@@ -424,7 +424,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             end=args.end,
             seed=args.seed,
             train_seed=args.seed,
-            workers=args.workers,
             resilience=_make_resilience_config(args),
             fleet_cameras=args.fleet_cameras,
             cells=args.cells,
@@ -456,9 +455,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        # Release pools and shared-memory segments on every exit path
-        # (/dev/shm leaks otherwise survive the process).
-        engine.close()
         _teardown_live(telemetry, exporter)
     if args.result_out:
         from repro.checkpoint.codec import run_result_to_dict
@@ -813,15 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the config's re-calibration interval (frames); "
         "smaller intervals mean more rounds, hence more checkpoints",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="detection worker processes: 1 runs in-process (serial), "
-        "N >= 2 fans detection batches over N processes reading frames "
-        "zero-copy from shared memory (shm); results are identical for "
-        "any N",
     )
     p.add_argument(
         "--fleet-cameras",

@@ -339,10 +339,6 @@ class CameraPlan:
     budget: float
     communication_cost: float = 0.0
 
-    @property
-    def best_profile(self):
-        return self.item.profile(self.best_algorithm)
-
 
 def _best_assignment(plans: list[CameraPlan]) -> dict[str, str]:
     return {plan.camera_id: plan.best_algorithm for plan in plans}

@@ -3,16 +3,15 @@
 The engine used to fan detection out one closure per (frame, camera,
 algorithm) triple.  A :class:`DetectionBatch` instead carries the
 round's tasks as plain data — each task names its algorithm, its frame
-observation and the seed entropy of its private generator — so an
-executor backend can ship, split and run them however it likes while
+observation and the seed entropy of its private generator — and
 :func:`run_batch` guarantees the semantics: tasks grouped by
 algorithm, results returned in task order, every task seeded from its
 own entropy.
 
 Because each task's generator is a pure function of its (frame,
-camera, algorithm) coordinates, batching changes *where* and *in what
-grouping* tasks run but never *what* they compute: results are
-bit-identical to the one-task-at-a-time path on any backend.
+camera, algorithm) coordinates, batching changes *in what grouping*
+tasks run but never *what* they compute: results are bit-identical to
+the one-task-at-a-time path, and to any split of the batch.
 
 Seeding is batched too.  ``np.random.default_rng(list(entropy))``
 costs a SeedSequence hash plus a PCG64 initialisation per task — pure
@@ -46,9 +45,7 @@ class DetectionTask:
     Attributes:
         algorithm: Name of the detector to run (a key of the engine's
             detector suite).
-        observation: The frame observation to detect on.  Executors
-            that ship frames through shared memory substitute a
-            lightweight reference here and resolve it worker-side.
+        observation: The frame observation to detect on.
         entropy: Seed entropy of the task's private generator — a pure
             function of the run configuration and the task's (frame,
             camera, algorithm) coordinates, never of execution order.
@@ -67,7 +64,7 @@ class DetectionTask:
 
 @dataclass(frozen=True)
 class DetectionBatch:
-    """An ordered collection of detection tasks for one fan-out."""
+    """An ordered collection of detection tasks, run as one unit."""
 
     tasks: tuple[DetectionTask, ...]
 

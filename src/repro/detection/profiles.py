@@ -238,7 +238,3 @@ def get_profile(algorithm: str, family: str) -> ResponseProfile:
             f"no profile for algorithm={algorithm!r}, family={family!r}; "
             f"known algorithms {known_algos}, families {known_fams}"
         ) from None
-
-
-def all_profiles() -> list[ResponseProfile]:
-    return list(_PROFILES.values())

@@ -94,8 +94,3 @@ def nominal_statistics(
     stats = ViewStatistics.from_views(views, environment.height, sampled)
     _STATS_CACHE[key] = stats
     return stats
-
-
-def clear_statistics_cache() -> None:
-    """Testing hook: drop memoised environment statistics."""
-    _STATS_CACHE.clear()

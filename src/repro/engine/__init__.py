@@ -8,9 +8,8 @@ One simulation core behind every way the repo runs a deployment:
 * :mod:`repro.engine.policy` — pluggable
   :class:`CoordinationPolicy` strategies (all-best, subset, full
   EECS, fixed) with a by-name registry.
-* :mod:`repro.engine.executor` — :class:`DetectionExecutor`
-  backends (serial reference, zero-copy shared-memory process
-  pool), picked by worker count and bit-identical by construction.
+* :mod:`repro.engine.executor` — :class:`SerialDetectionExecutor`,
+  which runs each detection batch in-process.
 * :mod:`repro.engine.environment` — the fault-injected network
   (:class:`FaultInjectedEnvironment`), where ``network=True`` specs
   run; ``network=False`` specs run the engine's own in-process loop.
@@ -43,13 +42,7 @@ from repro.engine.fleet import (
     fleet_context,
 )
 from repro.engine.environment import FaultInjectedEnvironment, NetworkOutcome
-from repro.engine.executor import (
-    DetectionExecutor,
-    SerialDetectionExecutor,
-    SharedFrameStore,
-    SharedMemoryDetectionExecutor,
-    make_executor,
-)
+from repro.engine.executor import SerialDetectionExecutor
 from repro.engine.predictive import PredictivePolicy
 from repro.engine.policy import (
     AllBestPolicy,
@@ -72,7 +65,6 @@ __all__ = [
     "DeploymentContext",
     "DeploymentEngine",
     "DeploymentSpec",
-    "DetectionExecutor",
     "FaultInjectedEnvironment",
     "FixedAssignmentPolicy",
     "FullCellPolicy",
@@ -83,15 +75,12 @@ __all__ = [
     "RoundPlan",
     "RunResult",
     "SerialDetectionExecutor",
-    "SharedFrameStore",
-    "SharedMemoryDetectionExecutor",
     "SimulationClock",
     "SubsetPolicy",
     "available_policies",
     "clear_fleet_contexts",
     "clear_shared_contexts",
     "fleet_context",
-    "make_executor",
     "register_policy",
     "resolve_policy",
     "shared_context",

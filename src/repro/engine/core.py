@@ -17,13 +17,12 @@ pluggable:
   :class:`~repro.engine.policy.CoordinationPolicy` (no mode-string
   branching: a policy plans rounds and turns assessments into
   decisions);
-* **how detection executes** comes from a
-  :class:`~repro.engine.executor.DetectionExecutor`: the engine packs
-  a round's (frame, camera, algorithm) triples into one
-  :class:`~repro.detection.batch.DetectionBatch` and hands it to the
-  backend (serial reference or zero-copy shared-memory process pool)
-  — bit-identical by construction, because every task seeds its own
-  generator from the run entropy plus its coordinates.
+* **detection** runs in batches: the engine packs a round's (frame,
+  camera, algorithm) triples into one
+  :class:`~repro.detection.batch.DetectionBatch` and hands it to
+  :class:`~repro.engine.executor.SerialDetectionExecutor`; every task
+  seeds its own generator from the run entropy plus its coordinates,
+  so results never depend on execution order.
 
 This loop is the ideal in-process frame feed; a networked
 :class:`~repro.engine.spec.DeploymentSpec` runs the same trained
@@ -38,7 +37,6 @@ metering all live here, once.
 
 from __future__ import annotations
 
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -73,7 +71,7 @@ from repro.energy.communication import CommunicationEnergyModel
 from repro.energy.meter import EnergyMeter
 from repro.engine.clock import SimulationClock
 from repro.engine.context import DeploymentContext
-from repro.engine.executor import DetectionExecutor, make_executor
+from repro.engine.executor import SerialDetectionExecutor
 from repro.engine.policy import (
     CoordinationPolicy,
     resolve_policy,
@@ -185,7 +183,7 @@ class DeploymentEngine:
         context: DeploymentContext,
         seed: int = 2017,
         rng: np.random.Generator | None = None,
-        executor: DetectionExecutor | None = None,
+        executor: SerialDetectionExecutor | None = None,
         telemetry: "Telemetry | None" = None,
         clock: SimulationClock | None = None,
     ) -> None:
@@ -205,7 +203,10 @@ class DeploymentEngine:
         self.clock = clock or SimulationClock(
             seconds_per_frame=self.config.seconds_per_frame
         )
-        self.executor = executor or make_executor(1)
+        # Detection always runs in-process; ``executor`` is a seam for
+        # tests and benchmarks that swap in another object with the
+        # same ``execute(batch, detectors)``.
+        self.executor = executor or SerialDetectionExecutor()
         self._latency_seconds = 0.0
         # Per-run resilience coordinator (None = layer off, the inert
         # default); assigned at run start, cleared when the run ends.
@@ -242,10 +243,9 @@ class DeploymentEngine:
         return self._seed
 
     def close(self) -> None:
-        """Release the engine's executor backend (pools, shared
-        segments).  Safe to call more than once; the serial backend
-        makes this a no-op."""
-        self.executor.close()
+        """Release the engine's resources.  The engine holds none that
+        outlive it, so this does nothing; it is kept for callers that
+        close engines they build."""
 
     def _section(self, name: str):
         """A tracer span for one phase section, or the shared no-op
@@ -327,8 +327,8 @@ class DeploymentEngine:
 
         A pure function of the run configuration and the task's
         (frame, camera, algorithm) coordinates — never of execution
-        order — which is what makes any executor backend reproduce the
-        serial run exactly.
+        order — which is what makes a run independent of how its
+        batches execute.
         """
         return (
             *self._run_entropy,
@@ -344,10 +344,10 @@ class DeploymentEngine:
     ) -> dict[tuple[int, str, str], list[Detection]]:
         """Detect every requested (frame, camera, algorithm) triple.
 
-        Detection itself fans out over the engine's executor backend;
+        Detection runs as one batch through the engine's executor;
         the controller then calibrates the whole batch's probabilities
         in elementwise passes, and the rest of the accounting (energy
-        metering, latency) runs serially in request order.
+        metering, latency) runs in request order.
 
         Returns detections keyed by
         ``(frame_index, camera_id, algorithm)``.
@@ -369,11 +369,9 @@ class DeploymentEngine:
             )
         batch = DetectionBatch(tasks=tuple(tasks))
         with self._section("detection"):
-            elapsed = time.perf_counter()
             results = self.executor.execute(batch, self.detectors)
-            elapsed = time.perf_counter() - elapsed
         if self.telemetry is not None:
-            self._record_batch_metrics(batch, elapsed)
+            self._record_batch_metrics(batch)
         self.controller.calibrate_batch(
             (camera_id, detections)
             for (_, camera_id, _), detections in zip(requests, results)
@@ -392,8 +390,8 @@ class DeploymentEngine:
                     [det.score for det in detections],
                 )
             if self.telemetry is not None:
-                # Recorded here, in the serial accounting loop, so the
-                # counters are identical for any executor backend.
+                # Recorded here, in the accounting loop, in request
+                # order.
                 self.telemetry.observe_detections(
                     camera_id, algorithm, detections
                 )
@@ -410,47 +408,22 @@ class DeploymentEngine:
             out[(record.frame_index, camera_id, algorithm)] = detections
         return out
 
-    def _record_batch_metrics(
-        self, batch: DetectionBatch, elapsed: float
-    ) -> None:
-        """Wire one executed batch into the telemetry registry."""
+    def _record_batch_metrics(self, batch: DetectionBatch) -> None:
+        """Wire one executed batch into the telemetry registry.
+
+        Only simulation quantities go here: the registry is streamed
+        and checkpointed, so two runs of one deployment must record
+        the same values.  The ``detection`` span times the batch.
+        """
         registry = self.telemetry.registry
-        backend = self.executor.name
         registry.counter(
             "detection_batches_total",
             "Detection batches handed to the executor.",
-            labels=("backend",),
-        ).inc(backend=backend)
+        ).inc()
         registry.counter(
             "detection_batch_tasks_total",
             "Detection tasks executed via batches.",
-            labels=("backend",),
-        ).inc(len(batch), backend=backend)
-        registry.counter(
-            "detection_execute_seconds_total",
-            "Wall-clock seconds spent inside executor.execute().",
-            labels=("backend",),
-        ).inc(elapsed, backend=backend)
-        stats = self.executor.drain_stats()
-        if stats:
-            registry.counter(
-                "shm_frame_publishes_total",
-                "Shared-memory frame store lookups.",
-                labels=("outcome",),
-            ).inc(stats.get("shm_hits", 0), outcome="hit")
-            registry.counter(
-                "shm_frame_publishes_total",
-                "Shared-memory frame store lookups.",
-                labels=("outcome",),
-            ).inc(stats.get("shm_misses", 0), outcome="miss")
-            registry.gauge(
-                "shm_segments",
-                "Shared-memory segments currently allocated.",
-            ).set(stats.get("shm_segments", 0))
-            registry.gauge(
-                "shm_published_bytes",
-                "Total frame bytes published to shared memory.",
-            ).set(stats.get("shm_published_bytes", 0))
+        ).inc(len(batch))
 
     def affordable_algorithms(
         self, camera_id: str, budget: float | None
@@ -644,11 +617,7 @@ class DeploymentEngine:
                 run snapshots its full state every ``K`` completed
                 rounds (and on SIGTERM); a resumed run restores the
                 snapshot and skips the completed rounds, finishing
-                bit-identically to an uninterrupted run.  The
-                executor is deliberately absent from the checkpoint
-                fingerprint: any backend reproduces the serial run, so
-                a deployment may resume on an engine with a different
-                worker count.
+                bit-identically to an uninterrupted run.
             resilience: Graceful-degradation layer configuration
                 (``None`` or ``enabled=False`` keeps the layer off).
                 The ideal feed has no radio and no fault source, so

@@ -13,9 +13,7 @@ engine that executes it — training through the shared
 trained once per process.
 
 Specs are frozen and hashable.  Every run reseeds from its own
-configuration, so the result depends only on the spec — never on
-``workers``, which only decides whether detection batches run
-in-process or over a shared-memory process pool.
+configuration, so the result depends only on the spec.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from repro.datasets.synthetic import DATASET_SPECS
 from repro.engine.context import shared_context
 from repro.engine.core import DeploymentEngine, RunResult
 from repro.engine.environment import FaultInjectedEnvironment, NetworkOutcome
-from repro.engine.executor import make_executor
 from repro.engine.fleet import fleet_context
 from repro.engine.policy import resolve_policy, validate_cells
 from repro.faults.plan import FaultPlan
@@ -67,8 +64,8 @@ class DeploymentSpec:
     Each field is honoured in both environments or rejected at
     construction in the one where it means nothing: the fault fields
     need ``network=True``; ``policy`` other than ``"full"``,
-    ``assignment``, ``workers > 1``, ``fleet_cameras``, ``cells`` and
-    the predictive tunables need ``network=False``.
+    ``assignment``, ``fleet_cameras``, ``cells`` and the predictive
+    tunables need ``network=False``.
 
     Attributes:
         dataset_number: Which synthetic dataset to deploy on.
@@ -92,15 +89,11 @@ class DeploymentSpec:
             network.
         train_seed: Offline-training seed; ``None`` uses the shared
             per-dataset convention (``2017 + dataset_number``).
-        workers: Detection executor width: 1 runs in-process
-            (``"serial"``), 2 or more fan out over the shared-memory
-            process pool (``"shm"``).  Absent from the checkpoint
-            fingerprint — every backend reproduces the serial run bit
-            for bit, so a deployment may resume under a different
-            width.
-        executor: ``None`` or the backend name ``workers`` implies;
-            anything else is a spec error.  Not a choice: it only
-            lets a caller state the backend it expects.
+        executor: ``None`` or ``"serial"``, the only backend;
+            anything else is a spec error.  Not a choice: it exists
+            only because ``perfbench/workloads.py`` passes
+            ``executor="serial"``, and goes once perfbench may be
+            edited (like the ``ChaosSpec`` shim).
         checkpoint_dir: Directory for crash-safe run checkpoints
             (``None`` disables checkpointing).
         checkpoint_every: Snapshot cadence in completed rounds (frame
@@ -152,7 +145,6 @@ class DeploymentSpec:
     assignment: tuple[tuple[str, str], ...] | None = None
     seed: int = 2017
     train_seed: int | None = None
-    workers: int = 1
     executor: str | None = None
     checkpoint_dir: str | None = None
     checkpoint_every: int = 1
@@ -186,14 +178,10 @@ class DeploymentSpec:
         policy.validate(
             dict(self.assignment) if self.assignment else None
         )
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        implied = "serial" if self.workers == 1 else "shm"
-        if self.executor not in (None, implied):
+        if self.executor not in (None, "serial"):
             raise ValueError(
-                f"executor {self.executor!r} does not match "
-                f"workers={self.workers}, which implies {implied!r} "
-                "(1 worker = 'serial', 2 or more = 'shm')"
+                f"unknown executor {self.executor!r}: 'serial' is the "
+                "only backend"
             )
         if self.checkpoint_every < 1:
             raise ValueError(
@@ -255,7 +243,6 @@ class DeploymentSpec:
             ideal_only = {
                 "policy": self.policy != "full",
                 "assignment": self.assignment is not None,
-                "workers": self.workers > 1,
                 "fleet_cameras": self.fleet_cameras is not None,
                 "cells": self.cells is not None,
             }
@@ -268,7 +255,7 @@ class DeploymentSpec:
                 raise ValueError(
                     f"{', '.join(rejected)} require(s) network=False: "
                     "the networked controller always runs the full "
-                    "protocol, serially, on the dataset's own cameras"
+                    "protocol on the dataset's own cameras"
                 )
             if self.fault_plan is not None and faults:
                 raise ValueError(
@@ -328,12 +315,7 @@ class DeploymentSpec:
                 config=config,
                 train_seed=self.train_seed,
             )
-        return DeploymentEngine(
-            context,
-            seed=self.seed,
-            executor=make_executor(self.workers),
-            telemetry=telemetry,
-        )
+        return DeploymentEngine(context, seed=self.seed, telemetry=telemetry)
 
     def execute(
         self,
@@ -358,7 +340,6 @@ class DeploymentSpec:
         checkpoint fields — the hook tests and the CLI use it to
         attach a ``crash_after`` crash-injection config.
         """
-        owns_engine = engine is None
         if engine is None:
             engine = self.build_engine(
                 config=config, telemetry=None if self.network else telemetry
@@ -382,23 +363,17 @@ class DeploymentSpec:
                     resume=self.resume,
                 )
             )
-        try:
-            if self.network:
-                return FaultInjectedEnvironment(
-                    self, telemetry=telemetry, checkpointer=checkpointer
-                ).execute(engine)
-            return engine.run(
-                self._runtime_policy(),
-                budget=self.budget,
-                assignment=dict(self.assignment) if self.assignment else None,
-                start=self.start,
-                end=self.end,
-                checkpointer=checkpointer,
-                resilience=self.resilience,
-                cells=self.cells,
-            )
-        finally:
-            if owns_engine:
-                # A spec-built engine owns its executor backend; close
-                # it so pools and shared segments never outlive the run.
-                engine.close()
+        if self.network:
+            return FaultInjectedEnvironment(
+                self, telemetry=telemetry, checkpointer=checkpointer
+            ).execute(engine)
+        return engine.run(
+            self._runtime_policy(),
+            budget=self.budget,
+            assignment=dict(self.assignment) if self.assignment else None,
+            start=self.start,
+            end=self.end,
+            checkpointer=checkpointer,
+            resilience=self.resilience,
+            cells=self.cells,
+        )

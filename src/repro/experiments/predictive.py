@@ -163,10 +163,7 @@ def _run_policy(
     seed: int,
 ) -> PolicyLifetime:
     engine = DeploymentEngine(context, seed=seed)
-    try:
-        result = engine.run(policy, budget=budget, start=start, end=end)
-    finally:
-        engine.close()
+    result = engine.run(policy, budget=budget, start=start, end=end)
     return PolicyLifetime(
         policy=name,
         humans_detected=result.humans_detected,

@@ -153,20 +153,13 @@ class CameraSensorNode(Node):
     def _run_algorithm(
         self, observation: FrameObservation, algorithm: str
     ) -> list[Detection]:
-        drawn = self.battery.draw(
-            self.energy_model.energy_per_frame(algorithm)
-        )
+        self._charge_processing(algorithm)
         if self.telemetry is None:
             return self.detectors[algorithm].detect(
                 observation,
                 self.rng,
                 threshold=self.thresholds.get(algorithm),
             )
-        from repro.energy.meter import EnergyMeter
-
-        self.telemetry.energy_counter().inc(
-            drawn, node=self.node_id, category=EnergyMeter.PROCESSING
-        )
         with self.telemetry.tracer.span(
             "camera_op",
             node=self.node_id,

@@ -176,17 +176,6 @@ class EventSimulator:
             )
         self.connect(node_a, node_b, link, replace=True)
 
-    def link_between(self, sender: str, recipient: str) -> WirelessLink:
-        try:
-            return self._links[(sender, recipient)]
-        except KeyError:
-            raise KeyError(
-                f"no link between {sender!r} and {recipient!r}"
-            ) from None
-
-    def is_connected(self, node_a: str, node_b: str) -> bool:
-        return (node_a, node_b) in self._links
-
     def node(self, node_id: str) -> "Node":
         return self._nodes[node_id]
 
@@ -204,9 +193,6 @@ class EventSimulator:
         if node_id not in self._nodes:
             raise KeyError(f"node {node_id!r} not registered")
         self._down_nodes.discard(node_id)
-
-    def is_node_down(self, node_id: str) -> bool:
-        return node_id in self._down_nodes
 
     # ------------------------------------------------------------------
     # Event loop

@@ -54,14 +54,6 @@ class BagOfWords:
         self._fitted = True
         return self
 
-    def fit_images(self, images: list[np.ndarray]) -> "BagOfWords":
-        """Extract descriptors from training images and fit."""
-        stacks = [extract_descriptors(img) for img in images]
-        stacks = [s for s in stacks if len(s) > 0]
-        if not stacks:
-            raise ValueError("no keypoints found in any training image")
-        return self.fit(np.vstack(stacks))
-
     def histogram(self, descriptors: np.ndarray) -> np.ndarray:
         """L1-normalised word histogram of a descriptor set."""
         if not self._fitted:

@@ -73,11 +73,6 @@ class FrameObservation:
     image: np.ndarray
     image_scale: float = 1.0
 
-    @property
-    def visible_objects(self) -> list[ObjectView]:
-        """Objects that are not fully occluded."""
-        return [view for view in self.objects if not view.fully_occluded]
-
 
 def _bbox_overlap_area(
     a: tuple[float, float, float, float],

@@ -522,11 +522,8 @@ class TestMultiRoundResume:
                 ),
             )
         assert info.value.position == 1
-        # Resume with a different executor width: workers is not part
-        # of the fingerprint because any backend is bit-identical.
         resumed = DeploymentSpec(
             **spec_kwargs,
-            workers=2,
             checkpoint_dir=str(tmp_path),
             resume=True,
         ).execute(config=config)

@@ -1,7 +1,13 @@
 """Slow-path CLI tests: the deployment and report commands."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -17,6 +23,21 @@ class TestCliDeployment:
         assert "humans detected" in out
         assert "energy" in out
         assert "cameras/round" in out
+
+    def test_workers_flag_is_a_usage_error(self):
+        """`--workers` is gone: argparse rejects it with exit 2."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--workers", "2"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage:")
+        assert "unrecognized arguments: --workers 2" in proc.stderr
 
     def test_fig3_command(self, capsys, runner1, dataset2):
         code = main(["fig3"])

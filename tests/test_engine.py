@@ -10,11 +10,9 @@ from repro.engine import (
     DeploymentSpec,
     FullEECSPolicy,
     SerialDetectionExecutor,
-    SharedMemoryDetectionExecutor,
     SimulationClock,
     SubsetPolicy,
     available_policies,
-    make_executor,
     register_policy,
     resolve_policy,
     validate_policy_name,
@@ -43,7 +41,6 @@ FAULT_VALUES = {
 IDEAL_ONLY_VALUES = {
     "policy": "subset",
     "assignment": (("lab-cam1", "HOG"),),
-    "workers": 2,
     "fleet_cameras": 8,
     "cells": 2,
     "wake_threshold": 9.0,
@@ -70,35 +67,12 @@ class TestSimulationClock:
 
 
 class TestExecutors:
-    def test_make_executor_selects_backend(self):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            make_executor(0)
-        assert isinstance(make_executor(1), SerialDetectionExecutor)
-        shm = make_executor(3)
-        assert isinstance(shm, SharedMemoryDetectionExecutor)
-        assert shm.workers == 3
-        shm.close()
-
-    def test_make_executor_by_name(self):
-        """The worker count implies the backend's registry name."""
-        assert make_executor(1).name == "serial"
-        shm = make_executor(2)
-        assert shm.name == "shm"
-        shm.close()
-
     def test_unknown_backend_lists_valid_names(self):
         with pytest.raises(ValueError) as excinfo:
             DeploymentSpec(dataset_number=1, executor="threads")
         message = str(excinfo.value)
         assert "threads" in message
-        for name in ("serial", "shm"):
-            assert name in message
-
-    def test_backend_worker_cross_checks(self):
-        with pytest.raises(ValueError, match="workers"):
-            make_executor(-1)
-        with pytest.raises(ValueError, match="workers"):
-            SharedMemoryDetectionExecutor(1)
+        assert "'serial' is the only backend" in message
 
     def test_serial_execute_matches_run_batch(self, runner1):
         from repro.detection.batch import DetectionBatch, DetectionTask, run_batch
@@ -227,27 +201,19 @@ class TestDeploymentSpec:
             assignment=(("lab-cam1", "HOG"),),
         )
 
-    def test_validates_workers(self):
-        with pytest.raises(ValueError, match="workers"):
-            DeploymentSpec(dataset_number=1, workers=0)
-
     def test_validates_executor_at_construction(self):
-        """``executor`` only restates what ``workers`` implies."""
-        with pytest.raises(ValueError, match="does not match workers"):
-            DeploymentSpec(dataset_number=1, executor="serial", workers=4)
-        DeploymentSpec(dataset_number=1, executor="shm", workers=2)
-        DeploymentSpec(dataset_number=1, executor="serial")
+        """``executor`` accepts the absent value and ``"serial"``."""
+        assert DeploymentSpec(dataset_number=1).executor is None
+        spec = DeploymentSpec(dataset_number=1, executor="serial")
+        assert spec.executor == "serial"
 
     def test_rejects_deleted_pool_backend(self):
-        for workers in (1, 2):
-            with pytest.raises(ValueError, match="'pool'"):
-                DeploymentSpec(
-                    dataset_number=1, executor="pool", workers=workers
-                )
+        with pytest.raises(ValueError, match="'pool'"):
+            DeploymentSpec(dataset_number=1, executor="pool")
 
-    def test_rejects_shm_with_one_worker(self):
-        with pytest.raises(ValueError, match="implies 'serial'"):
-            DeploymentSpec(dataset_number=1, executor="shm", workers=1)
+    def test_rejects_deleted_shm_backend(self):
+        with pytest.raises(ValueError, match="'shm'.*'serial' is the only"):
+            DeploymentSpec(dataset_number=1, executor="shm")
 
     def test_serial_executor_still_builds(self):
         spec = DeploymentSpec(dataset_number=1, executor="serial")

@@ -1,6 +1,6 @@
 """Property-based invariants of the deployment engine.
 
-Whatever the policy/executor/budget combination, a run must satisfy
+Whatever the policy/budget/window combination, a run must satisfy
 the structural invariants of the paper's evaluation protocol:
 detection counts bounded by ground truth, energy split consistent,
 and the real-time latency accounting
@@ -10,10 +10,9 @@ combinations through one shared trained engine; runs reseed from
 their configuration, so example order cannot matter.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.engine import DeploymentEngine, make_executor
+from repro.engine import DeploymentEngine
 from repro.engine.policy import available_policies
 
 #: Short windows keep each drawn run cheap (2-8 ground-truth frames).
@@ -21,19 +20,7 @@ WINDOW_ENDS = (1050, 1100, 1200)
 
 policies = st.sampled_from(available_policies())
 budgets = st.sampled_from((None, 0.5, 2.0))
-workers = st.sampled_from((1, 2))
 window_ends = st.sampled_from(WINDOW_ENDS)
-
-
-@pytest.fixture(scope="module")
-def shm_engine(runner1):
-    """``runner1``'s context on the shared-memory executor; one pool
-    serves every drawn example."""
-    engine = DeploymentEngine(
-        runner1.context, seed=runner1.seed, executor=make_executor(2)
-    )
-    yield engine
-    engine.close()
 
 
 def make_assignment(engine, draw_bits: int) -> dict[str, str]:
@@ -47,7 +34,6 @@ def make_assignment(engine, draw_bits: int) -> dict[str, str]:
 @given(
     policy=policies,
     budget=budgets,
-    n_workers=workers,
     end=window_ends,
     draw_bits=st.integers(min_value=0, max_value=3),
 )
@@ -56,16 +42,13 @@ def make_assignment(engine, draw_bits: int) -> dict[str, str]:
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_run_invariants(
-    runner1, shm_engine, policy, budget, n_workers, end, draw_bits
-):
-    engine = runner1 if n_workers == 1 else shm_engine
+def test_run_invariants(runner1, policy, budget, end, draw_bits):
     assignment = (
-        make_assignment(engine, draw_bits) if policy == "fixed" else None
+        make_assignment(runner1, draw_bits) if policy == "fixed" else None
     )
     # The fixed policy ignores the budget; a None budget derives it
     # from the battery exactly as the paper does.
-    result = engine.run(
+    result = runner1.run(
         policy,
         budget=budget,
         assignment=assignment,
@@ -80,7 +63,7 @@ def test_run_invariants(
     # The frame window is fully evaluated: one record per annotated
     # frame in [start, end).
     expected_frames = len(
-        engine.dataset.frames(1000, end, only_ground_truth=True)
+        runner1.dataset.frames(1000, end, only_ground_truth=True)
     )
     assert result.frames_evaluated == expected_frames
 
@@ -114,14 +97,15 @@ def test_run_invariants(
 
 @given(policy=policies, end=st.sampled_from((1100, 1200)))
 @settings(max_examples=6, deadline=None)
-def test_serial_and_parallel_backends_agree(
-    runner1, shm_engine, policy, end
-):
-    """Executor choice is invisible in the result, field for field."""
+def test_shared_and_fresh_engines_agree(runner1, policy, end):
+    """A run on the shared engine, after any number of earlier runs,
+    equals the same run on a fresh engine, field for field."""
     assignment = (
         make_assignment(runner1, 1) if policy == "fixed" else None
     )
     kwargs = dict(budget=2.0, assignment=assignment, start=1000, end=end)
-    serial = runner1.run(policy, **kwargs)
-    parallel = shm_engine.run(policy, **kwargs)
-    assert vars(serial) == vars(parallel)
+    shared = runner1.run(policy, **kwargs)
+    fresh = DeploymentEngine(runner1.context, seed=runner1.seed).run(
+        policy, **kwargs
+    )
+    assert vars(shared) == vars(fresh)

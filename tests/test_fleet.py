@@ -71,12 +71,9 @@ def fleet8():
 
 def run_engine(context, policy, cells=None, **kwargs):
     engine = DeploymentEngine(context, seed=2017)
-    try:
-        return engine.run(
-            policy, budget=2.0, cells=cells, **{**WINDOW, **kwargs}
-        )
-    finally:
-        engine.close()
+    return engine.run(
+        policy, budget=2.0, cells=cells, **{**WINDOW, **kwargs}
+    )
 
 
 # ----------------------------------------------------------------------
@@ -489,7 +486,6 @@ class TestCellPolicy:
                 ),
                 **WINDOW,
             )
-        engine.close()
 
         resumed_engine = DeploymentEngine(fleet8, seed=2017)
         resumed = resumed_engine.run(
@@ -501,7 +497,6 @@ class TestCellPolicy:
             ),
             **WINDOW,
         )
-        resumed_engine.close()
         assert json.dumps(
             run_result_to_dict(resumed), sort_keys=True
         ) == json.dumps(run_result_to_dict(reference), sort_keys=True)
@@ -611,7 +606,6 @@ class TestPeerPolicy:
         telemetry = Telemetry(run_id="peer-test")
         engine = DeploymentEngine(ctx1, seed=2017, telemetry=telemetry)
         result = engine.run("peer", budget=2.0, **WINDOW)
-        engine.close()
         assert result.communication_joules > 0
         snapshot = telemetry.registry.snapshot()
         values = {
@@ -709,6 +703,5 @@ class TestDeploymentSpecFleet:
         )
         engine = DeploymentEngine(fleet8, seed=2017)
         result = spec.execute(engine=engine)
-        engine.close()
         assert result.mode == "cell"
         assert result.humans_present > 0

@@ -5,8 +5,7 @@ pre-refactor runner/chaos implementations (see
 ``golden_utils.capture``).  These tests re-run the same configurations
 through the unified deployment engine and compare every ``RunResult``
 / ``NetworkOutcome`` field — floats by exact equality, since JSON
-round-trips Python doubles exactly — on the serial executor and on
-the shared-memory process pool (``make_executor(2)``).
+round-trips Python doubles exactly.
 ``TestTrainingGoldens`` pins offline training the same way: the
 trained libraries of datasets 1-3 (``training_results.json``).
 
@@ -65,27 +64,6 @@ class TestRunGoldens:
         assert fingerprint == run_goldens[name], (
             f"policy {name!r} drifted from the pre-refactor golden"
         )
-
-    @pytest.mark.parametrize("name", ["all_best", "full"])
-    def test_parallel_matches_golden(
-        self, golden_runner, run_goldens, name
-    ):
-        """The shm backend must reproduce the serial (golden) run
-        exactly."""
-        from repro.engine import DeploymentEngine, make_executor
-
-        configs = golden_run_configs(golden_runner.dataset.camera_ids)
-        engine = DeploymentEngine(
-            golden_runner.context,
-            seed=golden_runner.seed,
-            executor=make_executor(2),
-        )
-        try:
-            result = engine.run(**configs[name])
-        finally:
-            engine.close()
-        assert engine.executor.name == "shm"
-        assert normalize(run_result_fingerprint(result)) == run_goldens[name]
 
     def test_every_field_compared(self, golden_runner, run_goldens):
         """The fingerprint covers the whole public RunResult surface."""

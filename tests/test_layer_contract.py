@@ -196,6 +196,14 @@ def test_no_upward_imports(package):
     )
 
 
+def test_no_process_pools():
+    """Detection runs in-process; no module spawns worker processes."""
+    forbidden = ("multiprocessing", "concurrent.futures")
+    assert not violations("repro", forbidden), "\n".join(
+        violations("repro", forbidden)
+    )
+
+
 class TestCheckerCatchesViolations:
     """The contract only means something if the checker can fail."""
 

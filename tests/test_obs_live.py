@@ -388,7 +388,6 @@ class TestLiveStreamingIsInert:
     def test_run_results_bit_identical(self, tmp_path):
         plain_engine = SPEC.build_engine()
         plain = SPEC.execute(engine=plain_engine)
-        plain_engine.close()
 
         telemetry = Telemetry(run_id="live")
         telemetry.attach_sink(JsonlStreamSink(tmp_path / "s.jsonl"))
@@ -396,7 +395,6 @@ class TestLiveStreamingIsInert:
         telemetry.add_alert_rule("run_rounds_total > 1")
         live_engine = SPEC.build_engine(telemetry=telemetry)
         live = SPEC.execute(engine=live_engine)
-        live_engine.close()
         telemetry.close_sinks()
 
         assert vars(plain) == vars(live)

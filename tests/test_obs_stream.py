@@ -18,18 +18,9 @@ from repro.telemetry.live import build_stream_record
 from repro.telemetry.schema import validate_stream_file
 
 
-def _comparable_metrics(record):
-    """The final cumulative snapshot minus wall-clock instruments.
-
-    ``detection_execute_seconds_total`` measures host wall time, the
-    one quantity that legitimately differs between a clean run and a
-    crash-plus-resume of the same deployment.
-    """
-    return [
-        entry
-        for entry in record["metrics"]["metrics"]
-        if not entry["name"].endswith("_seconds_total")
-    ]
+def _final_metrics(records):
+    """The stream's final cumulative metrics snapshot."""
+    return records[-1]["metrics"]["metrics"]
 
 
 class TestRunStreamStitching:
@@ -38,6 +29,25 @@ class TestRunStreamStitching:
         "--start", "1000", "--end", "1300",
         "--recalibration-interval", "100",
     ]
+
+    def test_identical_runs_write_identical_files(self, capsys, tmp_path):
+        """Two runs of one deployment write byte-identical stream and
+        checkpoint files: nothing host-dependent reaches the registry
+        that both carry."""
+        outputs = []
+        for name in ("a", "b"):
+            stream = tmp_path / f"{name}.jsonl"
+            ckpt = tmp_path / f"ckpt-{name}"
+            assert main(self.BASE + [
+                "--stream-out", str(stream), "--checkpoint-dir", str(ckpt),
+            ]) == 0
+            outputs.append(
+                (stream.read_bytes(), (ckpt / "checkpoint.json").read_bytes())
+            )
+        (stream_a, ckpt_a), (stream_b, ckpt_b) = outputs
+        assert read_stream_records(tmp_path / "a.jsonl")
+        assert stream_a == stream_b
+        assert ckpt_a == ckpt_b
 
     def test_crash_resume_stream_is_gap_free(self, capsys, tmp_path):
         clean_result = tmp_path / "clean.json"
@@ -72,10 +82,7 @@ class TestRunStreamStitching:
         check_stream_contiguous(stitched)
         assert validate_stream_file(stitched_stream) == len(stitched)
         assert len(stitched) == len(clean)
-        # everything deterministic in the final snapshot matches
-        assert _comparable_metrics(stitched[-1]) == _comparable_metrics(
-            clean[-1]
-        )
+        assert _final_metrics(stitched) == _final_metrics(clean)
 
     def test_fresh_run_replaces_previous_stream(self, capsys, tmp_path):
         stream = tmp_path / "s.jsonl"
@@ -174,9 +181,7 @@ class TestRotationBoundaryStitching:
         check_stream_contiguous(stitched)
         assert validate_stream_file(stitched_stream) == len(stitched)
         assert len(stitched) == len(clean)
-        assert _comparable_metrics(stitched[-1]) == _comparable_metrics(
-            clean[-1]
-        )
+        assert _final_metrics(stitched) == _final_metrics(clean)
 
 
 class TestChaosStreamStitching:
@@ -216,9 +221,7 @@ class TestChaosStreamStitching:
         check_stream_contiguous(stitched)
         assert validate_stream_file(stitched_stream) == len(stitched)
         assert len(stitched) == len(clean)
-        assert _comparable_metrics(stitched[-1]) == _comparable_metrics(
-            clean[-1]
-        )
+        assert _final_metrics(stitched) == _final_metrics(clean)
         # the resilience mirror rides along in the stream
         names = {m["name"] for m in stitched[-1]["metrics"]["metrics"]}
         assert "camera_health" in names

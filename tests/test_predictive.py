@@ -64,12 +64,7 @@ def context():
 
 def run_predictive(context, wake: PredictiveConfig, telemetry=None):
     engine = DeploymentEngine(context, seed=2017, telemetry=telemetry)
-    try:
-        return engine.run(
-            PredictivePolicy(wake), budget=2.0, **WINDOW
-        )
-    finally:
-        engine.close()
+    return engine.run(PredictivePolicy(wake), budget=2.0, **WINDOW)
 
 
 # ----------------------------------------------------------------------
@@ -223,10 +218,7 @@ class TestWakeGate:
 
     def test_skipping_saves_energy(self, context, sleepy_run):
         engine = DeploymentEngine(context, seed=2017)
-        try:
-            subset = engine.run("subset", budget=2.0, **WINDOW)
-        finally:
-            engine.close()
+        subset = engine.run("subset", budget=2.0, **WINDOW)
         result, _ = sleepy_run
         assert result.energy_joules < subset.energy_joules
         assert result.humans_present == subset.humans_present
@@ -321,10 +313,7 @@ class TestWakeGate:
         for event in downgrades:
             assert event.detail["algorithm"] != event.detail["previous"]
         engine = DeploymentEngine(context, seed=2017)
-        try:
-            subset = engine.run("subset", budget=2.0, **WINDOW)
-        finally:
-            engine.close()
+        subset = engine.run("subset", budget=2.0, **WINDOW)
         assert cheap.energy_joules < subset.energy_joules
 
     def test_observations_come_from_assessments(self, context):
@@ -333,15 +322,10 @@ class TestWakeGate:
         from repro.energy.meter import EnergyMeter
 
         engine = DeploymentEngine(context, seed=2017)
-        try:
-            records = context.dataset.frames(
-                1000, 1100, only_ground_truth=True
-            )
-            assessment = engine.collect_assessment(
-                records[:2], 2.0, EnergyMeter()
-            )
-        finally:
-            engine.close()
+        records = context.dataset.frames(1000, 1100, only_ground_truth=True)
+        assessment = engine.collect_assessment(
+            records[:2], 2.0, EnergyMeter()
+        )
         for camera_id in assessment.camera_ids:
             activity, score = camera_activity(assessment, camera_id)
             assert activity >= 0.0

@@ -465,7 +465,6 @@ class TestGroupingMemoLifetime:
         for _ in range(2):
             engine = DeploymentEngine(context, seed=2017)
             engine.run("full", budget=2.0, start=1000, end=1600)
-            engine.close()
             del engine
             gc.collect()
             assert seen

@@ -9,8 +9,7 @@ probe → readmit with recalibration), and the two integration
 guarantees the tentpole promises:
 
 * **inertness** — with the layer enabled and no faults injected,
-  every policy and executor backend stays bit-identical to the
-  pre-refactor goldens;
+  every policy stays bit-identical to the pre-refactor goldens;
 * **recovery** — under injected faults the ladder engages, transitions
   land in the event log, breakers cut off retry storms with a
   structured ``transport_give_up`` record, and a checkpoint taken
@@ -37,8 +36,6 @@ from repro.core.controller import (
     CAMERA_DEGRADED,
     CAMERA_QUARANTINED,
 )
-from repro.engine.core import DeploymentEngine
-from repro.engine.executor import make_executor
 from repro.faults.events import FaultLog
 from repro.faults.plan import FaultPlan, LinkFault, MessageCorruption, SensorFault
 from repro.resilience import (
@@ -391,24 +388,6 @@ class TestInertness:
         assert normalize(run_result_fingerprint(result)) == (
             run_goldens[name]
         ), f"resilience-on {name!r} run drifted from the golden"
-
-    @pytest.mark.parametrize("backend", ["shm"])
-    @pytest.mark.parametrize("name", ["all_best", "subset", "full", "fixed"])
-    def test_parallel_backends_match_golden(
-        self, runner1, run_goldens, backend, name
-    ):
-        configs = golden_run_configs(runner1.dataset.camera_ids)
-        engine = DeploymentEngine(
-            runner1.context, seed=2017, executor=make_executor(2)
-        )
-        assert engine.executor.name == backend
-        try:
-            result = engine.run(resilience=ON, **configs[name])
-        finally:
-            engine.close()
-        assert normalize(run_result_fingerprint(result)) == (
-            run_goldens[name]
-        ), f"resilience-on {name!r} drifted under the {backend} backend"
 
     def test_zero_fault_chaos_matches_golden(self, runner1, chaos_goldens):
         """The networked path: same fingerprint as the zero-fault

@@ -55,10 +55,7 @@ def test_flat_greedy_feeds_linear_in_chosen_detections(monkeypatch):
     monkeypatch.setattr(ObjectGroup, "add", counting_add)
     monkeypatch.setattr(SelectionEngine, "greedy_subset", counted_greedy)
     engine = DeploymentEngine(context, seed=2017)
-    try:
-        engine.run("subset", budget=2.0, start=1000, end=1025)
-    finally:
-        engine.close()
+    engine.run("subset", budget=2.0, start=1000, end=1025)
 
     (assessment, chosen), = observed
     chosen_detections = sum(
