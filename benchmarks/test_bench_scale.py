@@ -2,7 +2,7 @@
 
 Measures full ``DeploymentEngine.run`` rounds (detect -> group ->
 select -> fuse over a 500-frame window) on scaled camera rings, the
-workload recorded in ``BENCH_scale.json``.  Two kinds of guard:
+workload recorded in ``BENCH_scale.json``.  Three kinds of guard:
 
 - A load-independent ratio: the batched serial path is timed
   interleaved with the pinned reference path (per-task
@@ -13,6 +13,9 @@ workload recorded in ``BENCH_scale.json``.  Two kinds of guard:
 - An absolute floor in rounds/sec, overridable via the
   ``SCALE_RPS_FLOOR`` environment variable, set well below the numbers
   pinned in ``BENCH_scale.json`` but above the pre-batching seed.
+- A peak-RSS ceiling on a fresh process that trains the 16-camera
+  ring and pre-renders the window: frame images are painted on first
+  read, so a return to painting every rendered frame breaks it.
 
 Regenerate BENCH_scale.json with the recipe in EXPERIMENTS.md.
 """
@@ -20,6 +23,9 @@ Regenerate BENCH_scale.json with the recipe in EXPERIMENTS.md.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +45,24 @@ START, END = 1000, 1500
 SCALE_MIN_SPEEDUP = env_float("SCALE_MIN_SPEEDUP", 3.0)
 # Seed throughput at 16 cameras was ~2.2 rounds/sec.
 SCALE_RPS_FLOOR = env_float("SCALE_RPS_FLOOR", 2.5)
+# Peak RSS of MEMORY_PROBE at 16 cameras (BENCH_scale.json "memory"):
+# ~74 MB painting images on first read, ~144 MB painting every
+# rendered frame, ~187 MB doing that with scipy.stats imported.
+SCALE_RSS_CEILING_MB = 110.0
+
+#: Train a ring's context and pre-render the window in a fresh
+#: process; print the peak RSS in MB (Linux ``ru_maxrss`` is in KiB).
+MEMORY_PROBE = """
+import resource, sys
+import numpy as np
+from repro.datasets.synthetic import make_scaled_dataset
+from repro.engine.context import DeploymentContext
+
+dataset = make_scaled_dataset(int(sys.argv[1]))
+DeploymentContext.build(dataset, rng=np.random.default_rng(2018))
+dataset.frames(1000, 1500, only_ground_truth=True)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
 
 
 class ReferencePathExecutor:
@@ -145,3 +169,31 @@ def test_bench_scale_json_cpus_2_block():
         assert row["rounds_per_sec"] == pytest.approx(
             1.0 / row["seconds"], rel=0.02
         ), scale
+
+
+def test_ring_build_peak_rss_ceiling():
+    """A fresh process training the 16-camera ring and pre-rendering
+    frames 1000..1500 paints no image, so its peak RSS stays low."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", MEMORY_PROBE, str(NUM_CAMERAS)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    peak_mb = float(out.split()[-1])
+    assert peak_mb < SCALE_RSS_CEILING_MB, (
+        f"16-camera ring build peaked at {peak_mb:.1f} MB "
+        f"(ceiling {SCALE_RSS_CEILING_MB} MB)"
+    )
+
+
+def test_bench_scale_json_memory_block():
+    """The memory block brackets the ceiling: before above, after below."""
+    path = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
+    block = json.loads(path.read_text())["memory"]
+    assert block["environment"]["cpus"] >= 1
+    assert sorted(block["results"]) == ["16_cameras", "64_cameras"]
+    ring16 = block["results"]["16_cameras"]
+    assert ring16["after_mb"] < SCALE_RSS_CEILING_MB < ring16["before_mb"]
+    for scale, entry in block["results"].items():
+        assert entry["after_mb"] < entry["before_mb"], scale

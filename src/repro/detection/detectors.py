@@ -27,7 +27,7 @@ from __future__ import annotations
 from operator import attrgetter
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from repro.detection.base import BoundingBox, Detection, Detector
 from repro.detection.batch import seeded_generators
@@ -125,7 +125,7 @@ class SimulatedDetector(Detector):
         p = self.profile
         mean_penalty, penalty_std = self._penalty_moments()
         sigma_eff = float(np.hypot(self._sigma, penalty_std))
-        z = stats.norm.ppf(p.recall)
+        z = ndtri(p.recall)  # the standard normal quantile
         return p.threshold + mean_penalty + sigma_eff * z, sigma_eff
 
     def _calibrate_false_positives(self) -> tuple[float, float, float, float]:

@@ -134,7 +134,7 @@ class TiledFleetDataset:
             frame_index=base_obs.frame_index,
             objects=objects,
             clutter_regions=base_obs.clutter_regions,
-            image=base_obs.image,  # shared: the view is identical
+            frame_image=base_obs.frame_image,  # shared: the view is identical
             image_scale=base_obs.image_scale,
         )
 

@@ -13,6 +13,13 @@ The renderer produces, per camera and frame:
   the feature-extraction pipeline (HOG + keypoints) for the domain
   adaptation similarity of Section III.
 
+Views, occlusions and clutter are built when a frame is rendered; the
+image is painted the first time it is read (deployments work on
+detections and never read one).  Rendering records the noise
+generator's state and advances it past the frame's noise draw, so
+every image is the same bytes whichever images are read, and in
+whatever order.
+
 Images are rendered at a reduced canvas size for speed; bounding boxes
 stay in the environment's nominal resolution so geometry (homographies,
 re-identification) is unaffected.
@@ -21,7 +28,8 @@ re-identification) is unaffected.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import ndimage
@@ -62,6 +70,42 @@ class ObjectView:
         return self.occlusion >= 0.999
 
 
+class FrameImage:
+    """A frame's image, painted on first read and then cached.
+
+    Holds the paint inputs (the renderer's ``_paint``, the frame's
+    views and the noise generator's PCG64 state at render time) until
+    the first read, then only the array.
+    """
+
+    __slots__ = ("_array", "_paint", "_views", "_noise_state")
+
+    def __init__(
+        self,
+        paint: Callable[[list[ObjectView], np.random.Generator], np.ndarray],
+        views: list[ObjectView],
+        noise_state: dict,
+    ) -> None:
+        self._array: np.ndarray | None = None
+        self._paint = paint
+        self._views = views
+        self._noise_state = noise_state
+
+    @property
+    def painted(self) -> bool:
+        return self._array is not None
+
+    def read(self) -> np.ndarray:
+        if self._array is None:
+            bit_generator = np.random.PCG64()
+            bit_generator.state = self._noise_state
+            self._array = self._paint(
+                self._views, np.random.Generator(bit_generator)
+            )
+            self._paint = self._views = self._noise_state = None
+        return self._array
+
+
 @dataclass
 class FrameObservation:
     """Everything a camera sees in one frame."""
@@ -70,8 +114,13 @@ class FrameObservation:
     frame_index: int
     objects: list[ObjectView]
     clutter_regions: list[tuple[float, float, float, float]]
-    image: np.ndarray
+    frame_image: FrameImage
     image_scale: float = 1.0
+
+    @property
+    def image(self) -> np.ndarray:
+        """The frame's grayscale image, painted on first read."""
+        return self.frame_image.read()
 
 
 def _bbox_overlap_area(
@@ -245,9 +294,12 @@ class Renderer:
             )
         return out
 
-    def _paint(self, views: list[ObjectView]) -> np.ndarray:
+    def _paint(
+        self, views: list[ObjectView], rng: np.random.Generator
+    ) -> np.ndarray:
         """Paint the frame image: background, clutter, then people
-        far-to-near so nearer bodies overwrite farther ones."""
+        far-to-near so nearer bodies overwrite farther ones, then
+        ``rng``'s pixel noise."""
         img = np.array(self._background)
         h, w = img.shape
         for (cx, cy, cw, ch) in self._clutter:
@@ -269,7 +321,7 @@ class Renderer:
             # the gradient-based features can latch onto.
             head_h = max(1, (y1 - y0) // 6)
             img[y0 : y0 + head_h, x0:x1] = np.clip(view.shade + 0.25, 0, 1)
-        noise = self._rng.normal(scale=self.noise_sigma, size=img.shape)
+        noise = rng.normal(scale=self.noise_sigma, size=img.shape)
         # float32 halves the memory of cached frame stacks.
         return np.clip(img + noise, 0.0, 1.0).astype(np.float32)
 
@@ -283,12 +335,15 @@ class Renderer:
             if view is not None:
                 raw_views.append(view)
         views = self._with_occlusions(raw_views)
-        image = self._paint(views)
+        noise_state = self._rng.bit_generator.state
+        # Advance past the frame's noise exactly as _paint's draw does:
+        # normal() consumes one standard normal per pixel.
+        self._rng.standard_normal(self._background.shape)
         return FrameObservation(
             camera_id=self.camera.camera_id,
             frame_index=frame_index,
             objects=views,
             clutter_regions=list(self._clutter),
-            image=image,
+            frame_image=FrameImage(self._paint, views, noise_state),
             image_scale=self._scale,
         )

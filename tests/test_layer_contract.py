@@ -19,6 +19,9 @@ The same walk keeps the chaos shim (``ChaosSpec`` / ``run_chaos`` in
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -202,6 +205,22 @@ def test_no_process_pools():
     assert not violations("repro", forbidden), "\n".join(
         violations("repro", forbidden)
     )
+
+
+def test_entry_points_do_not_load_scipy_stats():
+    """``scipy.stats`` costs ~0.8 s and ~44 MB per process; the one
+    normal quantile the detectors need is ``scipy.special.ndtri``."""
+    probe = (
+        "import sys\n"
+        "import repro.cli, repro.engine, repro.experiments.faults\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]", out
 
 
 class TestCheckerCatchesViolations:
