@@ -51,9 +51,14 @@ SCALE_RPS_FLOOR = env_float("SCALE_RPS_FLOOR", 2.5)
 SCALE_RSS_CEILING_MB = 110.0
 
 #: Train a ring's context and pre-render the window in a fresh
-#: process; print the peak RSS in MB (Linux ``ru_maxrss`` is in KiB).
+#: process; print the peak RSS in MB.  The peak is ``VmHWM`` from
+#: ``/proc/self/status`` (in KiB): it belongs to the process's own
+#: address space and starts fresh at exec.  ``RUSAGE_SELF.ru_maxrss``
+#: would not do: on Linux it keeps the parent's high-water mark across
+#: ``execve``, so a probe started from a large pytest process would
+#: report pytest's peak instead of the ring build's.
 MEMORY_PROBE = """
-import resource, sys
+import sys
 import numpy as np
 from repro.datasets.synthetic import make_scaled_dataset
 from repro.engine.context import DeploymentContext
@@ -61,7 +66,11 @@ from repro.engine.context import DeploymentContext
 dataset = make_scaled_dataset(int(sys.argv[1]))
 DeploymentContext.build(dataset, rng=np.random.default_rng(2018))
 dataset.frames(1000, 1500, only_ground_truth=True)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+with open("/proc/self/status") as status:
+    hwm_kib = next(
+        int(line.split()[1]) for line in status if line.startswith("VmHWM:")
+    )
+print(hwm_kib / 1024)
 """
 
 

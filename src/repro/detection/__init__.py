@@ -7,9 +7,10 @@ false-positive candidates) through an algorithm-specific response
 model — sensitivity to occlusion, pixel size and contrast differs per
 algorithm — with score distributions fitted so that a genuine
 threshold sweep reproduces the per-(algorithm, dataset) operating
-points of Tables II-IV.  EECS itself treats detectors as black boxes
-emitting scored bounding boxes, so the framework code is unchanged
-from what would run on real detectors.
+points of Tables II-IV.  EECS treats detectors as black boxes
+emitting scored bounding boxes, as the paper does: every detector here
+is a calibrated simulation behind the :class:`Detector` interface, and
+no pixel-level detector is implemented.
 """
 
 from repro.detection.base import BoundingBox, Detection, Detector
@@ -29,14 +30,6 @@ from repro.detection.metrics import (
 )
 from repro.detection.profiles import ResponseProfile, get_profile
 from repro.detection.scores import ScoreCalibrator
-from repro.detection.boosting import AdaBoostStumps, DecisionStump
-from repro.detection.channel_detector import ChannelFeatureDetector
-from repro.detection.contour_detector import ContourDetector
-from repro.detection.parts_detector import PartBasedDetector
-from repro.detection.window_detector import (
-    LinearHogTemplate,
-    SlidingWindowHogDetector,
-)
 
 __all__ = [
     "BoundingBox",
@@ -55,11 +48,4 @@ __all__ = [
     "ResponseProfile",
     "get_profile",
     "ScoreCalibrator",
-    "LinearHogTemplate",
-    "SlidingWindowHogDetector",
-    "AdaBoostStumps",
-    "DecisionStump",
-    "ChannelFeatureDetector",
-    "ContourDetector",
-    "PartBasedDetector",
 ]

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.detection.batch import seeded_generators
 from repro.world.renderer import FrameObservation
 
 
@@ -124,24 +123,17 @@ class Detector(abc.ABC):
                 candidates are returned (callers sweep thresholds).
         """
 
+    @abc.abstractmethod
     def detect_batch(self, tasks) -> list[list[Detection]]:
         """Run many self-seeded detection tasks; results in task order.
 
         ``tasks`` are :class:`~repro.detection.batch.DetectionTask`
         records (or anything with ``observation`` / ``entropy`` /
-        ``threshold``).  The default seeds the whole group at once
-        (:func:`~repro.detection.batch.seeded_generators`) and loops
-        :meth:`detect`; batch-aware detectors override this to
-        vectorise shared work across the group.  Either way the
-        results are bit-identical — every task's generator depends
-        only on its own entropy.
+        ``threshold``).  Each task's result must be bit-identical to
+        :meth:`detect` on a generator seeded from that task's entropy
+        alone (:func:`~repro.detection.batch.seeded_generators`), so a
+        batch may share work across the group but never randomness.
         """
-        return [
-            self.detect(task.observation, rng, threshold=task.threshold)
-            for task, rng in zip(
-                tasks, seeded_generators(task.entropy for task in tasks)
-            )
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"{type(self).__name__}(name={self.name!r})"

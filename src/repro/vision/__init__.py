@@ -10,20 +10,17 @@ bag-of-words frame histogram.  A combined frame feature is the paper's
 """
 
 from repro.vision.bow import BagOfWords
-from repro.vision.color import mean_color_feature
 from repro.vision.features import FrameFeatureExtractor, video_features
 from repro.vision.hog import hog_descriptor
-from repro.vision.image import integral_image, resize_bilinear
+from repro.vision.image import resize_bilinear
 from repro.vision.keypoints import Keypoint, detect_keypoints
 from repro.vision.kmeans import KMeans
 
 __all__ = [
     "BagOfWords",
-    "mean_color_feature",
     "FrameFeatureExtractor",
     "video_features",
     "hog_descriptor",
-    "integral_image",
     "resize_bilinear",
     "Keypoint",
     "detect_keypoints",

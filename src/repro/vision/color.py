@@ -4,47 +4,18 @@ The paper extracts the Mean Color feature [26] of each detected area,
 PCA-reduces it, and ships 40 dimensions (160 bytes) per object to the
 controller for cross-camera re-identification.  Our synthetic frames
 are grayscale, so the equivalent is a 40-dimensional grid of block
-means over the detected area (a 5x8 layout mirroring a person's aspect
-ratio), which captures the clothing-shade layout the renderer paints.
+shades over the detected area: 5 columns by 8 rows, row-major, a layout
+mirroring a person's aspect ratio.  Detections carry it synthetically,
+derived from the pedestrian's clothing shade rather than cropped from
+the rendered frame.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.vision.image import crop, resize_bilinear
-
 COLOR_FEATURE_DIM = 40
-_GRID_COLS = 5
-_GRID_ROWS = 8
-
-
-def mean_color_feature(
-    image: np.ndarray, bbox: tuple[float, float, float, float]
-) -> np.ndarray:
-    """Compute the 40-dim mean-colour descriptor of a detected area.
-
-    Args:
-        image: Full frame (grayscale float).
-        bbox: ``(x, y, w, h)`` in the same pixel coordinates as the
-            image.
-
-    Returns:
-        Length-40 vector of block means; zeros when the crop is empty.
-    """
-    patch = crop(image, bbox)
-    if patch.size == 0:
-        return np.zeros(COLOR_FEATURE_DIM)
-    # Normalise to a fixed grid so the feature is size-invariant.
-    canon = resize_bilinear(patch, _GRID_COLS * 4, _GRID_ROWS * 4)
-    feature = np.empty(COLOR_FEATURE_DIM)
-    idx = 0
-    for row in range(_GRID_ROWS):
-        for col in range(_GRID_COLS):
-            block = canon[row * 4 : (row + 1) * 4, col * 4 : (col + 1) * 4]
-            feature[idx] = block.mean()
-            idx += 1
-    return feature
+_GRID_COLS = 5  # x 8 rows = COLOR_FEATURE_DIM
 
 
 def synthetic_color_base(shade: float) -> np.ndarray:
@@ -62,10 +33,10 @@ def synthetic_color_feature(
 ) -> np.ndarray:
     """Colour feature derived directly from a pedestrian's shade.
 
-    Used on the fast path where detections are generated from object
-    views without re-cropping the rendered frame: the same structure
-    :func:`mean_color_feature` recovers from painted frames, plus
-    per-view noise.
+    The 5x8 block grid, row-major: the top row of 5 blocks holds the
+    lighter head band, the 7 rows below it the clothing shade.  Each
+    block gets independent Gaussian noise of scale ``noise`` and is
+    clipped to ``[0, 1]``.
     """
     # minimum(maximum(...)) is np.clip's own elementwise arithmetic
     # without the dispatch overhead of the fromnumeric wrapper.

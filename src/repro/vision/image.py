@@ -55,36 +55,3 @@ def image_gradients(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gy[0, :] = image[1, :] - image[0, :]
     gy[-1, :] = image[-1, :] - image[-2, :]
     return gx, gy
-
-
-def integral_image(image: np.ndarray) -> np.ndarray:
-    """Summed-area table with a zero top row/left column.
-
-    ``ii[y, x]`` is the sum of ``image[:y, :x]``, so box sums are
-    ``ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0]``.
-    """
-    image = np.asarray(image, dtype=float)
-    ii = np.zeros((image.shape[0] + 1, image.shape[1] + 1))
-    ii[1:, 1:] = image.cumsum(axis=0).cumsum(axis=1)
-    return ii
-
-
-def box_sum(ii: np.ndarray, y0: int, x0: int, y1: int, x1: int) -> float:
-    """Sum of the rectangle ``[y0:y1, x0:x1]`` given an integral image."""
-    return float(ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0])
-
-
-def crop(
-    image: np.ndarray, bbox: tuple[float, float, float, float]
-) -> np.ndarray:
-    """Crop ``(x, y, w, h)`` from an image, clamped to bounds.
-
-    Returns an empty ``(0, 0)`` array when the box lies fully outside.
-    """
-    h, w = image.shape
-    x, y, bw, bh = bbox
-    x0 = int(np.clip(np.floor(x), 0, w))
-    y0 = int(np.clip(np.floor(y), 0, h))
-    x1 = int(np.clip(np.ceil(x + bw), x0, w))
-    y1 = int(np.clip(np.ceil(y + bh), y0, h))
-    return image[y0:y1, x0:x1]

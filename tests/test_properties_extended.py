@@ -1,55 +1,13 @@
-"""Additional property-based tests: NMS, k-means, tracker, energy
-model and metric invariants."""
+"""Additional property-based tests: k-means, tracker, energy model and
+metric invariants."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.detection.base import BoundingBox
 from repro.energy.model import processing_energy, processing_time
 from repro.vision.kmeans import KMeans
-from repro.vision.nms import non_max_suppression
-
-box_tuples = st.tuples(
-    st.floats(min_value=0, max_value=200),
-    st.floats(min_value=0, max_value=200),
-    st.floats(min_value=1, max_value=60),
-    st.floats(min_value=1, max_value=60),
-)
-
-
-class TestNmsProperties:
-    @given(
-        st.lists(box_tuples, min_size=1, max_size=25),
-        st.floats(min_value=0.1, max_value=0.9),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_kept_boxes_do_not_overlap_above_threshold(self, raw, iou_t):
-        boxes = np.array(raw)
-        scores = np.linspace(1.0, 0.1, len(raw))
-        keep = non_max_suppression(boxes, scores, iou_t)
-        kept = [BoundingBox(*boxes[i]) for i in keep]
-        for i in range(len(kept)):
-            for j in range(i + 1, len(kept)):
-                assert kept[i].iou(kept[j]) <= iou_t + 1e-9
-
-    @given(st.lists(box_tuples, min_size=1, max_size=25))
-    @settings(max_examples=50, deadline=None)
-    def test_highest_score_always_kept(self, raw):
-        boxes = np.array(raw)
-        scores = np.arange(len(raw), dtype=float)
-        keep = non_max_suppression(boxes, scores, 0.5)
-        assert int(np.argmax(scores)) in keep
-
-    @given(st.lists(box_tuples, min_size=1, max_size=15))
-    @settings(max_examples=30, deadline=None)
-    def test_output_indices_valid_and_unique(self, raw):
-        boxes = np.array(raw)
-        scores = np.ones(len(raw))
-        keep = non_max_suppression(boxes, scores, 0.4)
-        assert len(set(keep)) == len(keep)
-        assert all(0 <= i < len(raw) for i in keep)
 
 
 class TestKMeansProperties:

@@ -3,50 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.vision.color import (
-    COLOR_FEATURE_DIM,
-    mean_color_feature,
-    synthetic_color_feature,
-)
-
-
-class TestMeanColorFeature:
-    def test_dimension_is_papers_40(self, rng):
-        img = rng.uniform(size=(60, 80))
-        feat = mean_color_feature(img, (10, 10, 20, 40))
-        assert feat.shape == (COLOR_FEATURE_DIM,)
-        assert COLOR_FEATURE_DIM == 40
-
-    def test_constant_patch(self):
-        img = np.full((50, 50), 0.6)
-        feat = mean_color_feature(img, (5, 5, 20, 30))
-        np.testing.assert_allclose(feat, 0.6, atol=1e-9)
-
-    def test_empty_crop_returns_zeros(self, rng):
-        img = rng.uniform(size=(20, 20))
-        feat = mean_color_feature(img, (100, 100, 5, 5))
-        np.testing.assert_allclose(feat, 0.0)
-
-    def test_distinguishes_shades(self):
-        dark = np.full((40, 40), 0.2)
-        light = np.full((40, 40), 0.8)
-        bbox = (5, 5, 15, 25)
-        f_dark = mean_color_feature(dark, bbox)
-        f_light = mean_color_feature(light, bbox)
-        assert np.linalg.norm(f_light - f_dark) > 1.0
-
-    def test_size_invariance(self):
-        """Same content at different crop sizes yields similar features."""
-        img = np.zeros((100, 100))
-        img[:50] = 0.8  # top half light, bottom half dark
-        small = mean_color_feature(img, (10, 25, 10, 50))
-        large = mean_color_feature(img, (10, 0, 40, 100))
-        assert np.linalg.norm(small - large) < 1.0
+from repro.vision.color import COLOR_FEATURE_DIM, synthetic_color_feature
 
 
 class TestSyntheticColorFeature:
     def test_matches_shade(self, rng):
         feat = synthetic_color_feature(0.4, rng, noise=0.0)
+        assert feat.shape == (COLOR_FEATURE_DIM,) == (40,)
         # Body blocks carry the shade; head row is brighter.
         assert feat[5:].mean() == pytest.approx(0.4, abs=1e-9)
         assert feat[:5].mean() == pytest.approx(0.65, abs=1e-9)

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.vision.image import (
-    box_sum,
-    crop,
-    image_gradients,
-    integral_image,
-    resize_bilinear,
-)
+from repro.vision.image import image_gradients, resize_bilinear
 
 
 class TestResizeBilinear:
@@ -65,39 +59,3 @@ class TestGradients:
         gx, gy = image_gradients(np.full((6, 6), 3.0))
         np.testing.assert_allclose(gx, 0.0)
         np.testing.assert_allclose(gy, 0.0)
-
-
-class TestIntegralImage:
-    def test_total_sum(self, rng):
-        img = rng.uniform(size=(12, 9))
-        ii = integral_image(img)
-        assert ii[-1, -1] == pytest.approx(img.sum())
-
-    def test_box_sum_matches_slice(self, rng):
-        img = rng.uniform(size=(15, 15))
-        ii = integral_image(img)
-        assert box_sum(ii, 3, 4, 10, 12) == pytest.approx(
-            img[3:10, 4:12].sum()
-        )
-
-    def test_zero_area_box(self, rng):
-        img = rng.uniform(size=(5, 5))
-        ii = integral_image(img)
-        assert box_sum(ii, 2, 2, 2, 2) == 0.0
-
-
-class TestCrop:
-    def test_interior_crop(self, rng):
-        img = rng.uniform(size=(20, 20))
-        out = crop(img, (5, 5, 6, 4))
-        assert out.shape == (4, 6)
-
-    def test_clamps_to_bounds(self, rng):
-        img = rng.uniform(size=(10, 10))
-        out = crop(img, (-5, -5, 8, 8))
-        assert out.shape == (3, 3)
-
-    def test_fully_outside_is_empty(self, rng):
-        img = rng.uniform(size=(10, 10))
-        out = crop(img, (50, 50, 5, 5))
-        assert out.size == 0
