@@ -46,9 +46,9 @@ SCALE_MIN_SPEEDUP = env_float("SCALE_MIN_SPEEDUP", 3.0)
 # Seed throughput at 16 cameras was ~2.2 rounds/sec.
 SCALE_RPS_FLOOR = env_float("SCALE_RPS_FLOOR", 2.5)
 # Peak RSS of MEMORY_PROBE at 16 cameras (BENCH_scale.json "memory"):
-# ~74 MB painting images on first read, ~144 MB painting every
-# rendered frame, ~187 MB doing that with scipy.stats imported.
-SCALE_RSS_CEILING_MB = 110.0
+# ~53 MB with no scipy imported, ~74 MB importing scipy.special and
+# scipy.ndimage, ~144 MB painting every rendered frame as well.
+SCALE_RSS_CEILING_MB = 64.0
 
 #: Train a ring's context and pre-render the window in a fresh
 #: process; print the peak RSS in MB.  The peak is ``VmHWM`` from

@@ -79,7 +79,7 @@ def _attach_live(telemetry, args: argparse.Namespace):
                 raise SystemExit(f"error: {exc}")
     if args.metrics_port is None:
         return None
-    from repro.telemetry import MetricsExporter
+    from repro.telemetry.exporter import MetricsExporter
 
     try:
         exporter = MetricsExporter(telemetry, port=args.metrics_port)

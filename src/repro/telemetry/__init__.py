@@ -22,7 +22,10 @@ same state during a run: per-round flush records
 :class:`~repro.telemetry.live.SubscriberSink`), threshold alert rules
 (:class:`~repro.telemetry.alerts.AlertEngine`) whose transitions land
 in the event log, and an HTTP ``/metrics`` + ``/status`` endpoint
-(:class:`~repro.telemetry.exporter.MetricsExporter`).
+(:class:`~repro.telemetry.exporter.MetricsExporter`).  The package
+does not re-export the exporter: import it from
+:mod:`repro.telemetry.exporter`, so only a process that serves metrics
+loads ``http.server``.
 
 All instrumentation is opt-in (``telemetry=None`` everywhere) and
 never touches a random stream, so telemetry-enabled and -disabled
@@ -37,7 +40,6 @@ from repro.telemetry.core import (
     Telemetry,
 )
 from repro.telemetry.events import EventLog, TelemetryEvent, fault_log_sink
-from repro.telemetry.exporter import MetricsExporter
 from repro.telemetry.live import (
     STREAM_SCHEMA,
     JsonlStreamSink,
@@ -67,7 +69,6 @@ __all__ = [
     "Histogram",
     "JsonlStreamSink",
     "MetricError",
-    "MetricsExporter",
     "MetricsRegistry",
     "SCORE_BUCKETS",
     "STREAM_SCHEMA",

@@ -7,22 +7,9 @@ layout), a Hessian-based keypoint detector with SURF-style 64-dim
 descriptors, Lloyd k-means for the 400-word visual vocabulary, and the
 bag-of-words frame histogram.  A combined frame feature is the paper's
 4180-dimensional vector (HOG ++ BoW).
+
+The package root re-exports nothing: import from the submodules.
+``keypoints`` needs ``scipy.ndimage``; only the Section III frame
+features reach it (Table V, Fig. 3 and :mod:`repro.core.adaptive`), so
+a deployment, which reads colour features alone, loads no scipy.
 """
-
-from repro.vision.bow import BagOfWords
-from repro.vision.features import FrameFeatureExtractor, video_features
-from repro.vision.hog import hog_descriptor
-from repro.vision.image import resize_bilinear
-from repro.vision.keypoints import Keypoint, detect_keypoints
-from repro.vision.kmeans import KMeans
-
-__all__ = [
-    "BagOfWords",
-    "FrameFeatureExtractor",
-    "video_features",
-    "hog_descriptor",
-    "resize_bilinear",
-    "Keypoint",
-    "detect_keypoints",
-    "KMeans",
-]

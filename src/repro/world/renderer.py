@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
 
 from repro.geometry.camera import PinholeCamera
 from repro.world.environment import Environment
@@ -134,6 +133,34 @@ def _bbox_overlap_area(
     return ix * iy
 
 
+def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian blur of a 2-D float image, bit-identical to
+    ``scipy.ndimage.gaussian_filter(image, sigma)``.
+
+    Same kernel (radius ``int(4σ + 0.5)``, weights normalised to sum
+    1), same half-sample symmetric edges (scipy's ``reflect``, numpy's
+    ``symmetric``) and the same summation order: the centre tap, then
+    each symmetric pair from the outermost in, along axis 0 and then
+    axis 1.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * x**2)
+    weights = weights / weights.sum()
+    out = image
+    for _ in range(2):  # blur down the columns, then (transposed) the rows
+        n = len(out)
+        padded = np.pad(out, ((radius, radius), (0, 0)), mode="symmetric")
+        acc = padded[radius : radius + n] * weights[radius]
+        for j in range(radius, 0, -1):
+            acc += (
+                padded[radius - j : radius - j + n]
+                + padded[radius + j : radius + j + n]
+            ) * weights[radius + j]
+        out = acc.T
+    return np.ascontiguousarray(out)
+
+
 class Renderer:
     """Renders a scene into per-camera frame observations."""
 
@@ -176,7 +203,7 @@ class Renderer:
         env = self._env
         field_ = self._rng.normal(size=(self._render_h, self._render_w))
         sigma = env.texture_scale * self._scale
-        smooth = ndimage.gaussian_filter(field_, sigma=max(1.0, sigma))
+        smooth = _gaussian_blur(field_, max(1.0, sigma))
         std = smooth.std()
         if std > 1e-9:
             smooth = smooth / std

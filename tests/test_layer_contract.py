@@ -207,13 +207,21 @@ def test_no_process_pools():
     )
 
 
-def test_entry_points_do_not_load_scipy_stats():
-    """``scipy.stats`` costs ~0.8 s and ~44 MB per process; the one
-    normal quantile the detectors need is ``scipy.special.ndtri``."""
+def test_deployments_load_no_scipy_or_http_server():
+    """A deployment process imports neither scipy (~23 MB and ~0.45 s;
+    the detectors and renderer use in-repo ports of the two functions
+    they need) nor ``http.server``, which only ``--metrics-port`` uses.
+    Probed in a fresh interpreter through one ideal and one networked
+    run, so lazily imported modules count too."""
     probe = (
         "import sys\n"
         "import repro.cli, repro.engine, repro.experiments.faults\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        "from repro.engine.spec import DeploymentSpec\n"
+        "for network in (False, True):\n"
+        "    DeploymentSpec(dataset_number=1, policy='full', budget=2.0,\n"
+        "                   start=1000, end=1100, network=network).execute()\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith('scipy') or m == 'http.server'))"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(

@@ -15,14 +15,13 @@ from repro.telemetry import (
     AlertRule,
     AlertRuleError,
     JsonlStreamSink,
-    MetricsExporter,
     MetricsRegistry,
     SubscriberSink,
     Telemetry,
     check_stream_contiguous,
     read_stream_records,
 )
-from repro.telemetry.exporter import METRICS_CONTENT_TYPE
+from repro.telemetry.exporter import METRICS_CONTENT_TYPE, MetricsExporter
 from repro.telemetry.live import build_stream_record
 from repro.telemetry.report import render_events_report
 from repro.telemetry.schema import validate_stream_file
