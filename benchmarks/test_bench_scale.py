@@ -16,6 +16,11 @@ workload recorded in ``BENCH_scale.json``.  Three kinds of guard:
 - A peak-RSS ceiling on a fresh process that trains the 16-camera
   ring and pre-renders the window: frame images are painted on first
   read, so a return to painting every rendered frame breaks it.
+- A load-independent ratio for offline training: one camera's
+  training on the column path (``draw`` columns, the array matcher)
+  is timed interleaved with the oracle path (``detect_reference``
+  Detection lists, the per-detection greedy matcher) and must beat it
+  by ``TRAINING_MIN_SPEEDUP``, with the same trained profiles.
 
 Regenerate BENCH_scale.json with the recipe in EXPERIMENTS.md.
 """
@@ -26,15 +31,26 @@ import json
 import os
 import subprocess
 import sys
+from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from benchmarks._bench_util import assert_floor, env_float, timed
-from repro.datasets.synthetic import make_scaled_dataset
+from benchmarks._bench_util import (
+    assert_floor,
+    env_float,
+    interleaved_best,
+    timed,
+)
+from repro.datasets.groundtruth import ground_truth_boxes
+from repro.datasets.synthetic import make_dataset, make_scaled_dataset
 from repro.detection.base import Detection
-from repro.engine.context import DeploymentContext
+from repro.detection.detectors import make_detector_suite
+from repro.detection.metrics import DetectionCounts
+from repro.detection.scores import ScoreCalibrator
+from repro.energy.model import ProcessingEnergyModel
+from repro.engine.context import DeploymentContext, offline_train_camera
 from repro.engine.core import DeploymentEngine
 from repro.reid.matcher import CrossCameraMatcher
 
@@ -49,6 +65,9 @@ SCALE_RPS_FLOOR = env_float("SCALE_RPS_FLOOR", 2.5)
 # ~53 MB with no scipy imported, ~74 MB importing scipy.special and
 # scipy.ndimage, ~144 MB painting every rendered frame as well.
 SCALE_RSS_CEILING_MB = 64.0
+# One dataset-2 camera's training, column path over oracle path
+# (BENCH_scale.json "training"): measured 2.5-3.0x on 2 CPUs.
+TRAINING_MIN_SPEEDUP = 1.8
 
 #: Train a ring's context and pre-render the window in a fresh
 #: process; print the peak RSS in MB.  The peak is ``VmHWM`` from
@@ -206,3 +225,139 @@ def test_bench_scale_json_memory_block():
     assert ring16["after_mb"] < SCALE_RSS_CEILING_MB < ring16["before_mb"]
     for scale, entry in block["results"].items():
         assert entry["after_mb"] < entry["before_mb"], scale
+
+
+def _oracle_matches(detections, ground_truth, iou_threshold=0.4):
+    """The per-detection greedy matcher: in decreasing score order,
+    each detection claims the available truth with the highest
+    ``BoundingBox.iou`` if it is positive and at least the threshold."""
+    available = list(range(len(ground_truth)))
+    for det in sorted(detections, key=lambda d: -d.score):
+        best_iou, best_idx = 0.0, None
+        for idx in available:
+            iou = det.bbox.iou(ground_truth[idx])
+            if iou > best_iou:
+                best_iou, best_idx = iou, idx
+        matched = best_idx is not None and best_iou >= iou_threshold
+        if matched:
+            available.remove(best_idx)
+        yield det, matched
+
+
+def oracle_train_camera(dataset, camera_id, detectors, rng, num_steps=60):
+    """One camera's offline training on the oracle path: the pinned
+    ``detect_reference`` Detection lists, the per-detection matcher,
+    sorted-list counts per threshold and the calibrator fed from the
+    Detection lists.  Returns each algorithm's (threshold, precision,
+    recall, f_score, calibrator weight, calibrator bias)."""
+    observations = [
+        record.observation(camera_id)
+        for record in dataset.training_segment().frames
+    ]
+    out = {}
+    for name, detector in detectors.items():
+        frames = [
+            (detector.detect_reference(obs, rng), ground_truth_boxes(obs))
+            for obs in observations
+        ]
+        detections = [d for dets, _ in frames for d in dets]
+        scores = [d.score for d in detections]
+        tp_scores, fp_scores, truths = [], [], 0
+        for dets, ground_truth in frames:
+            truths += len(ground_truth)
+            for det, matched in _oracle_matches(dets, ground_truth):
+                (tp_scores if matched else fp_scores).append(det.score)
+        tp_scores.sort()
+        fp_scores.sort()
+        lo, hi = min(scores), max(scores)
+        thresholds = (
+            [lo] if hi - lo < 1e-12 else list(np.linspace(lo, hi, num_steps))
+        )
+        sweep = []
+        for t in thresholds:
+            tp = len(tp_scores) - bisect_left(tp_scores, t)
+            fp = len(fp_scores) - bisect_left(fp_scores, t)
+            sweep.append((t, DetectionCounts(tp=tp, fp=fp, fn=truths - tp)))
+        threshold, counts = max(sweep, key=lambda item: item[1].f_score)
+        calibrator = ScoreCalibrator().fit(
+            np.array(scores),
+            np.array([1.0 if d.is_true_positive else 0.0 for d in detections]),
+        )
+        out[name] = (
+            float(threshold), counts.precision, counts.recall,
+            counts.f_score, calibrator.weight, calibrator.bias,
+        )
+    return out
+
+
+def time_camera_training(repeats: int) -> tuple[float, float]:
+    """Best-of-``repeats`` seconds of dataset 2's first camera's
+    training on the column path and on the oracle path, interleaved;
+    both must train the same profiles."""
+    dataset = make_dataset(2)
+    dataset.training_segment()  # render outside the timing
+    camera_id = dataset.camera_ids[0]
+    detectors = make_detector_suite(dataset.environment)
+    env = dataset.environment
+    energy_model = ProcessingEnergyModel(width=env.width, height=env.height)
+    trained = {}
+
+    def column() -> float:
+        elapsed, item = timed(
+            offline_train_camera, dataset, camera_id, detectors,
+            energy_model, np.random.default_rng(7),
+        )
+        trained["column"] = {
+            name: (
+                p.threshold, p.precision, p.recall, p.f_score,
+                p.calibrator.weight, p.calibrator.bias,
+            )
+            for name, p in item.profiles.items()
+        }
+        return elapsed
+
+    def oracle() -> float:
+        elapsed, trained["oracle"] = timed(
+            oracle_train_camera, dataset, camera_id, detectors,
+            np.random.default_rng(7),
+        )
+        return elapsed
+
+    column_s, oracle_s = interleaved_best(repeats, column, oracle)
+    assert trained["column"] == trained["oracle"]
+    return column_s, oracle_s
+
+
+def test_column_training_beats_oracle_path():
+    """Interleaved min-of-N: one camera's training on the column path
+    vs the oracle path, with bit-identical trained profiles."""
+    column_s, oracle_s = time_camera_training(3)
+    speedup = oracle_s / column_s
+    assert speedup >= TRAINING_MIN_SPEEDUP, (
+        f"column training is only {speedup:.2f}x the oracle path "
+        f"(need >= {TRAINING_MIN_SPEEDUP}x); oracle={oracle_s:.3f}s "
+        f"column={column_s:.3f}s"
+    )
+
+
+def test_bench_scale_json_training_block():
+    """The training block records context builds that got faster, the
+    command that regenerates it, and a one-camera speed-up above the
+    floor."""
+    path = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
+    block = json.loads(path.read_text())["training"]
+    assert block["environment"]["cpus"] >= 1
+    assert "benchmarks/gen_bench_training.py" in block["command"]
+    assert sorted(block["results"]) == [
+        "dataset_1", "dataset_2", "dataset_3"
+    ]
+    for name, entry in block["results"].items():
+        assert entry["after_s"] < entry["before_s"], name
+        assert entry["speedup"] == pytest.approx(
+            entry["before_s"] / entry["after_s"], rel=0.01
+        ), name
+    camera = block["one_camera"]
+    assert camera["speedup_vs_oracle"] == pytest.approx(
+        camera["oracle_s"] / camera["column_s"], rel=0.01
+    )
+    assert camera["speedup_vs_oracle"] > TRAINING_MIN_SPEEDUP

@@ -21,6 +21,7 @@ from repro.core.calibration import (
     TrainingItem,
     TrainingLibrary,
     profile_algorithm,
+    score_frames,
 )
 from repro.core.config import EECSConfig
 from repro.core.controller import CameraState, EECSController, SelectionDecision
@@ -39,6 +40,7 @@ __all__ = [
     "TrainingItem",
     "TrainingLibrary",
     "profile_algorithm",
+    "score_frames",
     "EECSConfig",
     "CameraState",
     "EECSController",

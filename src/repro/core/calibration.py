@@ -17,12 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.detection.base import BoundingBox, Detection, Detector
-from repro.detection.metrics import best_threshold
+from repro.datasets.groundtruth import ground_truth_boxes
+from repro.detection.base import Detector
+from repro.detection.metrics import ScoredFrame, best_threshold
 from repro.detection.scores import ScoreCalibrator
 from repro.domain_adaptation.pca import uncentered_basis
 from repro.energy.model import ProcessingEnergyModel
 from repro.perf.cache import ArrayCache
+from repro.world.renderer import FrameObservation
 
 
 @dataclass
@@ -61,9 +63,28 @@ class AlgorithmProfile:
         return self.f_score / self.energy_per_frame
 
 
+def score_frames(
+    detector: Detector,
+    observations: list[FrameObservation],
+    rng: np.random.Generator,
+) -> list[ScoredFrame]:
+    """Every candidate ``detector`` scores on each observation, in
+    turn from ``rng``, with the frame's ground-truth boxes.
+
+    Reads the detector's column draw; no :class:`Detection` is built
+    and no colour is finished.
+    """
+    return [
+        ScoredFrame.from_columns(
+            detector.draw(observation, rng), ground_truth_boxes(observation)
+        )
+        for observation in observations
+    ]
+
+
 def profile_algorithm(
     detector: Detector,
-    frames: list[tuple[list[Detection], list[BoundingBox]]],
+    frames: list[ScoredFrame],
     training_item: str,
     energy_model: ProcessingEnergyModel,
     num_steps: int = 60,
@@ -73,22 +94,19 @@ def profile_algorithm(
     Args:
         detector: The profiled detector (its name and energy cost are
             recorded).
-        frames: Per-frame (all scored detections, ground-truth boxes)
-            pairs from the training segment.
+        frames: Every scored detection of each training frame, with
+            its ground-truth boxes (:func:`score_frames`).
         training_item: Name of the training video.
         energy_model: Resolution-bound cost model for this camera.
         num_steps: Threshold sweep granularity.
     """
     threshold, counts = best_threshold(frames, num_steps=num_steps)
     calibrator = ScoreCalibrator()
-    scores = np.array(
-        [d.score for dets, _ in frames for d in dets]
-    )
-    labels = np.array(
-        [1.0 if d.is_true_positive else 0.0 for dets, _ in frames for d in dets]
-    )
+    scores = np.concatenate([frame.scores for frame in frames])
     if len(scores) >= 2:
-        calibrator.fit(scores, labels)
+        calibrator.fit(
+            scores, np.concatenate([frame.labels for frame in frames])
+        )
     return AlgorithmProfile(
         algorithm=detector.name,
         training_item=training_item,

@@ -13,7 +13,12 @@ is a calibrated simulation behind the :class:`Detector` interface, and
 no pixel-level detector is implemented.
 """
 
-from repro.detection.base import BoundingBox, Detection, Detector
+from repro.detection.base import (
+    BoundingBox,
+    Detection,
+    DetectionColumns,
+    Detector,
+)
 from repro.detection.detectors import (
     ALGORITHM_NAMES,
     SimulatedDetector,
@@ -22,6 +27,7 @@ from repro.detection.detectors import (
 )
 from repro.detection.metrics import (
     DetectionCounts,
+    ScoredFrame,
     best_threshold,
     f_score,
     match_detections,
@@ -34,12 +40,14 @@ from repro.detection.scores import ScoreCalibrator
 __all__ = [
     "BoundingBox",
     "Detection",
+    "DetectionColumns",
     "Detector",
     "ALGORITHM_NAMES",
     "SimulatedDetector",
     "make_detector",
     "make_detector_suite",
     "DetectionCounts",
+    "ScoredFrame",
     "best_threshold",
     "f_score",
     "match_detections",

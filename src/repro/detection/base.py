@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from repro.vision.color import (
+    COLOR_FEATURE_DIM,
+    finish_color,
+    synthetic_color_base,
+)
 from repro.world.renderer import FrameObservation
 
 
@@ -102,10 +108,58 @@ class Detection:
         return 8 + 4 + 4 * len(self.color_feature)
 
 
+class DetectionColumns(NamedTuple):
+    """One frame's scored detections as plain columns.
+
+    Entry ``i`` of every column describes one detection; entries run in
+    decreasing score order, and tied scores keep their draw order.  A
+    colour feature is kept as its raw standard-normal noise and
+    finished only where it is read (:meth:`colors`,
+    :func:`~repro.vision.color.finish_color`): the noise scaled by
+    ``color_scales[i]``, shifted by the noise-free feature of
+    ``color_shades[i]`` and clamped to ``[0, 1]``.
+    """
+
+    scores: tuple[float, ...]
+    boxes: tuple[tuple[float, float, float, float], ...]
+    truth_ids: tuple[int | None, ...]
+    color_shades: tuple[float, ...]
+    color_scales: tuple[float, ...]
+    color_noise: tuple[np.ndarray, ...]
+
+    def colors(self) -> np.ndarray:
+        """Every finished colour feature, one row per detection."""
+        if not self.scores:
+            return np.empty((0, COLOR_FEATURE_DIM))
+        bases: dict[float, np.ndarray] = {}
+        for shade in self.color_shades:
+            if shade not in bases:
+                bases[shade] = synthetic_color_base(shade)
+        return finish_color(
+            np.stack(self.color_noise),
+            np.array(self.color_scales)[:, None],
+            np.stack([bases[shade] for shade in self.color_shades]),
+        )
+
+
 class Detector(abc.ABC):
     """Abstract detection algorithm running on a camera sensor."""
 
     name: str = "abstract"
+
+    @abc.abstractmethod
+    def draw(
+        self,
+        observation: FrameObservation,
+        rng: np.random.Generator,
+        threshold: float | None = None,
+    ) -> DetectionColumns:
+        """Score one frame observation into plain columns.
+
+        Consumes ``rng`` exactly as :meth:`detect` does on the same
+        arguments, and describes the same detections in the same
+        order; offline training reads these columns directly.
+        """
 
     @abc.abstractmethod
     def detect(

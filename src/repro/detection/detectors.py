@@ -25,11 +25,16 @@ scenes really do produce more false alarms.
 from __future__ import annotations
 
 import math
-from operator import attrgetter
+from operator import itemgetter
 
 import numpy as np
 
-from repro.detection.base import BoundingBox, Detection, Detector
+from repro.detection.base import (
+    BoundingBox,
+    Detection,
+    DetectionColumns,
+    Detector,
+)
 from repro.detection.batch import seeded_generators
 from repro.detection.profiles import ResponseProfile, get_profile
 from repro.detection.view_stats import (
@@ -39,6 +44,7 @@ from repro.detection.view_stats import (
 )
 from repro.vision.color import (
     COLOR_FEATURE_DIM,
+    finish_color,
     synthetic_color_base,
     synthetic_color_feature,
 )
@@ -46,6 +52,12 @@ from repro.world.environment import Environment
 from repro.world.renderer import FrameObservation, ObjectView
 
 ALGORITHM_NAMES = ("HOG", "ACF", "C4", "LSVM")
+
+#: One detection as :meth:`SimulatedDetector._draw` emits it: (score,
+#: box, truth id, colour shade, colour noise scale, raw colour noise).
+_Row = tuple
+_first = itemgetter(0)
+_NO_DETECTIONS = DetectionColumns((), (), (), (), (), ())
 
 #: Precision targets of 1.0 are treated as this value when sizing the
 #: false-positive rate (a literal zero-FP target is degenerate).
@@ -56,8 +68,6 @@ _BOX_JITTER = 0.04
 #: Colour-feature noise of true (pedestrian) and false detections.
 _TP_COLOR_NOISE = 0.03
 _FP_COLOR_NOISE = 0.08
-
-_score = attrgetter("score")
 
 # ----------------------------------------------------------------------
 # Standard normal quantile: the Cephes ``ndtri`` algorithm, the one
@@ -204,9 +214,7 @@ class SimulatedDetector(Detector):
         ) = self._calibrate_false_positives()
         # False alarms sit on background clutter: their noise-free
         # colour is the environment's darkened background shade.
-        self._fp_color_base = synthetic_color_base(
-            environment.brightness * 0.6
-        )
+        self._fp_shade = environment.brightness * 0.6
 
     # ------------------------------------------------------------------
     # Calibration
@@ -374,6 +382,22 @@ class SimulatedDetector(Detector):
             y = rng.uniform(0.2 * env.height, max(1.0, env.height - h))
         return BoundingBox(x=float(x), y=float(y), w=float(w), h=float(h))
 
+    def draw(
+        self,
+        observation: FrameObservation,
+        rng: np.random.Generator,
+        threshold: float | None = None,
+    ) -> DetectionColumns:
+        """Score all candidates into columns; keep those above
+        ``threshold`` if given."""
+        rows = self._draw(
+            observation,
+            rng,
+            threshold,
+            self._penalties(observation.objects).tolist(),
+        )
+        return DetectionColumns(*zip(*rows)) if rows else _NO_DETECTIONS
+
     def detect(
         self,
         observation: FrameObservation,
@@ -381,13 +405,13 @@ class SimulatedDetector(Detector):
         threshold: float | None = None,
     ) -> list[Detection]:
         """Score all candidates; keep those above ``threshold`` if given."""
-        return self._detect_with_penalties(
+        rows = self._draw(
             observation,
             rng,
             threshold,
             self._penalties(observation.objects).tolist(),
-            {},
         )
+        return self._wrap(observation, rows, {})
 
     def detect_batch(self, tasks) -> list[list[Detection]]:
         """Batched entry point: seed every task's generator at once,
@@ -408,11 +432,14 @@ class SimulatedDetector(Detector):
         penalties = self._penalties(all_views)
         shade_bases: dict[float, np.ndarray] = {}
         return [
-            self._detect_with_penalties(
+            self._wrap(
                 task.observation,
-                rng,
-                task.threshold,
-                penalties[offsets[index] : offsets[index + 1]].tolist(),
+                self._draw(
+                    task.observation,
+                    rng,
+                    task.threshold,
+                    penalties[offsets[index] : offsets[index + 1]].tolist(),
+                ),
                 shade_bases,
             )
             for index, (task, rng) in enumerate(
@@ -420,74 +447,58 @@ class SimulatedDetector(Detector):
             )
         ]
 
-    def _detect_with_penalties(
+    def _draw(
         self,
         observation: FrameObservation,
         rng: np.random.Generator,
         threshold: float | None,
         penalties: list[float],
-        shade_bases: dict[float, np.ndarray],
-    ) -> list[Detection]:
-        """The response model with view penalties precomputed.
+    ) -> list[_Row]:
+        """The response model with view penalties precomputed: the one
+        draw routine behind :meth:`draw`, :meth:`detect` and
+        :meth:`detect_batch`.
+
+        Returns one plain ``(score, box, truth_id, color_shade,
+        color_scale, color_noise)`` row per detection — the entries of
+        :class:`~repro.detection.base.DetectionColumns`, which is their
+        transpose — in decreasing score order, tied scores in draw
+        order.  Colours stay raw noise, and no object is built per
+        detection.
 
         Draws the generator in the reference order (one score normal
         per view; box jitter, then colour noise, for survivors; the
         false-positive populations last) but through batched fills —
         ``standard_normal(44)`` consumes exactly the 4 + 40 values the
         unbatched path draws one by one, and an ``exponential(size=n)``
-        fill matches n sequential scalar draws — so the output is
-        bit-identical to :meth:`detect_reference`.
-
-        Each colour feature is built in place in its own 40-element
-        array (scale the noise, add the shade's base, clamp to
-        [0, 1]): the same elementwise ops as
-        :func:`~repro.vision.color.synthetic_color_feature`.
-        ``shade_bases`` memoises the noise-free base per clothing
-        shade; callers share it across a batch.
+        fill matches n sequential scalar draws — so the rows describe
+        :meth:`detect_reference`'s detections bit for bit.
         """
-        detections: list[Detection] = []
-        append = detections.append
-        camera_id = observation.camera_id
-        frame_index = observation.frame_index
-        name = self.name
+        rows = []
+        append = rows.append
         mu = self._tp_mu
         sigma = self._sigma
         normal = rng.standard_normal
-        maximum = np.maximum
-        minimum = np.minimum
         for view, penalty in zip(observation.objects, penalties):
             score = mu - penalty + sigma * normal()
             if threshold is not None and score < threshold:
                 continue
             gauss = normal(4 + COLOR_FEATURE_DIM)
             dx, dy, dw, dh = gauss[:4].tolist()
-            # A fresh array: the colour does not keep the draw alive.
-            color = gauss[4:] * _TP_COLOR_NOISE
-            base = shade_bases.get(view.shade)
-            if base is None:
-                base = shade_bases[view.shade] = synthetic_color_base(
-                    view.shade
-                )
-            color += base
-            maximum(color, 0.0, out=color)
-            minimum(color, 1.0, out=color)
             bx, by, bw, bh = view.bbox
-            append(
-                Detection(
-                    bbox=BoundingBox(
-                        x=bx + _BOX_JITTER * max(bw, 1.0) * dx,
-                        y=by + _BOX_JITTER * max(bh, 1.0) * dy,
-                        w=max(1.0, bw * (1.0 + _BOX_JITTER * dw)),
-                        h=max(1.0, bh * (1.0 + _BOX_JITTER * dh)),
-                    ),
-                    score=score,
-                    camera_id=camera_id,
-                    frame_index=frame_index,
-                    algorithm=name,
-                    color_feature=color,
-                    truth_id=view.person_id,
-                )
+            box = (
+                bx + _BOX_JITTER * max(bw, 1.0) * dx,
+                by + _BOX_JITTER * max(bh, 1.0) * dy,
+                max(1.0, bw * (1.0 + _BOX_JITTER * dw)),
+                max(1.0, bh * (1.0 + _BOX_JITTER * dh)),
             )
+            append((
+                score,
+                box,
+                view.person_id,
+                view.shade,
+                _TP_COLOR_NOISE,
+                gauss[4:],
+            ))
         n_wall = rng.poisson(self._fp_count)
         n_conf = rng.poisson(self._conf_count) if self._conf_count > 0 else 0
         fp_scores = self._fp_loc + rng.exponential(self._fp_tail, size=n_wall)
@@ -498,62 +509,102 @@ class SimulatedDetector(Detector):
             ))
         if threshold is not None:
             fp_scores = fp_scores[fp_scores >= threshold]
-        clutter = observation.clutter_regions
-        fp_base = self._fp_color_base
-        for score in fp_scores.tolist():
-            bbox = self._draw_false_positive_box(clutter, rng)
-            color = normal(COLOR_FEATURE_DIM)
-            color *= _FP_COLOR_NOISE
-            color += fp_base
-            maximum(color, 0.0, out=color)
-            minimum(color, 1.0, out=color)
+        self._draw_false_positives(
+            rows, fp_scores.tolist(), observation.clutter_regions, rng
+        )
+        # Stable, so tied scores keep draw order, as the reference's
+        # ``key=-score`` sort does.
+        rows.sort(key=_first, reverse=True)
+        return rows
+
+    def _draw_false_positives(
+        self,
+        rows: list[_Row],
+        scores: list[float],
+        clutter: list[tuple[float, float, float, float]],
+        rng: np.random.Generator,
+    ) -> None:
+        """Append a false-positive row per score, in order: a
+        person-shaped box, preferentially on clutter, then its colour
+        noise.
+
+        The box takes the draws of :meth:`_false_positive_box`, inlined:
+        each ``lo + (hi - lo) * random()`` is ``Generator.uniform(lo,
+        hi)``'s own arithmetic on the same double, and each conditional
+        expression picks what the builtin ``min``/``max`` would, so
+        every box is bit-identical.
+        """
+        append = rows.append
+        normal = rng.standard_normal
+        n_clutter = len(clutter)
+        width = float(self.environment.width)
+        height = float(self.environment.height)
+        random = rng.random
+        integers = rng.integers
+        fp_shade = self._fp_shade
+        for score in scores:
+            if clutter and random() < 0.8:
+                cx, cy, cw, ch = clutter[integers(n_clutter)]
+                h = ch * (0.7 + (1.1 - 0.7) * random())
+                h = h if h > 8.0 else 8.0
+                h = h if h < height else height
+                w = h * (0.35 + (0.5 - 0.35) * random())
+                x = cx + (-0.2 + (0.8 - -0.2) * random()) * cw
+                x = x if x > 0.0 else 0.0
+                x = x if x < width - w else width - w
+                y = cy + ch - h
+                y = y if y > 0.0 else 0.0
+                y = y if y < height - h else height - h
+            else:
+                h = (0.15 + (0.45 - 0.15) * random()) * height
+                w = h * (0.35 + (0.5 - 0.35) * random())
+                x = width - w
+                x = 0.0 + ((x if x > 1.0 else 1.0) - 0.0) * random()
+                low = 0.2 * height
+                y = height - h
+                y = low + ((y if y > 1.0 else 1.0) - low) * random()
+            append((
+                score,
+                (x, y, w, h),
+                None,
+                fp_shade,
+                _FP_COLOR_NOISE,
+                normal(COLOR_FEATURE_DIM),
+            ))
+
+    def _wrap(
+        self,
+        observation: FrameObservation,
+        rows: list[_Row],
+        shade_bases: dict[float, np.ndarray],
+    ) -> list[Detection]:
+        """One :class:`Detection` per row of :meth:`_draw`, in order.
+
+        Each colour is finished in its own fresh 40-element array.
+        ``shade_bases`` memoises the noise-free colour base per shade;
+        callers share it across a batch.
+        """
+        camera_id = observation.camera_id
+        frame_index = observation.frame_index
+        name = self.name
+        detections = []
+        append = detections.append
+        for score, box, truth_id, shade, scale, noise in rows:
+            base = shade_bases.get(shade)
+            if base is None:
+                base = shade_bases[shade] = synthetic_color_base(shade)
             append(
                 Detection(
-                    bbox=bbox,
+                    bbox=BoundingBox(*box),
                     score=score,
                     camera_id=camera_id,
                     frame_index=frame_index,
                     algorithm=name,
-                    color_feature=color,
-                    truth_id=None,
+                    color_feature=finish_color(noise, scale, base),
+                    truth_id=truth_id,
                 )
             )
-        # Stable, so tied scores keep draw order, as the reference's
-        # ``key=-score`` sort does.
-        detections.sort(key=_score, reverse=True)
         return detections
-
-    def _draw_false_positive_box(
-        self,
-        clutter: list[tuple[float, float, float, float]],
-        rng: np.random.Generator,
-    ) -> BoundingBox:
-        """:meth:`_false_positive_box` for the fast path.
-
-        ``uniform(a, b)`` computes ``a + (b - a) * rng.random()``, which
-        is ``Generator.uniform``'s own arithmetic on the same double
-        without its per-call overhead, so the box is bit-identical.
-        """
-        env = self.environment
-        random = rng.random
-
-        def uniform(low: float, high: float) -> float:
-            return low + (high - low) * random()
-
-        if clutter and random() < 0.8:
-            cx, cy, cw, ch = clutter[rng.integers(len(clutter))]
-            h = float(min(env.height, max(8.0, ch * uniform(0.7, 1.1))))
-            w = h * uniform(0.35, 0.5)
-            x = float(
-                min(env.width - w, max(0.0, cx + uniform(-0.2, 0.8) * cw))
-            )
-            y = float(min(env.height - h, max(0.0, cy + ch - h)))
-        else:
-            h = uniform(0.15, 0.45) * env.height
-            w = h * uniform(0.35, 0.5)
-            x = uniform(0.0, max(1.0, env.width - w))
-            y = uniform(0.2 * env.height, max(1.0, env.height - h))
-        return BoundingBox(x=float(x), y=float(y), w=float(w), h=float(h))
 
     def detect_reference(
         self,

@@ -8,13 +8,12 @@ paper uses per (algorithm, training video) pair (Section VI-A).
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.detection.base import BoundingBox, Detection
+from repro.detection.base import BoundingBox, Detection, DetectionColumns
 
 DEFAULT_IOU_THRESHOLD = 0.4
 
@@ -56,30 +55,88 @@ def f_score(recall: float, precision: float) -> float:
     return 2.0 * recall * precision / (recall + precision)
 
 
-def _greedy_matches(
-    detections: list[Detection],
-    ground_truth: list[BoundingBox],
-    iou_threshold: float,
-) -> Iterator[tuple[Detection, bool]]:
-    """Greedy IoU matching, one decision at a time.
+class ScoredFrame(NamedTuple):
+    """One frame's scored detections as arrays, with its truth boxes.
 
-    Yields each detection in decreasing score order (ties keep their
-    input order) with whether it claimed a truth box.  A decision
-    depends only on the detections yielded before it.
+    Detections run in decreasing score order, tied scores in their
+    input order.  Boxes are ``(x, y, w, h)`` rows.
     """
-    available = list(range(len(ground_truth)))
-    for det in sorted(detections, key=lambda d: -d.score):
-        best_iou = 0.0
-        best_idx = None
-        for idx in available:
-            iou = det.bbox.iou(ground_truth[idx])
-            if iou > best_iou:
-                best_iou = iou
-                best_idx = idx
-        matched = best_idx is not None and best_iou >= iou_threshold
-        if matched:
-            available.remove(best_idx)
-        yield det, matched
+
+    scores: np.ndarray
+    boxes: np.ndarray
+    labels: np.ndarray
+    truths: np.ndarray
+
+    @classmethod
+    def from_columns(
+        cls, columns: DetectionColumns, ground_truth: list[BoundingBox]
+    ) -> "ScoredFrame":
+        """A detector's column draw (already in score order)."""
+        return cls(
+            scores=np.array(columns.scores, dtype=float),
+            boxes=np.array(columns.boxes, dtype=float).reshape(-1, 4),
+            labels=np.array(
+                [t is not None for t in columns.truth_ids], dtype=bool
+            ),
+            truths=_box_array(ground_truth),
+        )
+
+    @classmethod
+    def from_detections(
+        cls, detections: list[Detection], ground_truth: list[BoundingBox]
+    ) -> "ScoredFrame":
+        """Detection objects in any order (sorted here, stably)."""
+        ordered = sorted(detections, key=lambda d: -d.score)
+        return cls(
+            scores=np.array([d.score for d in ordered], dtype=float),
+            boxes=_box_array([d.bbox for d in ordered]),
+            labels=np.array(
+                [d.is_true_positive for d in ordered], dtype=bool
+            ),
+            truths=_box_array(ground_truth),
+        )
+
+
+def _box_array(boxes: list[BoundingBox]) -> np.ndarray:
+    return np.array([b.as_tuple() for b in boxes], dtype=float).reshape(
+        -1, 4
+    )
+
+
+def greedy_matches(
+    boxes: np.ndarray, truths: np.ndarray, iou_threshold: float
+) -> np.ndarray:
+    """Greedy IoU matching of ``(n, 4)`` detection boxes, in decreasing
+    score order, to ``(m, 4)`` truth boxes: whether each detection
+    claims a truth.
+
+    Each detection in turn claims the unclaimed truth box it overlaps
+    most (the lowest index among equals) if that IoU is positive and at
+    least ``iou_threshold``.  A decision depends only on the detections
+    before it, so a score cut-off keeps a prefix whose decisions are
+    unchanged.
+
+    The IoU matrix uses :meth:`BoundingBox.iou`'s elementwise
+    operations, so every entry is bit-identical to it; only rows with a
+    positive IoU can claim anything, and only they run the greedy loop.
+    """
+    matched = np.zeros(len(boxes), dtype=bool)
+    if not matched.size or not truths.size:
+        return matched
+    x, y, w, h = boxes.T[:, :, None]
+    tx, ty, tw, th = truths.T[:, None, :]
+    ix = np.maximum(0.0, np.minimum(x + w, tx + tw) - np.maximum(x, tx))
+    iy = np.maximum(0.0, np.minimum(y + h, ty + th) - np.maximum(y, ty))
+    inter = ix * iy
+    union = w * h + tw * th - inter
+    iou = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+    for i in np.flatnonzero((iou > 0.0).any(axis=1)).tolist():
+        row = iou[i]
+        best = int(row.argmax())
+        if row[best] > 0.0 and row[best] >= iou_threshold:
+            matched[i] = True
+            iou[:, best] = 0.0
+    return matched
 
 
 def match_detections(
@@ -92,37 +149,38 @@ def match_detections(
     Each ground-truth box absorbs at most one detection; detections
     are considered in decreasing score order.
     """
-    tp = sum(
-        matched
-        for _, matched in _greedy_matches(
-            detections, ground_truth, iou_threshold
-        )
-    )
+    frame = ScoredFrame.from_detections(detections, ground_truth)
+    tp = int(greedy_matches(frame.boxes, frame.truths, iou_threshold).sum())
     return DetectionCounts(
         tp=tp, fp=len(detections) - tp, fn=len(ground_truth) - tp
     )
 
 
 def precision_recall(
-    frames: list[tuple[list[Detection], list[BoundingBox]]],
+    frames: list[ScoredFrame],
     threshold: float,
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
 ) -> DetectionCounts:
     """Accumulate counts over frames, applying a score cut-off.
 
     Args:
-        frames: Pairs of (all scored detections, ground-truth boxes).
+        frames: Every scored detection of each frame, with its truths.
         threshold: Minimum score to keep a detection.
     """
     total = DetectionCounts()
-    for detections, truths in frames:
-        kept = [d for d in detections if d.score >= threshold]
-        total = total.add(match_detections(kept, truths, iou_threshold))
+    for frame in frames:
+        kept = frame.boxes[frame.scores >= threshold]
+        tp = int(greedy_matches(kept, frame.truths, iou_threshold).sum())
+        total = total.add(
+            DetectionCounts(
+                tp=tp, fp=len(kept) - tp, fn=len(frame.truths) - tp
+            )
+        )
     return total
 
 
 def sweep_thresholds(
-    frames: list[tuple[list[Detection], list[BoundingBox]]],
+    frames: list[ScoredFrame],
     num_steps: int = 40,
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
 ) -> list[tuple[float, DetectionCounts]]:
@@ -144,9 +202,9 @@ def sweep_thresholds(
             the score order, and the thresholds spanning it would be
             NaN or infinite (a NaN ``d_t`` keeps every candidate).
     """
-    scores = np.array(
-        [d.score for detections, _ in frames for d in detections]
-    )
+    if not frames:
+        return []
+    scores = np.concatenate([frame.scores for frame in frames])
     if scores.size == 0:
         return []
     finite = np.isfinite(scores)
@@ -160,17 +218,13 @@ def sweep_thresholds(
         thresholds = [lo]
     else:
         thresholds = list(np.linspace(lo, hi, num_steps))
-    tp_scores: list[float] = []
-    fp_scores: list[float] = []
-    truths = 0
-    for detections, ground_truth in frames:
-        truths += len(ground_truth)
-        for det, matched in _greedy_matches(
-            detections, ground_truth, iou_threshold
-        ):
-            (tp_scores if matched else fp_scores).append(det.score)
-    tp_at = _count_at_least(tp_scores, thresholds)
-    fp_at = _count_at_least(fp_scores, thresholds)
+    matched = np.concatenate([
+        greedy_matches(frame.boxes, frame.truths, iou_threshold)
+        for frame in frames
+    ])
+    truths = sum(len(frame.truths) for frame in frames)
+    tp_at = _count_at_least(scores[matched], thresholds)
+    fp_at = _count_at_least(scores[~matched], thresholds)
     return [
         (t, DetectionCounts(tp=tp, fp=fp, fn=truths - tp))
         for t, tp, fp in zip(thresholds, tp_at, fp_at)
@@ -178,16 +232,16 @@ def sweep_thresholds(
 
 
 def _count_at_least(
-    values: list[float], thresholds: list[float]
+    values: np.ndarray, thresholds: list[float]
 ) -> list[int]:
-    """How many ``values`` are ``>= t``, for each threshold ``t``
-    (sorts ``values`` in place)."""
-    values.sort()
-    return [len(values) - bisect_left(values, t) for t in thresholds]
+    """How many ``values`` are ``>= t``, for each threshold ``t``."""
+    values = np.sort(values)
+    below = np.searchsorted(values, thresholds, side="left")
+    return (len(values) - below).tolist()
 
 
 def best_threshold(
-    frames: list[tuple[list[Detection], list[BoundingBox]]],
+    frames: list[ScoredFrame],
     num_steps: int = 40,
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
 ) -> tuple[float, DetectionCounts]:

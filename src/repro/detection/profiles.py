@@ -59,8 +59,10 @@ class ResponseProfile:
     fp_candidates: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.recall <= 1.0:
-            raise ValueError(f"recall must be in (0, 1], got {self.recall}")
+        # A recall of 1 would put the true-positive score mean at the
+        # normal quantile of 1, which is infinite.
+        if not 0.0 < self.recall < 1.0:
+            raise ValueError(f"recall must be in (0, 1), got {self.recall}")
         if not 0.0 < self.precision <= 1.0:
             raise ValueError(
                 f"precision must be in (0, 1], got {self.precision}"

@@ -26,9 +26,9 @@ from repro.core.calibration import (
     TrainingItem,
     TrainingLibrary,
     profile_algorithm,
+    score_frames,
 )
 from repro.core.config import EECSConfig
-from repro.datasets.groundtruth import ground_truth_boxes
 from repro.datasets.synthetic import SyntheticDataset
 from repro.detection.base import Detector
 from repro.detection.detectors import make_detector_suite
@@ -50,17 +50,19 @@ def offline_train_camera(
     item_name: str | None = None,
 ) -> TrainingItem:
     """Profile every algorithm on one camera's training segment."""
-    segment = dataset.training_segment()
-    profiles = {}
-    for name, detector in detectors.items():
-        frames = []
-        for record in segment.frames:
-            observation = record.observation(camera_id)
-            detections = detector.detect(observation, rng)
-            frames.append((detections, ground_truth_boxes(observation)))
-        profiles[name] = profile_algorithm(
-            detector, frames, item_name or f"T-{camera_id}", energy_model
+    observations = [
+        record.observation(camera_id)
+        for record in dataset.training_segment().frames
+    ]
+    profiles = {
+        name: profile_algorithm(
+            detector,
+            score_frames(detector, observations, rng),
+            item_name or f"T-{camera_id}",
+            energy_model,
         )
+        for name, detector in detectors.items()
+    }
     return TrainingItem(
         name=item_name or f"T-{camera_id}", profiles=profiles
     )
@@ -90,20 +92,22 @@ def fit_color_metric(
     rng: np.random.Generator,
     num_frames: int = 8,
 ) -> MahalanobisMetric:
-    """Fit the re-identification colour metric on training detections."""
+    """Fit the re-identification colour metric on training detections.
+
+    Reads the column draw, so colours are finished in one stack per
+    frame and no :class:`~repro.detection.base.Detection` is built.
+    """
     segment = dataset.training_segment()
-    samples = []
     any_detector = next(iter(detectors.values()))
-    for record in segment.frames[:num_frames]:
-        for camera_id in dataset.camera_ids:
-            observation = record.observation(camera_id)
-            for det in any_detector.detect(observation, rng):
-                samples.append(det.color_feature)
-    if len(samples) < 2:
+    samples = [
+        any_detector.draw(record.observation(camera_id), rng).colors()
+        for record in segment.frames[:num_frames]
+        for camera_id in dataset.camera_ids
+    ]
+    colors = np.concatenate(samples)
+    if len(colors) < 2:
         raise RuntimeError("too few detections to fit the colour metric")
-    return MahalanobisMetric(n_components=None, shrinkage=0.2).fit(
-        np.stack(samples)
-    )
+    return MahalanobisMetric(n_components=None, shrinkage=0.2).fit(colors)
 
 
 @dataclass

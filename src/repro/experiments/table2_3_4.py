@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.datasets.groundtruth import ground_truth_boxes
+from repro.core.calibration import score_frames
 from repro.datasets.synthetic import SyntheticDataset, make_dataset
 from repro.detection.detectors import ALGORITHM_NAMES, make_detector_suite
 from repro.detection.metrics import best_threshold, precision_recall
@@ -78,14 +78,10 @@ def algorithm_table(
         )
         train_thresholds = {r.algorithm: r.threshold for r in train_rows}
 
+    observations = [record.observation(camera_id) for record in records]
     rows = []
     for algorithm in ALGORITHM_NAMES:
-        detector = suite[algorithm]
-        frames = []
-        for record in records:
-            observation = record.observation(camera_id)
-            detections = detector.detect(observation, rng)
-            frames.append((detections, ground_truth_boxes(observation)))
+        frames = score_frames(suite[algorithm], observations, rng)
         if segment == "train":
             threshold, counts = best_threshold(frames, num_steps=80)
         else:

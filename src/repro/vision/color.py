@@ -26,6 +26,24 @@ def synthetic_color_base(shade: float) -> np.ndarray:
     return feature
 
 
+def finish_color(
+    noise: np.ndarray, scale: float | np.ndarray, base: np.ndarray
+) -> np.ndarray:
+    """A colour feature from its raw standard-normal ``noise``:
+    ``noise · scale + base`` clamped to ``[0, 1]``, in a fresh array.
+
+    Elementwise, with the operations of :func:`synthetic_color_feature`
+    (whose ``rng.normal(scale=s)`` is ``s`` times a standard normal), so
+    equal noise gives equal bits, one row at a time or a stack of rows
+    with a column of scales.
+    """
+    color = noise * scale
+    color += base
+    np.maximum(color, 0.0, out=color)
+    np.minimum(color, 1.0, out=color)
+    return color
+
+
 def synthetic_color_feature(
     shade: float,
     rng: np.random.Generator,

@@ -2,20 +2,25 @@
 
 Each optimised path in the detection pipeline keeps its original
 one-at-a-time implementation as a pinned reference
-(``detect_reference``, ``describe_keypoint``, ``group_reference``);
-these tests assert the fast paths reproduce the references — bitwise
-where the refactor preserves the arithmetic, structurally where only
-the gating norm differs by design.
+(``detect_reference``, ``describe_keypoint``, ``group_reference``, and
+here the per-detection ``BoundingBox.iou`` greedy matcher); these tests
+assert the fast paths reproduce the references — bitwise where the
+refactor preserves the arithmetic, structurally where only the gating
+norm differs by design.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.synthetic import make_dataset
 from repro.detection.base import BoundingBox, Detection
 from repro.detection.detectors import make_detector_suite
+from repro.detection.metrics import ScoredFrame, greedy_matches
+from repro.vision.color import COLOR_FEATURE_DIM
 
 
 def _detection_signature(detections: list[Detection], color: bool = True):
@@ -57,6 +62,57 @@ class TestDetectorBatchEquivalence:
                                 f"{name} drifted from detect_reference on "
                                 f"dataset {number} at threshold {threshold}"
                             )
+                            checked += 1
+        assert checked > 0
+
+    def test_column_draw_matches_reference(self):
+        """The column draw that offline training reads describes the
+        pinned model's detections bit for bit — scores, boxes, truth
+        ids and finished colours, in the same order — and leaves the
+        generator where the reference does.  Every algorithm, datasets
+        1-4, every eighth training frame of every camera, keeping every
+        candidate (training) and at the profile threshold."""
+        checked = 0
+        for number in (1, 2, 3, 4):
+            dataset = make_dataset(number)
+            detectors = make_detector_suite(dataset.environment)
+            for record in dataset.training_segment().frames[::8]:
+                for camera_id in dataset.camera_ids:
+                    observation = record.observation(camera_id)
+                    for name, detector in detectors.items():
+                        for threshold in (None, detector.profile.threshold):
+                            entropy = [number, record.frame_index, checked]
+                            rng = np.random.default_rng(entropy)
+                            ref_rng = np.random.default_rng(entropy)
+                            columns = detector.draw(
+                                observation, rng, threshold
+                            )
+                            reference = detector.detect_reference(
+                                observation, ref_rng, threshold
+                            )
+                            where = (
+                                f"{name} on dataset {number} frame "
+                                f"{record.frame_index} {camera_id} at "
+                                f"threshold {threshold}"
+                            )
+                            assert list(columns.scores) == [
+                                d.score for d in reference
+                            ], where
+                            assert list(columns.boxes) == [
+                                d.bbox.as_tuple() for d in reference
+                            ], where
+                            assert list(columns.truth_ids) == [
+                                d.truth_id for d in reference
+                            ], where
+                            assert np.array_equal(
+                                columns.colors(),
+                                np.array(
+                                    [d.color_feature for d in reference]
+                                ).reshape(-1, COLOR_FEATURE_DIM),
+                            ), where
+                            assert rng.bit_generator.state == (
+                                ref_rng.bit_generator.state
+                            ), where
                             checked += 1
         assert checked > 0
 
@@ -117,6 +173,97 @@ class TestDetectorBatchEquivalence:
                     assert color.flags.c_contiguous
                     assert color.shape == (40,)
                     assert color.dtype == np.float64
+
+
+def _greedy_matches_oracle(detections, ground_truth, iou_threshold):
+    """The per-detection matcher :func:`greedy_matches` replaced:
+    in decreasing score order (ties in input order), each detection
+    claims the available truth with the highest ``BoundingBox.iou``
+    (the lowest index among equals) if that IoU is positive and at
+    least ``iou_threshold``."""
+    available = list(range(len(ground_truth)))
+    matched = []
+    for det in sorted(detections, key=lambda d: -d.score):
+        best_iou = 0.0
+        best_idx = None
+        for idx in available:
+            iou = det.bbox.iou(ground_truth[idx])
+            if iou > best_iou:
+                best_iou = iou
+                best_idx = idx
+        claims = best_idx is not None and best_iou >= iou_threshold
+        if claims:
+            available.remove(best_idx)
+        matched.append(claims)
+    return matched
+
+
+def _det(box: BoundingBox, score: float) -> Detection:
+    return Detection(
+        bbox=box, score=score, camera_id="c", frame_index=0, algorithm="HOG"
+    )
+
+
+#: Coordinates and sizes whose ratios include exact IoUs such as 0.4
+#: (a 10x10 box over a 10x4 one), zero-area boxes (two of which have
+#: ``union <= 0``) and disjoint, touching and nested pairs.
+_values = st.sampled_from([0.0, 2.0, 4.0, 5.0, 6.0, 10.0, 20.0])
+_boxes = st.builds(BoundingBox, _values, _values, _values, _values)
+_scores = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.floats(-2.0, 2.0, allow_nan=False),
+)
+_frame_detections = st.lists(
+    st.builds(_det, _boxes, _scores), max_size=8
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    detections=_frame_detections,
+    truths=st.lists(_boxes, max_size=5),
+    iou_threshold=st.sampled_from([0.0, 0.1, 0.4, 0.7, 1.0]),
+)
+@example(
+    detections=[_det(BoundingBox(0.0, 0.0, 10.0, 10.0), 1.0)],
+    truths=[BoundingBox(0.0, 0.0, 10.0, 4.0)],
+    iou_threshold=0.4,
+)
+@example(
+    detections=[
+        _det(BoundingBox(0.0, 0.0, 0.0, 0.0), 0.5),
+        _det(BoundingBox(0.0, 0.0, 10.0, 10.0), 0.5),
+    ],
+    truths=[BoundingBox(0.0, 0.0, 0.0, 0.0), BoundingBox(0.0, 0.0, 10.0, 4.0)],
+    iou_threshold=0.4,
+)
+@example(detections=[], truths=[BoundingBox(0.0, 0.0, 5.0, 5.0)],
+         iou_threshold=0.4)
+@example(detections=[_det(BoundingBox(0.0, 0.0, 5.0, 5.0), 1.0)], truths=[],
+         iou_threshold=0.4)
+def test_array_matcher_equals_per_detection_oracle(
+    detections, truths, iou_threshold
+):
+    """The IoU-matrix matcher makes the per-detection loop's decisions,
+    in score order, on every frame."""
+    frame = ScoredFrame.from_detections(detections, truths)
+    matched = greedy_matches(frame.boxes, frame.truths, iou_threshold)
+    assert matched.tolist() == _greedy_matches_oracle(
+        detections, truths, iou_threshold
+    )
+
+
+def test_iou_exactly_at_threshold_matches():
+    """A 10x10 detection over a 10x4 truth has IoU exactly 0.4."""
+    box = BoundingBox(0.0, 0.0, 10.0, 10.0)
+    truth = BoundingBox(0.0, 0.0, 10.0, 4.0)
+    assert box.iou(truth) == 0.4
+    frame = ScoredFrame.from_detections([_det(box, 1.0)], [truth])
+    assert greedy_matches(frame.boxes, frame.truths, 0.4).tolist() == [True]
+    above = np.nextafter(0.4, 1.0)
+    assert greedy_matches(frame.boxes, frame.truths, above).tolist() == [
+        False
+    ]
 
 
 class TestDescriptorEquivalence:

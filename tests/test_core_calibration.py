@@ -8,8 +8,8 @@ from repro.core.calibration import (
     TrainingItem,
     TrainingLibrary,
     profile_algorithm,
+    score_frames,
 )
-from repro.datasets.groundtruth import ground_truth_boxes
 from repro.detection.detectors import make_detector
 from repro.detection.scores import ScoreCalibrator
 from repro.energy.model import ProcessingEnergyModel
@@ -47,16 +47,14 @@ class TestProfileAlgorithm:
         camera = make_camera_ring(LAB, num_cameras=1)[0]
         renderer = Renderer(scene, camera)
         detector = make_detector("HOG", LAB)
-        rng = np.random.default_rng(4)
-        out = []
+        observations = []
         for i in range(150):
             scene.step()
             if i % 10 == 0:
-                obs = renderer.render()
-                out.append(
-                    (detector.detect(obs, rng), ground_truth_boxes(obs))
-                )
-        return out
+                observations.append(renderer.render())
+        return score_frames(
+            detector, observations, np.random.default_rng(4)
+        )
 
     def test_builds_complete_profile(self, frames):
         detector = make_detector("HOG", LAB)

@@ -1,10 +1,21 @@
 """Integration tests for the deployment engine (shares the session
 engine fixture to amortise offline training)."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from repro.engine.context import build_training_library
+from repro.datasets.synthetic import make_dataset
+from repro.engine.context import DeploymentContext, build_training_library
 from repro.detection.detectors import ALGORITHM_NAMES
+
+#: Ceiling on the tracemalloc peak (MB) of building dataset 2's context
+#: (offline training plus the colour metric) from rendered frames.
+#: Training that kept every Detection of a camera's segment for the
+#: threshold sweep peaked at 10.0 MB; reading the detectors' column
+#: draw, it peaks at 3.7 MB.
+TRAINING_PEAK_CEILING_MB = 6.0
 
 
 class TestOfflineTraining:
@@ -23,6 +34,24 @@ class TestOfflineTraining:
         """Dataset #1's deployable ranking: HOG above ACF (Table II)."""
         item = runner1.library.get(f"T-{dataset1.camera_ids[0]}")
         assert item.profile("HOG").f_score > item.profile("ACF").f_score
+
+
+def test_dataset2_context_build_peak_memory():
+    """Offline training holds arrays per frame, not Detection objects
+    per candidate: the traced peak of a full dataset-2 build stays
+    under ``TRAINING_PEAK_CEILING_MB``."""
+    dataset = make_dataset(2)
+    dataset.training_segment()  # render the frames before tracing
+    tracemalloc.start()
+    try:
+        DeploymentContext.build(dataset, rng=np.random.default_rng(2019))
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < TRAINING_PEAK_CEILING_MB, (
+        f"building dataset 2's context peaked at {peak_mb:.2f} MB "
+        f"(ceiling {TRAINING_PEAK_CEILING_MB} MB)"
+    )
 
 
 class TestRunModes:

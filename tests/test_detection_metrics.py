@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.detection.base import BoundingBox, Detection
 from repro.detection.metrics import (
     DetectionCounts,
+    ScoredFrame,
     best_threshold,
     f_score,
     match_detections,
@@ -27,6 +28,11 @@ def det(x, y, w, h, score):
         frame_index=0,
         algorithm="HOG",
     )
+
+
+def scored(frames):
+    """(detections, truths) pairs as the metrics' frame columns."""
+    return [ScoredFrame.from_detections(d, g) for d, g in frames]
 
 
 class TestFScore:
@@ -112,37 +118,41 @@ class TestSweeps:
         return [(detections, gt)]
 
     def test_precision_recall_at_thresholds(self):
-        frames = self._frames()
+        frames = scored(self._frames())
         high = precision_recall(frames, 0.8)
         assert (high.tp, high.fp, high.fn) == (1, 0, 1)
         low = precision_recall(frames, 0.0)
         assert (low.tp, low.fp, low.fn) == (2, 2, 0)
 
     def test_sweep_returns_ascending_thresholds(self):
-        sweep = sweep_thresholds(self._frames(), num_steps=10)
+        sweep = sweep_thresholds(scored(self._frames()), num_steps=10)
         thresholds = [t for t, _ in sweep]
         assert thresholds == sorted(thresholds)
 
     def test_best_threshold_filters_false_positives(self):
-        threshold, counts = best_threshold(self._frames(), num_steps=30)
+        threshold, counts = best_threshold(
+            scored(self._frames()), num_steps=30
+        )
         # Optimal cut keeps both TPs and drops both FPs.
         assert 0.3 < threshold <= 0.5
         assert counts.f_score == pytest.approx(1.0)
 
     def test_best_threshold_empty_raises(self):
         with pytest.raises(ValueError):
-            best_threshold([([], [])])
+            best_threshold(scored([([], [])]))
 
     def test_sweep_empty_detections(self):
-        assert sweep_thresholds([([], [BoundingBox(0, 0, 1, 1)])]) == []
+        empty = scored([([], [BoundingBox(0, 0, 1, 1)])])
+        assert sweep_thresholds(empty) == []
+        assert sweep_thresholds([]) == []
 
     def test_single_threshold_when_all_scores_tie(self):
         frames = self._frames()
-        tied = [(
+        tied = scored([(
             [det(d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h, 0.5)
              for d in frames[0][0]],
             frames[0][1],
-        )]
+        )])
         assert sweep_thresholds(tied, num_steps=10) == [
             (0.5, precision_recall(tied, 0.5))
         ]
@@ -151,6 +161,7 @@ class TestSweeps:
     def test_non_finite_score_is_refused(self, bad):
         frames = self._frames()
         frames[0][0].append(det(300, 0, 10, 20, bad))
+        frames = scored(frames)
         message = rf"non-finite score {re.escape(repr(bad))}"
         with pytest.raises(ValueError, match=message):
             sweep_thresholds(frames)
@@ -187,9 +198,11 @@ _frames = st.lists(
     iou_threshold=st.sampled_from([0.1, 0.4, 0.7]),
 )
 def test_sweep_equals_per_threshold_oracle(frames, num_steps, iou_threshold):
-    """The single-pass sweep reproduces one ``precision_recall`` pass
-    per threshold exactly: thresholds, counts and so every ratio."""
-    sweep = sweep_thresholds(frames, num_steps, iou_threshold)
+    """The single-pass sweep reproduces one pass per threshold exactly
+    (filter each frame's Detection list, then match it), and so does
+    ``precision_recall``: thresholds, counts and so every ratio."""
+    columns = scored(frames)
+    sweep = sweep_thresholds(columns, num_steps, iou_threshold)
     scores = [d.score for detections, _ in frames for d in detections]
     if not scores:
         assert sweep == []
@@ -199,6 +212,18 @@ def test_sweep_equals_per_threshold_oracle(frames, num_steps, iou_threshold):
         thresholds = [lo]
     else:
         thresholds = list(np.linspace(lo, hi, num_steps))
-    assert sweep == [
-        (t, precision_recall(frames, t, iou_threshold)) for t in thresholds
+    oracle = [
+        (t, _filter_then_match(frames, t, iou_threshold)) for t in thresholds
     ]
+    assert sweep == oracle
+    assert [
+        (t, precision_recall(columns, t, iou_threshold)) for t in thresholds
+    ] == oracle
+
+
+def _filter_then_match(frames, threshold, iou_threshold):
+    total = DetectionCounts()
+    for detections, truths in frames:
+        kept = [d for d in detections if d.score >= threshold]
+        total = total.add(match_detections(kept, truths, iou_threshold))
+    return total

@@ -1,9 +1,11 @@
 """Tests for the calibrated simulated detectors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.datasets.groundtruth import ground_truth_boxes
+from repro.core.calibration import score_frames
 from repro.detection.detectors import (
     ALGORITHM_NAMES,
     make_detector,
@@ -98,10 +100,7 @@ class TestDetectorBehaviour:
         for algorithm in ("HOG", "LSVM"):
             det = make_detector(algorithm, LAB)
             profile = det.profile
-            frames = [
-                (det.detect(obs, rng), ground_truth_boxes(obs))
-                for obs in lab_frames
-            ]
+            frames = score_frames(det, lab_frames, rng)
             counts = precision_recall(frames, profile.threshold)
             assert counts.recall == pytest.approx(profile.recall, abs=0.15)
             assert counts.precision == pytest.approx(
@@ -136,6 +135,15 @@ class TestProfiles:
     def test_unknown_combination_raises(self):
         with pytest.raises(KeyError):
             get_profile("HOG", "lunar")
+
+    @pytest.mark.parametrize("recall", [1.0, 0.0, -0.1, 1.5])
+    def test_recall_outside_open_unit_interval_is_refused(self, recall):
+        """A recall of 1 would calibrate every true positive to an
+        infinite score, so the profile refuses it at construction."""
+        with pytest.raises(ValueError, match="recall"):
+            dataclasses.replace(
+                get_profile("HOG", "indoor_clean"), recall=recall
+            )
 
     def test_f_score_consistent(self):
         p = get_profile("LSVM", "indoor_clean")
