@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.harness import get_engine
+from repro.engine.spec import DeploymentSpec
 
 
 @pytest.fixture()
@@ -15,14 +15,14 @@ def rng():
 
 @pytest.fixture(scope="session")
 def runner_ds1():
-    return get_engine(1)
+    return DeploymentSpec(dataset_number=1).build_engine()
 
 
 @pytest.fixture(scope="session")
 def runner_ds2():
-    return get_engine(2)
+    return DeploymentSpec(dataset_number=2).build_engine()
 
 
 @pytest.fixture(scope="session")
 def runner_ds3():
-    return get_engine(3)
+    return DeploymentSpec(dataset_number=3).build_engine()

@@ -3,7 +3,7 @@
 The paper sizes per-frame energy budgets from a 6-hour operation time
 (Section VI): deployments are *long*.  This package makes them
 restartable — the deployment engine snapshots its full mutable state
-(clock, rng bit-generator states, battery totals, accumulated result
+(clock, battery totals, accumulated result
 partials, selection decisions, telemetry counters) to a versioned,
 atomically written JSON checkpoint every ``K`` rounds and on SIGTERM,
 and a resumed run continues bit-identically to one that was never
@@ -13,8 +13,8 @@ Layers:
 
 * :mod:`repro.checkpoint.store` — the ``repro.checkpoint.v2``
   document, fingerprint validation, atomic persistence.
-* :mod:`repro.checkpoint.codec` — exact JSON encoding of rng states,
-  decisions, controller state and run results.
+* :mod:`repro.checkpoint.codec` — exact JSON encoding of decisions,
+  controller state and run results.
 * :mod:`repro.checkpoint.hooks` — cadence, SIGTERM handling and the
   ``crash_after`` crash-injection test hook.
 
@@ -26,8 +26,6 @@ decide *what* their state is.
 from repro.checkpoint.codec import (
     decision_from_dict,
     decision_to_dict,
-    restore_rng_state,
-    rng_state_to_dict,
     run_result_to_dict,
 )
 from repro.checkpoint.hooks import (
@@ -52,7 +50,5 @@ __all__ = [
     "SimulatedCrash",
     "decision_from_dict",
     "decision_to_dict",
-    "restore_rng_state",
-    "rng_state_to_dict",
     "run_result_to_dict",
 ]

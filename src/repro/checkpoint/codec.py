@@ -1,15 +1,13 @@
 """Lossless JSON encoding of in-flight run state.
 
 Everything a resumed deployment must restore bit-for-bit goes through
-here: numpy bit-generator states, selection decisions (with their
-accuracy triples), controller camera state and accumulated
-:class:`~repro.engine.core.RunResult` partials.  All payloads are
-plain JSON values; floats survive exactly because JSON round-trips
-Python doubles, and the generator states are arbitrary-precision
-integers, which JSON also preserves.
+here: selection decisions (with their accuracy triples), controller
+camera state and accumulated :class:`~repro.engine.core.RunResult`
+partials.  All payloads are plain JSON values; floats survive exactly
+because JSON round-trips Python doubles.
 
 The module deliberately knows nothing about the engine or the event
-simulator — it encodes *values* (generators, decisions, controllers),
+simulator — it encodes *values* (decisions, controllers),
 so it sits below :mod:`repro.engine` in the layer contract and both
 execution environments can share it.
 """
@@ -19,54 +17,12 @@ from __future__ import annotations
 import hashlib
 import json
 
-import numpy as np
-
 from repro.core.accuracy import DesiredAccuracy, GlobalAccuracy
 from repro.core.controller import (
     CAMERA_ACTIVE,
     EECSController,
     SelectionDecision,
 )
-
-
-# ----------------------------------------------------------------------
-# RNG bit-generator state
-# ----------------------------------------------------------------------
-def rng_state_to_dict(generator: np.random.Generator) -> dict:
-    """A generator's full bit-generator state as JSON-able values.
-
-    Numpy's state dicts mix Python ints with numpy scalars and (for
-    some bit generators) arrays; everything is coerced to built-ins so
-    the payload survives a JSON round-trip unchanged.
-    """
-
-    def convert(value: object) -> object:
-        if isinstance(value, dict):
-            return {key: convert(item) for key, item in value.items()}
-        if isinstance(value, np.ndarray):
-            return {"__ndarray__": value.tolist(), "dtype": str(value.dtype)}
-        if isinstance(value, np.integer):
-            return int(value)
-        if isinstance(value, np.floating):
-            return float(value)
-        return value
-
-    return convert(dict(generator.bit_generator.state))
-
-
-def restore_rng_state(generator: np.random.Generator, state: dict) -> None:
-    """Restore a state captured by :func:`rng_state_to_dict`."""
-
-    def revive(value: object) -> object:
-        if isinstance(value, dict):
-            if "__ndarray__" in value:
-                return np.asarray(
-                    value["__ndarray__"], dtype=value["dtype"]
-                )
-            return {key: revive(item) for key, item in value.items()}
-        return value
-
-    generator.bit_generator.state = revive(state)
 
 
 # ----------------------------------------------------------------------

@@ -266,23 +266,6 @@ def _make_resilience_config(args: argparse.Namespace):
     )
 
 
-def _check_predictive_flags(args: argparse.Namespace) -> None:
-    """Reject predictive tunables without ``--mode predictive``."""
-    if args.mode == "predictive":
-        return
-    for flag in (
-        "wake_threshold",
-        "predictor_warmup",
-        "wake_probe_every",
-        "max_sleepers",
-        "low_energy_below",
-    ):
-        if getattr(args, flag) is not None:
-            raise SystemExit(
-                f"--{flag.replace('_', '-')} requires --mode predictive"
-            )
-
-
 def _make_checkpointer(args: argparse.Namespace):
     if not args.checkpoint_dir:
         if args.resume:
@@ -414,7 +397,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 else defaults.recalibration_interval
             ),
         )
-    _check_predictive_flags(args)
     try:
         spec = DeploymentSpec(
             dataset_number=args.dataset,
@@ -473,15 +455,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.perf_report:
         from repro.obs.profile import fold_by_name, render_table
 
-        stats = engine.library.cache_stats()
         entries = fold_by_name(list(telemetry.tracer.iter_records()))
         print()
         print("\n".join(render_table(entries)))
-        print(
-            f"calibration cache: {stats['hits']} hits, "
-            f"{stats['misses']} misses, {stats['entries']} entries "
-            f"(hit rate {stats['hit_rate']:.0%})"
-        )
     if telemetry is not None:
         _write_telemetry(telemetry, args)
     return 0
@@ -828,8 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--perf-report",
         action="store_true",
-        help="print the run's phase spans folded by name, and the "
-        "calibration cache counters, after the run",
+        help="print the run's phase spans folded by name after the run",
     )
     p.add_argument(
         "--result-out",

@@ -14,17 +14,20 @@ stack for GFK matching.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.datasets.groundtruth import ground_truth_boxes
-from repro.detection.base import Detector
 from repro.detection.metrics import ScoredFrame, best_threshold
 from repro.detection.scores import ScoreCalibrator
 from repro.domain_adaptation.pca import uncentered_basis
 from repro.energy.model import ProcessingEnergyModel
 from repro.perf.cache import ArrayCache
 from repro.world.renderer import FrameObservation
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.detection.detectors import SimulatedDetector
 
 
 @dataclass
@@ -64,7 +67,7 @@ class AlgorithmProfile:
 
 
 def score_frames(
-    detector: Detector,
+    detector: "SimulatedDetector",
     observations: list[FrameObservation],
     rng: np.random.Generator,
 ) -> list[ScoredFrame]:
@@ -83,7 +86,7 @@ def score_frames(
 
 
 def profile_algorithm(
-    detector: Detector,
+    detector: "SimulatedDetector",
     frames: list[ScoredFrame],
     training_item: str,
     energy_model: ProcessingEnergyModel,

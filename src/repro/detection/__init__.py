@@ -9,15 +9,14 @@ algorithm — with score distributions fitted so that a genuine
 threshold sweep reproduces the per-(algorithm, dataset) operating
 points of Tables II-IV.  EECS treats detectors as black boxes
 emitting scored bounding boxes, as the paper does: every detector here
-is a calibrated simulation behind the :class:`Detector` interface, and
-no pixel-level detector is implemented.
+is a calibrated :class:`SimulatedDetector`, and no pixel-level
+detector is implemented.
 """
 
 from repro.detection.base import (
     BoundingBox,
     Detection,
     DetectionColumns,
-    Detector,
 )
 from repro.detection.detectors import (
     ALGORITHM_NAMES,
@@ -41,7 +40,6 @@ __all__ = [
     "BoundingBox",
     "Detection",
     "DetectionColumns",
-    "Detector",
     "ALGORITHM_NAMES",
     "SimulatedDetector",
     "make_detector",

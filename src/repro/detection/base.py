@@ -1,8 +1,7 @@
-"""Core detection types: bounding boxes, detections, the Detector ABC."""
+"""Core detection types: bounding boxes, detections, detection columns."""
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -13,7 +12,6 @@ from repro.vision.color import (
     finish_color,
     synthetic_color_base,
 )
-from repro.world.renderer import FrameObservation
 
 
 @dataclass(frozen=True)
@@ -140,54 +138,3 @@ class DetectionColumns(NamedTuple):
             np.array(self.color_scales)[:, None],
             np.stack([bases[shade] for shade in self.color_shades]),
         )
-
-
-class Detector(abc.ABC):
-    """Abstract detection algorithm running on a camera sensor."""
-
-    name: str = "abstract"
-
-    @abc.abstractmethod
-    def draw(
-        self,
-        observation: FrameObservation,
-        rng: np.random.Generator,
-        threshold: float | None = None,
-    ) -> DetectionColumns:
-        """Score one frame observation into plain columns.
-
-        Consumes ``rng`` exactly as :meth:`detect` does on the same
-        arguments, and describes the same detections in the same
-        order; offline training reads these columns directly.
-        """
-
-    @abc.abstractmethod
-    def detect(
-        self,
-        observation: FrameObservation,
-        rng: np.random.Generator,
-        threshold: float | None = None,
-    ) -> list[Detection]:
-        """Detect objects in one frame observation.
-
-        Args:
-            observation: The rendered frame with its object views.
-            rng: Randomness source for score noise.
-            threshold: Optional score cut-off; when ``None`` all scored
-                candidates are returned (callers sweep thresholds).
-        """
-
-    @abc.abstractmethod
-    def detect_batch(self, tasks) -> list[list[Detection]]:
-        """Run many self-seeded detection tasks; results in task order.
-
-        ``tasks`` are :class:`~repro.detection.batch.DetectionTask`
-        records (or anything with ``observation`` / ``entropy`` /
-        ``threshold``).  Each task's result must be bit-identical to
-        :meth:`detect` on a generator seeded from that task's entropy
-        alone (:func:`~repro.detection.batch.seeded_generators`), so a
-        batch may share work across the group but never randomness.
-        """
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"{type(self).__name__}(name={self.name!r})"

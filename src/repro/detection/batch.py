@@ -34,7 +34,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.detection.base import Detection, Detector
+    from repro.detection.base import Detection
+    from repro.detection.detectors import SimulatedDetector
     from repro.world.renderer import FrameObservation
 
 
@@ -73,16 +74,15 @@ class DetectionBatch:
 
 
 def run_batch(
-    detectors: Mapping[str, "Detector"],
+    detectors: Mapping[str, "SimulatedDetector"],
     tasks: Sequence[DetectionTask],
 ) -> list[list["Detection"]]:
     """Execute tasks against a detector suite, preserving task order.
 
-    Tasks are grouped by algorithm so batch-aware detectors (see
-    ``SimulatedDetector.detect_batch``) can vectorise their shared
-    per-view computation across the whole group; detectors without a
-    batch entry point fall back to the per-task loop in
-    :meth:`~repro.detection.base.Detector.detect_batch`.
+    Tasks are grouped by algorithm so each detector's
+    :meth:`~repro.detection.detectors.SimulatedDetector.detect_batch`
+    can vectorise its shared per-view computation across the whole
+    group.
     """
     results: list[list[Detection] | None] = [None] * len(tasks)
     groups: dict[str, list[int]] = {}

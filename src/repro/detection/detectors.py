@@ -33,7 +33,6 @@ from repro.detection.base import (
     BoundingBox,
     Detection,
     DetectionColumns,
-    Detector,
 )
 from repro.detection.batch import seeded_generators
 from repro.detection.profiles import ResponseProfile, get_profile
@@ -181,7 +180,7 @@ def _ndtri(y0: float) -> float:
     return x if upper else -x
 
 
-class SimulatedDetector(Detector):
+class SimulatedDetector:
     """One detection algorithm bound to one environment."""
 
     def __init__(
@@ -389,7 +388,12 @@ class SimulatedDetector(Detector):
         threshold: float | None = None,
     ) -> DetectionColumns:
         """Score all candidates into columns; keep those above
-        ``threshold`` if given."""
+        ``threshold`` if given.
+
+        Consumes ``rng`` exactly as :meth:`detect` does on the same
+        arguments, and describes the same detections in the same
+        order; offline training reads these columns directly.
+        """
         rows = self._draw(
             observation,
             rng,
@@ -404,7 +408,14 @@ class SimulatedDetector(Detector):
         rng: np.random.Generator,
         threshold: float | None = None,
     ) -> list[Detection]:
-        """Score all candidates; keep those above ``threshold`` if given."""
+        """Score all candidates; keep those above ``threshold`` if given.
+
+        Args:
+            observation: The rendered frame with its object views.
+            rng: Randomness source for score noise.
+            threshold: Optional score cut-off; when ``None`` all scored
+                candidates are returned (callers sweep thresholds).
+        """
         rows = self._draw(
             observation,
             rng,

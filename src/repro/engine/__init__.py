@@ -17,8 +17,8 @@ One simulation core behind every way the repo runs a deployment:
   (:class:`DeploymentContext`) and the engine-owned
   :func:`shared_context` cache.
 * :mod:`repro.engine.spec` — :class:`DeploymentSpec`, the one
-  description of a run in either environment, shared by harness,
-  experiments and CLI.
+  description of a run in either environment, shared by the
+  experiments and the CLI.
 * :mod:`repro.engine.clock` — :class:`SimulationClock`, explicit
   frame-cadence simulated time.
 

@@ -8,12 +8,10 @@ identical for every run that shares a training seed.  A
 detectors, training library, re-identification matcher, energy model —
 as an immutable unit that any number of engines can share.
 
-:func:`shared_context` is the engine-owned construction cache that
-replaced the old module-level runner cache in
-``repro.experiments.harness``: contexts are safe to share because they
-hold no per-run state (controllers, batteries, meters and rng streams
-are built fresh per engine), so repeated specs can no longer leak
-state across experiments.
+:func:`shared_context` is the engine-owned construction cache:
+contexts are safe to share because they hold no per-run state
+(controllers, batteries and meters are built fresh per engine), so
+repeated specs cannot leak state across experiments.
 """
 
 from __future__ import annotations
@@ -30,8 +28,7 @@ from repro.core.calibration import (
 )
 from repro.core.config import EECSConfig
 from repro.datasets.synthetic import SyntheticDataset
-from repro.detection.base import Detector
-from repro.detection.detectors import make_detector_suite
+from repro.detection.detectors import SimulatedDetector, make_detector_suite
 from repro.energy.model import ProcessingEnergyModel
 from repro.reid.mahalanobis import MahalanobisMetric
 from repro.reid.matcher import CrossCameraMatcher
@@ -44,7 +41,7 @@ DEFAULT_TRAIN_SEED_BASE = 2017
 def offline_train_camera(
     dataset: SyntheticDataset,
     camera_id: str,
-    detectors: dict[str, Detector],
+    detectors: dict[str, SimulatedDetector],
     energy_model: ProcessingEnergyModel,
     rng: np.random.Generator,
     item_name: str | None = None,
@@ -70,7 +67,7 @@ def offline_train_camera(
 
 def build_training_library(
     dataset: SyntheticDataset,
-    detectors: dict[str, Detector],
+    detectors: dict[str, SimulatedDetector],
     rng: np.random.Generator,
 ) -> TrainingLibrary:
     """Offline training over all of a dataset's cameras."""
@@ -88,7 +85,7 @@ def build_training_library(
 
 def fit_color_metric(
     dataset: SyntheticDataset,
-    detectors: dict[str, Detector],
+    detectors: dict[str, SimulatedDetector],
     rng: np.random.Generator,
     num_frames: int = 8,
 ) -> MahalanobisMetric:
@@ -116,7 +113,7 @@ class DeploymentContext:
 
     dataset: SyntheticDataset
     config: EECSConfig
-    detectors: dict[str, Detector]
+    detectors: dict[str, SimulatedDetector]
     library: TrainingLibrary
     matcher: CrossCameraMatcher
     energy_model: ProcessingEnergyModel
@@ -126,7 +123,7 @@ class DeploymentContext:
         cls,
         dataset: SyntheticDataset,
         config: EECSConfig | None = None,
-        detectors: dict[str, Detector] | None = None,
+        detectors: dict[str, SimulatedDetector] | None = None,
         library: TrainingLibrary | None = None,
         rng: np.random.Generator | None = None,
     ) -> "DeploymentContext":

@@ -52,8 +52,6 @@ from repro.checkpoint.codec import (
     restore_controller_state,
     restore_live_telemetry,
     restore_policy_state,
-    restore_rng_state,
-    rng_state_to_dict,
 )
 from repro.core.config import EECSConfig
 from repro.core.controller import (
@@ -61,6 +59,7 @@ from repro.core.controller import (
     EECSController,
     SelectionDecision,
 )
+from repro.core.ranking import affordable_profiles
 from repro.core.selection import AssessmentData
 from repro.datasets.base import FrameRecord
 from repro.datasets.groundtruth import persons_in_any_view
@@ -175,6 +174,25 @@ def count_true_detections(groups, present: set) -> int:
     return len(detected_ids & present)
 
 
+def affordable_algorithms(
+    controller: EECSController, camera_id: str, budget: float | None
+) -> list[str]:
+    """Algorithms within a camera's per-frame budget, in profile order.
+
+    Shared by the ideal loop's assessment and the networked
+    environment's assessment requests, each against its own controller.
+    """
+    plan = controller.camera_plan(camera_id, budget)
+    if plan is None:
+        return []
+    return [
+        profile.algorithm
+        for profile in affordable_profiles(
+            plan.item, plan.budget, plan.communication_cost
+        )
+    ]
+
+
 class DeploymentEngine:
     """Drives one trained context through the EECS control loop."""
 
@@ -182,10 +200,8 @@ class DeploymentEngine:
         self,
         context: DeploymentContext,
         seed: int = 2017,
-        rng: np.random.Generator | None = None,
         executor: SerialDetectionExecutor | None = None,
         telemetry: "Telemetry | None" = None,
-        clock: SimulationClock | None = None,
     ) -> None:
         self.context = context
         # Per-engine references (assignable without touching the
@@ -198,9 +214,8 @@ class DeploymentEngine:
         self.energy_model = context.energy_model
 
         self._seed = seed
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.telemetry = telemetry
-        self.clock = clock or SimulationClock(
+        self.clock = SimulationClock(
             seconds_per_frame=self.config.seconds_per_frame
         )
         # Detection always runs in-process; ``executor`` is a seam for
@@ -425,20 +440,6 @@ class DeploymentEngine:
             "Detection tasks executed via batches.",
         ).inc(len(batch))
 
-    def affordable_algorithms(
-        self, camera_id: str, budget: float | None
-    ) -> list[str]:
-        """Algorithms within a camera's per-frame budget."""
-        plan = self.controller.camera_plan(camera_id, budget)
-        if plan is None:
-            return []
-        comm = plan.communication_cost
-        return [
-            p.algorithm
-            for p in plan.item.profiles.values()
-            if p.energy_per_frame + comm <= plan.budget
-        ]
-
     def collect_assessment(
         self,
         records: list[FrameRecord],
@@ -460,7 +461,9 @@ class DeploymentEngine:
             for camera_id in self.dataset.camera_ids:
                 if camera_id in skipped:
                     continue
-                algorithms = self.affordable_algorithms(camera_id, budget)
+                algorithms = affordable_algorithms(
+                    self.controller, camera_id, budget
+                )
                 if not algorithms:
                     continue
                 per_camera[camera_id] = algorithms
@@ -486,34 +489,17 @@ class DeploymentEngine:
     def _evaluate_frame(
         self,
         record: FrameRecord,
-        assignment: dict[str, str],
-        meter: EnergyMeter,
-        detections_cache: dict[str, list[Detection]] | None = None,
+        detections: list[Detection],
         memo: GroupingMemo | None = None,
     ) -> tuple[int, int, list[float]]:
-        """Detect with the active assignment, fuse, count humans.
+        """Fuse one frame's detections under the active assignment and
+        count humans.
 
-        ``memo`` may be passed only when every detection comes from
-        ``detections_cache`` and outlives it (see :class:`GroupingMemo`).
+        ``memo`` may be passed only when every detection outlives it
+        (see :class:`GroupingMemo`).
 
         Returns (detected, present, fused probabilities).
         """
-        missing = [
-            (record, camera_id, algorithm)
-            for camera_id, algorithm in assignment.items()
-            if detections_cache is None or camera_id not in detections_cache
-        ]
-        computed = (
-            self._batch_detections(missing, meter) if missing else {}
-        )
-        detections: list[Detection] = []
-        for camera_id, algorithm in assignment.items():
-            if detections_cache is not None and camera_id in detections_cache:
-                detections.extend(detections_cache[camera_id])
-            else:
-                detections.extend(
-                    computed[(record.frame_index, camera_id, algorithm)]
-                )
         with self._section("reid_grouping"):
             groups = self.matcher.group(detections, memo)
         present = persons_in_any_view(record.observations)
@@ -541,14 +527,15 @@ class DeploymentEngine:
         present_total = 0
         probabilities: list[float] = []
         for record, assignment in zip(records, assignments):
-            cache = {
-                camera_id: detections[
-                    (record.frame_index, camera_id, algorithm)
-                ]
-                for camera_id, algorithm in assignment.items()
-            }
             detected, present, probs = self._evaluate_frame(
-                record, assignment, meter, detections_cache=cache
+                record,
+                [
+                    detection
+                    for camera_id, algorithm in assignment.items()
+                    for detection in detections[
+                        (record.frame_index, camera_id, algorithm)
+                    ]
+                ],
             )
             detected_total += detected
             present_total += present
@@ -642,17 +629,16 @@ class DeploymentEngine:
             if cells is not None
             else None
         )
-        # Reseed per run configuration so results are independent of
-        # how many runs preceded this one on the shared engine.  The
-        # same entropy also seeds every per-task generator, keyed by
-        # its (frame, camera, algorithm) coordinates.
+        # Every per-task generator is seeded from the run
+        # configuration plus the task's (frame, camera, algorithm)
+        # coordinates, so results are independent of how many runs
+        # preceded this one on the shared engine.
         self._run_entropy = (
             self._seed,
             policy.entropy_token(),
             0 if start is None else start,
             0 if budget is None else int(budget * 1000),
         )
-        self.rng = np.random.default_rng(list(self._run_entropy))
 
         spec = self.dataset.spec
         start = spec.train_end if start is None else start
@@ -864,18 +850,16 @@ class DeploymentEngine:
             # detections are already available, reuse them, and the
             # ground points and colour distances selection memoised.
             for idx, record in enumerate(assess_records):
-                cache = {
-                    camera_id: assessment.detections(
-                        idx, camera_id, algorithm
-                    )
-                    for camera_id, algorithm
-                    in decision.assignment.items()
-                }
                 detected, present, probs = self._evaluate_frame(
                     record,
-                    decision.assignment,
-                    meter,
-                    detections_cache=cache,
+                    [
+                        detection
+                        for camera_id, algorithm
+                        in decision.assignment.items()
+                        for detection in assessment.detections(
+                            idx, camera_id, algorithm
+                        )
+                    ],
                     memo=assessment.grouping_memo,
                 )
                 detected_total += detected
@@ -913,7 +897,6 @@ class DeploymentEngine:
         state = {
             "next_round": next_round,
             "clock": self.clock.snapshot(),
-            "rng": rng_state_to_dict(self.rng),
             "meter": meter.snapshot(),
             "latency_seconds": self._latency_seconds,
             "detected_total": detected_total,
@@ -948,11 +931,11 @@ class DeploymentEngine:
 
         Returns the loop-local accumulators ``(first_round,
         detected_total, present_total, probabilities, decisions)``;
-        engine-owned state (clock, rng, controller, meter, telemetry
-        counters) is restored in place.
+        engine-owned state (clock, controller, meter, telemetry
+        counters) is restored in place.  Keys this engine does not
+        read (the ``"rng"`` state older checkpoints carry) are ignored.
         """
         self.clock.restore(state["clock"])
-        restore_rng_state(self.rng, state["rng"])
         meter.restore(state["meter"])
         self._latency_seconds = float(state["latency_seconds"])
         restore_controller_state(self.controller, state["controller"])

@@ -29,6 +29,7 @@ from repro.checkpoint.store import CheckpointError
 from repro.datasets.groundtruth import persons_in_any_view
 from repro.engine.core import (
     DeploymentEngine,
+    affordable_algorithms,
     close_round,
     count_true_detections,
 )
@@ -418,15 +419,11 @@ class FaultInjectedEnvironment:
 
             camera_algorithms = {}
             for camera_id in dataset.camera_ids:
-                cam_plan = controller.camera_plan(camera_id, spec.budget)
-                if cam_plan is None:
-                    continue
-                camera_algorithms[camera_id] = sorted(
-                    p.algorithm
-                    for p in cam_plan.item.profiles.values()
-                    if p.energy_per_frame + cam_plan.communication_cost
-                    <= cam_plan.budget
+                algorithms = affordable_algorithms(
+                    controller, camera_id, spec.budget
                 )
+                if algorithms:
+                    camera_algorithms[camera_id] = sorted(algorithms)
             controller_node.start_assessment(
                 camera_algorithms, timeout_s=ASSESSMENT_TIMEOUT_S
             )

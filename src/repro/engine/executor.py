@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.detection.base import Detection, Detector
+from repro.detection.base import Detection
 from repro.detection.batch import DetectionBatch, run_batch
+from repro.detection.detectors import SimulatedDetector
 
 
 class SerialDetectionExecutor:
@@ -25,7 +26,7 @@ class SerialDetectionExecutor:
     def execute(
         self,
         batch: DetectionBatch,
-        detectors: Mapping[str, Detector],
+        detectors: Mapping[str, SimulatedDetector],
     ) -> list[list[Detection]]:
         """Run every task of ``batch``, results in task order."""
         return run_batch(detectors, batch.tasks)

@@ -30,7 +30,7 @@ from repro.core.controller import CAMERA_QUARANTINED, SelectionDecision
 from repro.engine.context import DeploymentContext, shared_context
 from repro.engine.policy import (
     CoordinationPolicy,
-    RoundPlan,
+    assessed_rounds,
     register_policy,
 )
 from repro.fleet.cells import normalize_cells
@@ -38,20 +38,6 @@ from repro.fleet.peer import negotiate_activation
 from repro.fleet.runtime import FleetRuntime
 from repro.fleet.world import TiledFleetDataset, tile_training_library
 from repro.reid.matcher import CrossCameraMatcher
-
-
-def _chunk_rounds(engine, records) -> list[RoundPlan]:
-    """The assessing policies' round schedule (same chunking as
-    ``subset``: one assessment period per re-calibration interval)."""
-    per_round = engine.gt_frames_per_round
-    per_assessment = engine.gt_frames_per_assessment
-    return [
-        RoundPlan(
-            records=records[start : start + per_round],
-            assess_count=per_assessment,
-        )
-        for start in range(0, len(records), per_round)
-    ]
 
 
 @register_policy
@@ -90,7 +76,7 @@ class CellPolicy(CoordinationPolicy):
             now_fn=now_fn,
         )
         engine.attach_fleet(runtime)
-        return _chunk_rounds(engine, records)
+        return assessed_rounds(engine, records)
 
     def select(self, engine, assessment, budget_overrides, meter=None):
         return engine._fleet.select_round(
@@ -125,7 +111,7 @@ class PeerPolicy(CoordinationPolicy):
     enable_downgrade = False
 
     def plan_rounds(self, engine, records, budget, assignment):
-        return _chunk_rounds(engine, records)
+        return assessed_rounds(engine, records)
 
     def select(self, engine, assessment, budget_overrides, meter=None):
         controller = engine.controller

@@ -53,6 +53,22 @@ class RoundPlan:
     skip_cameras: tuple[str, ...] = ()
 
 
+def assessed_rounds(
+    engine: "DeploymentEngine", records: list["FrameRecord"]
+) -> list[RoundPlan]:
+    """The assessing policies' round schedule: one assessment period
+    at the start of every re-calibration interval."""
+    per_round = engine.gt_frames_per_round
+    per_assessment = engine.gt_frames_per_assessment
+    return [
+        RoundPlan(
+            records=records[start : start + per_round],
+            assess_count=per_assessment,
+        )
+        for start in range(0, len(records), per_round)
+    ]
+
+
 class CoordinationPolicy(ABC):
     """Strategy for scheduling assessment and choosing assignments."""
 
@@ -253,15 +269,7 @@ class SubsetPolicy(CoordinationPolicy):
     enable_downgrade = False
 
     def plan_rounds(self, engine, records, budget, assignment):
-        per_round = engine.gt_frames_per_round
-        per_assessment = engine.gt_frames_per_assessment
-        return [
-            RoundPlan(
-                records=records[start : start + per_round],
-                assess_count=per_assessment,
-            )
-            for start in range(0, len(records), per_round)
-        ]
+        return assessed_rounds(engine, records)
 
     def select(self, engine, assessment, budget_overrides, meter=None):
         return engine.controller.select(

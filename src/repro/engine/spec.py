@@ -1,7 +1,7 @@
 """Declarative deployment specs: one object describes one run.
 
-A :class:`DeploymentSpec` is the single construction path the harness,
-the CLI and the chaos experiment share, in either execution
+A :class:`DeploymentSpec` is the single construction path the
+experiments, the CLI and the chaos experiment share, in either execution
 environment: the in-process frame feed (``network=False``) or the
 fault-injected discrete-event network (``network=True``).  It names
 the dataset, the coordination policy, the run parameters and — on the
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from repro.checkpoint.hooks import CheckpointConfig, RunCheckpointer
+from repro.checkpoint.hooks import RunCheckpointer
 from repro.core.config import EECSConfig
 from repro.datasets.synthetic import DATASET_SPECS
 from repro.engine.context import shared_context
@@ -65,7 +65,10 @@ class DeploymentSpec:
     construction in the one where it means nothing: the fault fields
     need ``network=True``; ``policy`` other than ``"full"``,
     ``assignment``, ``fleet_cameras``, ``cells`` and the predictive
-    tunables need ``network=False``.
+    tunables need ``network=False``.  Checkpointing is not part of
+    the description: pass a
+    :class:`~repro.checkpoint.hooks.RunCheckpointer` to
+    :meth:`execute`.
 
     Attributes:
         dataset_number: Which synthetic dataset to deploy on.
@@ -94,12 +97,6 @@ class DeploymentSpec:
             only because ``perfbench/workloads.py`` passes
             ``executor="serial"``, and goes once perfbench may be
             edited (like the ``ChaosSpec`` shim).
-        checkpoint_dir: Directory for crash-safe run checkpoints
-            (``None`` disables checkpointing).
-        checkpoint_every: Snapshot cadence in completed rounds (frame
-            ticks on the network).
-        resume: Restore from ``checkpoint_dir``'s snapshot instead of
-            starting fresh (no snapshot on disk = fresh start).
         resilience: Graceful-degradation layer configuration; ``None``
             (or ``enabled=False``) keeps the layer off.  On the ideal
             feed the layer is provably inert — results are identical
@@ -146,9 +143,6 @@ class DeploymentSpec:
     seed: int = 2017
     train_seed: int | None = None
     executor: str | None = None
-    checkpoint_dir: str | None = None
-    checkpoint_every: int = 1
-    resume: bool = False
     resilience: ResilienceConfig | None = None
     fleet_cameras: int | None = None
     cells: int | tuple[tuple[str, ...], ...] | None = None
@@ -183,12 +177,6 @@ class DeploymentSpec:
                 f"unknown executor {self.executor!r}: 'serial' is the "
                 "only backend"
             )
-        if self.checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
-            )
-        if self.resume and self.checkpoint_dir is None:
-            raise ValueError("resume requires checkpoint_dir")
         if self.resilience is not None and not isinstance(
             self.resilience, ResilienceConfig
         ):
@@ -336,9 +324,10 @@ class DeploymentSpec:
         ``ValueError`` rather than silently running the engine's seed
         or dropping the telemetry.  The network draws nothing from the
         engine's seed, and records into ``telemetry`` (default: the
-        engine's).  ``checkpointer`` overrides the spec's own
-        checkpoint fields — the hook tests and the CLI use it to
-        attach a ``crash_after`` crash-injection config.
+        engine's).  ``checkpointer`` makes the run crash-safe: it
+        snapshots every ``K`` completed rounds (frame ticks on the
+        network) and, configured to resume, restores its snapshot
+        first (see :class:`~repro.checkpoint.hooks.RunCheckpointer`).
         """
         if engine is None:
             engine = self.build_engine(
@@ -355,14 +344,6 @@ class DeploymentSpec:
                     "the ideal feed records into the engine's telemetry; "
                     "build the engine with this telemetry instead"
                 )
-        if checkpointer is None and self.checkpoint_dir is not None:
-            checkpointer = RunCheckpointer(
-                CheckpointConfig(
-                    directory=self.checkpoint_dir,
-                    every=self.checkpoint_every,
-                    resume=self.resume,
-                )
-            )
         if self.network:
             return FaultInjectedEnvironment(
                 self, telemetry=telemetry, checkpointer=checkpointer

@@ -13,9 +13,13 @@ Each module produces the same rows/series the paper reports:
 * :mod:`repro.experiments.fig5` — EECS vs all-best under high/low
   budgets on dataset #1 (Figs. 5a/5b).
 * :mod:`repro.experiments.fig6` — the same on dataset #2 (Fig. 6).
+
+The deployment drivers build their engines with
+``DeploymentSpec(dataset_number=n).build_engine()``, which trains each
+dataset once per process (:func:`~repro.engine.context.shared_context`)
+and hands out a fresh engine per call.
 """
 
-from repro.experiments.harness import get_engine
 from repro.experiments.tables import format_table
 
-__all__ = ["get_engine", "format_table"]
+__all__ = ["format_table"]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine.core import DeploymentEngine, RunResult
-from repro.experiments.harness import get_engine
+from repro.engine.spec import DeploymentSpec
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,9 @@ def tradeoff_curve(
     combinations: dict[str, dict[str, str]] | None = None,
 ) -> list[TradeoffPoint]:
     """Run every configuration over the test segment."""
-    engine = engine or get_engine(dataset_number)
+    engine = engine or DeploymentSpec(
+        dataset_number=dataset_number
+    ).build_engine()
     if combinations is None:
         combinations = standard_combinations(engine.dataset.camera_ids)
     points = []

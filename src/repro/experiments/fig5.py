@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine.core import DeploymentEngine, RunResult
-from repro.experiments.harness import get_engine
+from repro.engine.spec import DeploymentSpec
 
 #: Per-frame budgets matching the paper's two regimes (dataset #1:
 #: HOG costs 1.08 J/frame, C4 4.92, LSVM 3.31, ACF 0.07).
@@ -50,7 +50,9 @@ def run_modes(
     engine: DeploymentEngine | None = None,
 ) -> dict[str, ModeResult]:
     """Run the three Fig. 5 modes under one budget."""
-    engine = engine or get_engine(dataset_number)
+    engine = engine or DeploymentSpec(
+        dataset_number=dataset_number
+    ).build_engine()
     out = {}
     for mode in MODES:
         result: RunResult = engine.run(mode, budget=budget)

@@ -35,7 +35,8 @@ import numpy as np
 
 from repro.core.controller import CAMERA_QUARANTINED, EECSController
 from repro.core.selection import AssessmentData
-from repro.detection.base import Detection, Detector
+from repro.detection.base import Detection
+from repro.detection.detectors import SimulatedDetector
 from repro.energy.battery import Battery
 from repro.energy.model import ProcessingEnergyModel
 from repro.faults.events import FaultLog
@@ -75,7 +76,7 @@ class CameraSensorNode(Node):
         node_id: str,
         controller_id: str,
         observations: list[FrameObservation],
-        detectors: dict[str, Detector],
+        detectors: dict[str, SimulatedDetector],
         thresholds: dict[str, float],
         energy_model: ProcessingEnergyModel,
         battery: Battery | None = None,

@@ -25,12 +25,7 @@ from repro.checkpoint import (
     RunCheckpointer,
     SimulatedCrash,
 )
-from repro.checkpoint.codec import (
-    decision_from_dict,
-    decision_to_dict,
-    restore_rng_state,
-    rng_state_to_dict,
-)
+from repro.checkpoint.codec import decision_from_dict, decision_to_dict
 from repro.core.accuracy import DesiredAccuracy, GlobalAccuracy
 from repro.core.controller import SelectionDecision
 from repro.ioutils import atomic_write_json
@@ -47,6 +42,11 @@ from tests.golden_utils import (
 
 def normalize(fingerprint):
     return json.loads(json.dumps(fingerprint))
+
+
+def resume_from(directory):
+    """A checkpointer that resumes from ``directory``'s snapshot."""
+    return RunCheckpointer(CheckpointConfig(directory=directory, resume=True))
 
 
 # ----------------------------------------------------------------------
@@ -189,33 +189,6 @@ class TestAtomicWrites:
 # ----------------------------------------------------------------------
 # Codec round-trips (property-based)
 # ----------------------------------------------------------------------
-class TestRngStateRoundTrip:
-    @given(seed=st.integers(0, 2**63 - 1), warmup=st.integers(0, 7))
-    @settings(max_examples=50, deadline=None)
-    def test_generator_resumes_bit_identically(self, seed, warmup):
-        original = np.random.default_rng(seed)
-        original.random(warmup)
-        # Through the same JSON round-trip the checkpoint file takes.
-        payload = json.loads(json.dumps(rng_state_to_dict(original)))
-        restored = np.random.default_rng(0)
-        restore_rng_state(restored, payload)
-        assert restored.random(16).tolist() == original.random(16).tolist()
-        assert (
-            restored.integers(0, 2**31, 8).tolist()
-            == original.integers(0, 2**31, 8).tolist()
-        )
-
-    def test_mt19937_state_with_ndarray_survives(self):
-        """Bit generators whose state holds arrays (MT19937's key)
-        need the ``__ndarray__`` encoding."""
-        original = np.random.Generator(np.random.MT19937(42))
-        original.random(3)
-        payload = json.loads(json.dumps(rng_state_to_dict(original)))
-        restored = np.random.Generator(np.random.MT19937(0))
-        restore_rng_state(restored, payload)
-        assert restored.random(8).tolist() == original.random(8).tolist()
-
-
 finite = st.floats(allow_nan=False, allow_infinity=False)
 #: GlobalAccuracy/DesiredAccuracy validate their fields: object counts
 #: are non-negative, probabilities live in [0, 1].
@@ -522,11 +495,43 @@ class TestMultiRoundResume:
                 ),
             )
         assert info.value.position == 1
-        resumed = DeploymentSpec(
-            **spec_kwargs,
-            checkpoint_dir=str(tmp_path),
-            resume=True,
-        ).execute(config=config)
+        resumed = DeploymentSpec(**spec_kwargs).execute(
+            config=config, checkpointer=resume_from(tmp_path)
+        )
+        assert normalize(run_result_fingerprint(resumed)) == reference
+
+    def test_checkpoint_with_run_generator_state_resumes(
+        self, config, spec_kwargs, reference, tmp_path
+    ):
+        """Engines that kept a run generator wrote its bit-generator
+        state under ``"rng"``, right after ``"clock"``, in the same
+        ``repro.checkpoint.v2`` document.  Such a checkpoint still
+        resumes bit-identically: no run reads that key."""
+        from repro.engine.spec import DeploymentSpec
+
+        with pytest.raises(SimulatedCrash):
+            DeploymentSpec(**spec_kwargs).execute(
+                config=config,
+                checkpointer=RunCheckpointer(
+                    CheckpointConfig(directory=tmp_path, crash_after=1)
+                ),
+            )
+        store = CheckpointStore(tmp_path)
+        document = json.loads(store.path.read_text())
+        assert document["schema"] == "repro.checkpoint.v2"
+        assert "rng" not in document["state"]
+        with_rng = {}
+        for key, value in document["state"].items():
+            with_rng[key] = value
+            if key == "clock":
+                with_rng["rng"] = np.random.default_rng(
+                    spec_kwargs["seed"]
+                ).bit_generator.state
+        document["state"] = with_rng
+        store.path.write_text(json.dumps(document, separators=(",", ":")))
+        resumed = DeploymentSpec(**spec_kwargs).execute(
+            config=config, checkpointer=resume_from(tmp_path)
+        )
         assert normalize(run_result_fingerprint(resumed)) == reference
 
 
@@ -548,11 +553,9 @@ class TestChaosKillAndResume:
                     )
                 ),
             )
-        resumed = network_spec(
-            **GOLDEN_CHAOS_CONFIGS[name],
-            checkpoint_dir=str(tmp_path),
-            resume=True,
-        ).execute(engine=fresh_runner)
+        resumed = network_spec(**GOLDEN_CHAOS_CONFIGS[name]).execute(
+            engine=fresh_runner, checkpointer=resume_from(tmp_path)
+        )
         assert normalize(chaos_result_fingerprint(resumed)) == (
             chaos_goldens[name]
         ), f"resumed chaos run {name!r} drifted from the golden"
@@ -582,11 +585,7 @@ class TestChaosKillAndResume:
         ) + digest[1:]
         store.path.write_text(json.dumps(document))
         with pytest.raises(CheckpointError, match="diverges"):
-            network_spec(
-                **GOLDEN_CHAOS_CONFIGS["faulty"],
-                checkpoint_dir=str(tmp_path),
-                resume=True,
-            ).execute(engine=fresh_runner)
+            resume_faulty_chaos(fresh_runner, tmp_path)
 
 
 def crash_chaos(runner, directory, crash_after, **overrides):
@@ -604,11 +603,9 @@ def crash_chaos(runner, directory, crash_after, **overrides):
 
 
 def resume_faulty_chaos(runner, directory):
-    return network_spec(
-        **GOLDEN_CHAOS_CONFIGS["faulty"],
-        checkpoint_dir=str(directory),
-        resume=True,
-    ).execute(engine=runner)
+    return network_spec(**GOLDEN_CHAOS_CONFIGS["faulty"]).execute(
+        engine=runner, checkpointer=resume_from(directory)
+    )
 
 
 class TestChaosCheckpointV2:

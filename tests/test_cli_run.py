@@ -94,6 +94,24 @@ class TestCliCheckpoint:
             main(self.BASE + ["--resume"])
 
 
+class TestCliSpecErrors:
+    def test_wake_threshold_without_predictive_mode(self):
+        """A predictive tunable under another policy exits with the
+        spec's own message, before any training."""
+        from repro.engine.spec import DeploymentSpec
+
+        with pytest.raises(ValueError) as refused:
+            DeploymentSpec(
+                dataset_number=1, policy="full", wake_threshold=1.0
+            )
+        with pytest.raises(SystemExit) as info:
+            main([
+                "run", "--dataset", "1", "--mode", "full",
+                "--wake-threshold", "1",
+            ])
+        assert info.value.code == f"error: {refused.value}"
+
+
 class TestCliPerfReport:
     def test_perf_report_prints_phase_spans(self, capsys, tmp_path):
         """`--perf-report` folds the run's spans by name and leaves
@@ -112,5 +130,5 @@ class TestCliPerfReport:
         names = {line.split()[-1] for line in out.splitlines() if line}
         for phase in ("detection", "reid_grouping", "assessment", "selection"):
             assert phase in names, phase
-        assert "calibration cache:" in out
+        assert "calibration cache" not in out
         assert plain.read_bytes() == reported.read_bytes()

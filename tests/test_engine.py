@@ -354,8 +354,12 @@ class TestEngineSeams:
             ),
         )
         assert_interleaved()
-        network_spec(4, checkpoint_dir=str(tmp_path / "chaos")).execute(
-            engine=runner1, telemetry=Telemetry(run_id="order")
+        network_spec(4).execute(
+            engine=runner1,
+            telemetry=Telemetry(run_id="order"),
+            checkpointer=RunCheckpointer(
+                CheckpointConfig(directory=tmp_path / "chaos")
+            ),
         )
         assert_interleaved()
 

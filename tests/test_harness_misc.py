@@ -1,17 +1,20 @@
-"""Tests for the experiment harness and assorted edge behaviour."""
+"""Tests for how experiments build engines, and assorted edge
+behaviour."""
+
+import importlib
 
 import pytest
 
 from repro.core.config import EECSConfig
 from repro.engine import DeploymentSpec
-from repro.experiments.harness import get_engine
 
 
 class TestHarness:
     def test_context_shared_engines_fresh(self):
         """Training artefacts are cached; per-run mutable state is not."""
-        a = get_engine(1)
-        b = get_engine(1)
+        spec = DeploymentSpec(dataset_number=1)
+        a = spec.build_engine()
+        b = spec.build_engine()
         # Fresh engine per call: no leaked controller or battery state
         # between experiments...
         assert a is not b
@@ -22,22 +25,25 @@ class TestHarness:
         assert a.matcher is b.matcher
 
     def test_custom_config_gets_own_context(self):
-        custom = get_engine(1, config=EECSConfig(gamma_n=0.7))
-        default = get_engine(1)
+        spec = DeploymentSpec(dataset_number=1)
+        custom = spec.build_engine(config=EECSConfig(gamma_n=0.7))
+        default = spec.build_engine()
         assert custom.config.gamma_n == 0.7
         assert custom.context is not default.context
         # Repeated custom-config calls share a context too (the old
         # runner cache rebuilt — retrained — on every such call).
-        again = get_engine(1, config=EECSConfig(gamma_n=0.7))
+        again = spec.build_engine(config=EECSConfig(gamma_n=0.7))
         assert again.context is custom.context
 
     def test_reset_runners_is_gone(self):
-        """The deprecated facade shim was removed outright."""
+        """The deprecated facade shim, and the harness module that
+        held it, were removed outright."""
         import repro.experiments as experiments
-        import repro.experiments.harness as harness
 
-        assert not hasattr(harness, "reset_runners")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.experiments.harness")
         assert "reset_runners" not in experiments.__all__
+        assert "get_engine" not in experiments.__all__
 
     def test_run_spec_validates_policy_name(self):
         with pytest.raises(ValueError, match="valid policies are"):

@@ -236,7 +236,7 @@ class TestCheckerCatchesViolations:
 
     def test_plain_import_detected(self, tmp_path):
         bad = SRC / "repro" / "engine" / "_contract_canary.py"
-        bad.write_text("import repro.experiments.harness\n")
+        bad.write_text("import repro.experiments.fig4\n")
         try:
             assert violations("repro.engine", ("repro.experiments",))
         finally:
@@ -244,7 +244,7 @@ class TestCheckerCatchesViolations:
 
     def test_from_import_detected(self, tmp_path):
         bad = SRC / "repro" / "engine" / "_contract_canary.py"
-        bad.write_text("from repro.experiments import harness\n")
+        bad.write_text("from repro.experiments import fig4\n")
         try:
             assert violations("repro.engine", ("repro.experiments",))
         finally:
@@ -253,10 +253,10 @@ class TestCheckerCatchesViolations:
     def test_relative_import_resolved(self):
         """Relative imports resolve to absolute names before matching."""
         bad = SRC / "repro" / "experiments" / "_contract_canary.py"
-        bad.write_text("from . import harness\n")
+        bad.write_text("from . import fig4\n")
         try:
             resolved = imported_modules(bad)
-            assert "repro.experiments.harness" in resolved
+            assert "repro.experiments.fig4" in resolved
         finally:
             bad.unlink()
 

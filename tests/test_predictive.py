@@ -354,9 +354,12 @@ class TestCheckpointResume:
                     CheckpointConfig(directory=tmp_path, crash_after=2)
                 ),
             )
-        resumed = DeploymentSpec(
-            **self.SPEC, checkpoint_dir=str(tmp_path), resume=True,
-        ).execute(config=CONFIG)
+        resumed = DeploymentSpec(**self.SPEC).execute(
+            config=CONFIG,
+            checkpointer=RunCheckpointer(
+                CheckpointConfig(directory=tmp_path, resume=True)
+            ),
+        )
         assert run_result_to_dict(resumed) == run_result_to_dict(
             reference
         )
@@ -373,9 +376,12 @@ class TestCheckpointResume:
             )
         retuned = dict(self.SPEC, wake_threshold=1.0)
         with pytest.raises(CheckpointError, match="different run"):
-            DeploymentSpec(
-                **retuned, checkpoint_dir=str(tmp_path), resume=True,
-            ).execute(config=CONFIG)
+            DeploymentSpec(**retuned).execute(
+                config=CONFIG,
+                checkpointer=RunCheckpointer(
+                    CheckpointConfig(directory=tmp_path, resume=True)
+                ),
+            )
 
     def test_policy_snapshot_survives_json(self):
         policy = PredictivePolicy(PredictiveConfig())

@@ -18,7 +18,6 @@ guarantees the tentpole promises:
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -724,9 +723,12 @@ class TestQuarantineKillAndResume:
             quarantined_at
         )
 
-        resumed = replace(
-            spec, checkpoint_dir=str(tmp_path), resume=True
-        ).execute(engine=runner1)
+        resumed = spec.execute(
+            engine=runner1,
+            checkpointer=RunCheckpointer(
+                CheckpointConfig(directory=tmp_path, resume=True)
+            ),
+        )
         assert normalize(chaos_result_fingerprint(resumed)) == normalize(
             chaos_result_fingerprint(reference)
         )
