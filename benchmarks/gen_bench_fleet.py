@@ -1,7 +1,7 @@
 """Regenerate ``BENCH_fleet.json`` (see EXPERIMENTS.md).
 
-Times flat ``subset`` vs sharded ``cell`` vs decentralized ``peer``
-on tiled fleets of 50 / 200 / 1000 cameras.  The window shrinks as
+Times flat ``subset`` vs sharded ``cell`` on tiled fleets of
+50 / 200 / 1000 cameras.  The window shrinks as
 the fleet grows.  Flat greedy selection regroups incrementally, so its
 cost per camera-round stays flat as the fleet grows.
 
@@ -63,22 +63,14 @@ def main() -> None:
         cell_s, cell = best_of(
             repeats, context, "cell", cells=cells, start=START, end=end
         )
-        peer_s, peer = best_of(
-            repeats, context, "peer", start=START, end=end
-        )
 
         results[f"{num_cameras}_cameras"] = {
             "window": {"start": START, "end": end, "rounds": rounds},
             "subset": entry(flat_s, flat, flat_repeats, rounds),
             "cell": entry(cell_s, cell, repeats, rounds, cells=cells),
-            "peer": entry(peer_s, peer, repeats, rounds),
             "cell_speedup_vs_subset": round(flat_s / cell_s, 2),
-            "peer_speedup_vs_subset": round(flat_s / peer_s, 2),
             "cell_detection_retention_vs_subset": round(
                 cell.humans_detected / flat.humans_detected, 4
-            ),
-            "peer_detection_retention_vs_subset": round(
-                peer.humans_detected / flat.humans_detected, 4
             ),
         }
 
@@ -89,9 +81,8 @@ def main() -> None:
                     "Fleet-scale coordination throughput: flat 'subset' "
                     "(one controller ranks the whole fleet) vs sharded "
                     "'cell' (per-cell controllers under a budget "
-                    "coordinator) vs decentralized 'peer' (ring "
-                    "negotiation, no controller) on tiled fleets built "
-                    "from dataset #1's 4-camera scene.  One round = one "
+                    "coordinator) on tiled fleets built from dataset "
+                    "#1's 4-camera scene.  One round = one "
                     "assessed ground-truth frame (every 25 frames); the "
                     "window shrinks with fleet size.  Best-of-N wall "
                     "clock.  Flat greedy selection regroups only what "

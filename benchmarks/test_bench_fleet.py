@@ -2,7 +2,7 @@
 
 Flat ``subset`` selection ranks the entire fleet in one controller;
 the ``cell`` policy shards that work across per-cell controllers under
-the budget coordinator; ``peer`` removes the controller entirely.
+the budget coordinator.
 Incremental greedy regrouping made flat selection linear in the
 cameras it chooses, so sharding no longer buys wall time: at 200
 cameras cell and flat now take about the same time (measured
@@ -134,24 +134,6 @@ def test_cell_throughput_floor_50_cameras(fleet50):
         FLEET_RPS_FLOOR,
         f"50-camera cell rounds/sec (window {START}..1100, "
         "FLEET_RPS_FLOOR)",
-    )
-
-
-def test_peer_tracks_cell_throughput_at_50_cameras(fleet50):
-    """The decentralized policy must stay within the same order of
-    magnitude as the cell hierarchy — negotiation is rounds of cheap
-    claim messages, not a second selection pass."""
-
-    def cell() -> float:
-        return _run_once(fleet50, "cell", 1100, cells=5)[0]
-
-    def peer() -> float:
-        return _run_once(fleet50, "peer", 1100)[0]
-
-    best_cell, best_peer = interleaved_best(3, cell, peer)
-    assert best_peer <= 5.0 * best_cell, (
-        f"peer negotiation {best_peer:.3f}s is more than 5x the cell "
-        f"hierarchy's {best_cell:.3f}s at 50 cameras"
     )
 
 

@@ -20,9 +20,7 @@ from repro.datasets import make_dataset
 from repro.domain_adaptation import VideoComparator
 from repro.experiments.table2_3_4 import algorithm_table
 from repro.experiments.tables import format_table
-from repro.vision.bow import BagOfWords
-from repro.vision.features import FrameFeatureExtractor
-from repro.vision.keypoints import extract_descriptors
+from repro.vision.features import FrameFeatureExtractor, build_vocabulary
 
 WINDOW = 12  # frames per clip (the paper uses 100)
 
@@ -39,15 +37,16 @@ def main() -> None:
         ds.cache_frames = False
 
     print("Building the 400-word visual vocabulary ...")
-    descriptors = []
-    for ds in datasets.values():
-        for camera_id in ds.camera_ids[:2]:
-            for image in sample_images(ds, camera_id, 0, 1000, 6):
-                d = extract_descriptors(image)
-                if len(d):
-                    descriptors.append(d)
-    bow = BagOfWords(vocabulary_size=400, rng=np.random.default_rng(0))
-    bow.fit(np.vstack(descriptors))
+    bow = build_vocabulary(
+        (
+            image
+            for ds in datasets.values()
+            for camera_id in ds.camera_ids[:2]
+            for image in sample_images(ds, camera_id, 0, 1000, 6)
+        ),
+        vocabulary_size=400,
+        rng=np.random.default_rng(0),
+    )
     extractor = FrameFeatureExtractor(bow)
 
     print("Registering training clips (frames 0-1000) ...")

@@ -931,7 +931,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("trace", help="span JSONL dump (repro.span.v1)")
     p.add_argument(
-        "--limit", type=int, default=30, help="span paths to show"
+        "--limit",
+        type=int,
+        default=30,
+        help="span paths and slowest rounds' critical paths to show "
+        "(truncation is announced as '(+N more paths)' and "
+        "'(+N more rounds)')",
     )
     p.add_argument(
         "--folded",

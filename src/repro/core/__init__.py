@@ -25,11 +25,7 @@ from repro.core.calibration import (
 )
 from repro.core.config import EECSConfig
 from repro.core.controller import CameraState, EECSController, SelectionDecision
-from repro.core.ranking import (
-    best_affordable,
-    efficiency_candidates,
-    rank_algorithms,
-)
+from repro.core.ranking import best_affordable, efficiency_candidates
 from repro.core.selection import AssessmentData, SelectionEngine
 
 __all__ = [
@@ -47,7 +43,6 @@ __all__ = [
     "SelectionDecision",
     "best_affordable",
     "efficiency_candidates",
-    "rank_algorithms",
     "AssessmentData",
     "SelectionEngine",
 ]

@@ -218,10 +218,6 @@ class TrainingLibrary:
         """A named item's PCA basis, memoised in the library cache."""
         return self.get(name).subspace(dim, cache=self.cache)
 
-    def cache_stats(self) -> dict[str, int | float]:
-        """Hit/miss counters of the shared calibration cache."""
-        return self.cache.stats()
-
     def __len__(self) -> int:
         return len(self._items)
 

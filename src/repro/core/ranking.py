@@ -3,18 +3,13 @@
 Once an incoming feed is matched to its closest training item, the
 item's offline profiles transfer: the ranked algorithm list, the
 f_score-maximising thresholds and the probability calibrators are all
-taken from the matched item.  This module provides the ranking and
-budget-filtered selection helpers the controller uses.
+taken from the matched item.  This module provides the budget-filtered
+selection helpers the controller uses.
 """
 
 from __future__ import annotations
 
 from repro.core.calibration import AlgorithmProfile, TrainingItem
-
-
-def rank_algorithms(item: TrainingItem) -> list[AlgorithmProfile]:
-    """Profiles of a training item sorted by decreasing f_score."""
-    return item.ranked()
 
 
 def affordable_profiles(

@@ -9,8 +9,7 @@ a mean manifold distance, and finally a similarity in ``[0, 1]``.
 """
 
 from repro.domain_adaptation.gfk import geodesic_flow_kernel
-from repro.domain_adaptation.manifold import principal_angles, subspace_distance
-from repro.domain_adaptation.pca import PCA, pca_basis
+from repro.domain_adaptation.pca import PCA
 from repro.domain_adaptation.similarity import (
     VideoComparator,
     kernel_distance_matrix,
@@ -20,10 +19,7 @@ from repro.domain_adaptation.similarity import (
 
 __all__ = [
     "geodesic_flow_kernel",
-    "principal_angles",
-    "subspace_distance",
     "PCA",
-    "pca_basis",
     "VideoComparator",
     "kernel_distance_matrix",
     "mean_manifold_distance",

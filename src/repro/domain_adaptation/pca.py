@@ -49,21 +49,6 @@ class PCA:
     def fit_transform(self, data: np.ndarray) -> np.ndarray:
         return self.fit(data).transform(data)
 
-    @property
-    def basis(self) -> np.ndarray:
-        """Orthonormal ``(d, k)`` subspace basis (components transposed)."""
-        if self.components_ is None:
-            raise RuntimeError("PCA.basis accessed before fit")
-        return self.components_.T
-
-
-def pca_basis(data: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal ``(d, dim)`` PCA basis of ``(n, d)`` data.
-
-    The returned basis may have fewer than ``dim`` columns when the
-    data has lower rank (fewer samples than requested dimensions).
-    """
-    return PCA(dim).fit(data).basis
 
 
 def uncentered_basis(

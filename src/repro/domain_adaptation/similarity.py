@@ -198,10 +198,6 @@ class VideoComparator:
             for name, stored in self._library.items()
         }
 
-    def cache_stats(self) -> dict[str, int | float]:
-        """Hit/miss counters of the calibration memo cache."""
-        return self.cache.stats()
-
     def best_match(self, features: np.ndarray) -> tuple[str, float]:
         """Name and similarity of the closest training item."""
         sims = self.similarities(features)

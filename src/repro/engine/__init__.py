@@ -28,19 +28,9 @@ CI): this package never imports from ``repro.experiments`` or
 """
 
 from repro.engine.clock import SimulationClock
-from repro.engine.context import (
-    DeploymentContext,
-    clear_shared_contexts,
-    shared_context,
-)
+from repro.engine.context import DeploymentContext, shared_context
 from repro.engine.core import DeploymentEngine, RunResult
-from repro.engine.fleet import (
-    CellPolicy,
-    FullCellPolicy,
-    PeerPolicy,
-    clear_fleet_contexts,
-    fleet_context,
-)
+from repro.engine.fleet import CellPolicy, FullCellPolicy, fleet_context
 from repro.engine.environment import FaultInjectedEnvironment, NetworkOutcome
 from repro.engine.executor import SerialDetectionExecutor
 from repro.engine.predictive import PredictivePolicy
@@ -69,7 +59,6 @@ __all__ = [
     "FixedAssignmentPolicy",
     "FullCellPolicy",
     "FullEECSPolicy",
-    "PeerPolicy",
     "PredictivePolicy",
     "NetworkOutcome",
     "RoundPlan",
@@ -78,8 +67,6 @@ __all__ = [
     "SimulationClock",
     "SubsetPolicy",
     "available_policies",
-    "clear_fleet_contexts",
-    "clear_shared_contexts",
     "fleet_context",
     "register_policy",
     "resolve_policy",

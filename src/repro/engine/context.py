@@ -185,8 +185,3 @@ def shared_context(
             rng=np.random.default_rng(train_seed),
         )
     return _CONTEXTS[key]
-
-
-def clear_shared_contexts() -> None:
-    """Testing hook: drop every cached context."""
-    _CONTEXTS.clear()

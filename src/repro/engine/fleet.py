@@ -1,20 +1,16 @@
 """Fleet-scale policies and the fleet deployment context.
 
-Two coordination strategies for fleets the flat protocol does not
-scale to, both registered as ordinary
-:class:`~repro.engine.policy.CoordinationPolicy` entries (the engine
-loop never branches on either):
-
-* ``cell`` — the fleet is sharded into cells, each running the
-  existing greedy selection under a local controller, beneath a
-  top-level :class:`~repro.fleet.coordinator.BudgetCoordinator` that
-  re-allocates per-cell budget scales every re-calibration interval.
-  With one cell the hierarchy collapses to flat ``subset`` bit for
-  bit, which is why the policy aliases ``subset``'s entropy stream.
-* ``peer`` — no controller at all: cameras negotiate activation
-  among themselves over the network layer
-  (:func:`~repro.fleet.peer.negotiate_activation`), and the decision
-  is assembled from the surviving claims.
+The ``cell`` coordination strategy serves fleets the flat protocol
+does not scale to, registered as an ordinary
+:class:`~repro.engine.policy.CoordinationPolicy` entry (the engine
+loop never branches on it): the fleet is sharded into cells, each
+running the existing greedy selection under a local controller,
+beneath a top-level
+:class:`~repro.fleet.coordinator.BudgetCoordinator` that re-allocates
+per-cell budget scales every re-calibration interval.  With one cell
+the hierarchy collapses to flat ``subset`` bit for bit, which is why
+the policy aliases ``subset``'s entropy stream; ``cell_full`` adds
+the downgrade step inside each cell.
 
 :func:`fleet_context` is the fleet analogue of
 :func:`~repro.engine.context.shared_context`: it tiles the trained
@@ -24,9 +20,7 @@ loop never branches on either):
 
 from __future__ import annotations
 
-from repro.core.accuracy import DesiredAccuracy
 from repro.core.config import EECSConfig
-from repro.core.controller import CAMERA_QUARANTINED, SelectionDecision
 from repro.engine.context import DeploymentContext, shared_context
 from repro.engine.policy import (
     CoordinationPolicy,
@@ -34,7 +28,6 @@ from repro.engine.policy import (
     register_policy,
 )
 from repro.fleet.cells import normalize_cells
-from repro.fleet.peer import negotiate_activation
 from repro.fleet.runtime import FleetRuntime
 from repro.fleet.world import TiledFleetDataset, tile_training_library
 from repro.reid.matcher import CrossCameraMatcher
@@ -94,113 +87,6 @@ class FullCellPolicy(CellPolicy):
     enable_downgrade = True
 
 
-@register_policy
-class PeerPolicy(CoordinationPolicy):
-    """Decentralised activation: cameras negotiate, nobody decides.
-
-    Each serviceable camera derives its own utility (its standalone
-    accuracy proxy on the assessment) and the fleet settles which
-    cameras stay active by peer negotiation over the network layer —
-    radio Joules land in the run's meter.  The decision mirrors the
-    centralised shape (baseline, gamma-scaled desired floor, achieved
-    accuracy of the surviving set) so downstream accounting and
-    checkpoint codecs apply unchanged.
-    """
-
-    name = "peer"
-    enable_downgrade = False
-
-    def plan_rounds(self, engine, records, budget, assignment):
-        return assessed_rounds(engine, records)
-
-    def select(self, engine, assessment, budget_overrides, meter=None):
-        controller = engine.controller
-        overrides = budget_overrides or {}
-        plans: dict[str, str] = {}
-        for camera_id in controller.camera_ids:
-            state = controller.camera(camera_id)
-            if not state.alive or state.mode == CAMERA_QUARANTINED:
-                continue
-            plan = controller.camera_plan(camera_id, overrides.get(camera_id))
-            if plan is None:
-                continue
-            available = set(assessment.algorithms_for(camera_id))
-            algorithm = plan.best_algorithm
-            if algorithm not in available:
-                candidates = [
-                    p
-                    for p in plan.item.profiles.values()
-                    if p.algorithm in available
-                    and p.energy_per_frame + plan.communication_cost
-                    <= plan.budget
-                ]
-                if not candidates:
-                    continue
-                algorithm = max(
-                    candidates, key=lambda p: p.f_score
-                ).algorithm
-            plans[camera_id] = algorithm
-        if not plans:
-            raise RuntimeError(
-                "no camera has an affordable algorithm within budget"
-            )
-
-        selection = controller.engine
-        utilities = {
-            camera_id: selection.individual_accuracy(
-                assessment, camera_id, algorithm
-            )
-            for camera_id, algorithm in plans.items()
-        }
-        outcome = negotiate_activation(
-            list(plans), utilities, telemetry=engine.telemetry
-        )
-        if meter is not None:
-            for camera_id, joules in outcome.energy_by_camera.items():
-                meter.record_communication(camera_id, joules)
-
-        assignment = {
-            camera_id: algorithm
-            for camera_id, algorithm in plans.items()
-            if outcome.active[camera_id]
-        }
-        baseline = selection.global_accuracy(assessment, plans)
-        achieved = selection.global_accuracy(assessment, assignment)
-        desired = DesiredAccuracy.from_baseline(
-            baseline, engine.config.gamma_n, engine.config.gamma_p
-        )
-        ranked = sorted(
-            plans,
-            key=lambda camera_id: (utilities[camera_id], camera_id),
-            reverse=True,
-        )
-        if engine.telemetry is not None:
-            registry = engine.telemetry.registry
-            registry.counter(
-                "peer_negotiation_claims_total",
-                "Peer activation claims transmitted.",
-            ).inc(outcome.claims_sent)
-            registry.counter(
-                "peer_negotiation_rounds_total",
-                "Peer negotiation rounds run.",
-            ).inc(outcome.rounds)
-            registry.counter(
-                "peer_negotiation_joules_total",
-                "Radio Joules spent on peer negotiation.",
-            ).inc(sum(outcome.energy_by_camera.values()))
-            registry.gauge(
-                "peer_active_cameras",
-                "Cameras left active by the latest negotiation.",
-            ).set(len(assignment))
-        return SelectionDecision(
-            assignment=assignment,
-            baseline=baseline,
-            desired=desired,
-            achieved=achieved,
-            ranked_camera_ids=ranked,
-        )
-
-
 # ----------------------------------------------------------------------
 # Fleet deployment contexts
 # ----------------------------------------------------------------------
@@ -251,8 +137,3 @@ def fleet_context(
             energy_model=base.energy_model,
         )
     return _FLEET_CONTEXTS[key]
-
-
-def clear_fleet_contexts() -> None:
-    """Testing hook: drop every cached fleet context."""
-    _FLEET_CONTEXTS.clear()

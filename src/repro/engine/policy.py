@@ -169,9 +169,8 @@ class CoordinationPolicy(ABC):
         """Turn assessment metadata into the round's assignment.
 
         ``meter`` is the run's energy meter: policies whose selection
-        itself costs radio energy (cell-coordinator messaging, peer
-        negotiation) charge it here; the paper's centralised policies
-        ignore it.
+        itself costs radio energy (cell-coordinator messaging) charge it
+        here; the paper's centralised policies ignore it.
         """
         raise NotImplementedError(
             f"policy {self.name!r} does not assess"

@@ -17,9 +17,7 @@ import numpy as np
 
 from repro.datasets.synthetic import SyntheticDataset, make_dataset
 from repro.domain_adaptation.similarity import VideoComparator
-from repro.vision.bow import BagOfWords
-from repro.vision.features import FrameFeatureExtractor
-from repro.vision.keypoints import extract_descriptors
+from repro.vision.features import FrameFeatureExtractor, build_vocabulary
 
 
 @dataclass
@@ -98,17 +96,17 @@ def similarity_matrix(
         ds.cache_frames = False
 
     # Vocabulary from the 12 training feeds, as in Section V-A.
-    vocab_descriptors = []
-    for number, ds in loaded.items():
-        for camera_id in ds.camera_ids:
+    bow = build_vocabulary(
+        (
+            image
+            for ds in loaded.values()
+            for camera_id in ds.camera_ids
             for image in _sample_frames(
                 ds, camera_id, 0, ds.spec.train_end, max(4, window_frames // 3)
-            ):
-                descs = extract_descriptors(image)
-                if len(descs):
-                    vocab_descriptors.append(descs)
-    bow = BagOfWords(vocabulary_size=vocabulary_size, rng=rng).fit(
-        np.vstack(vocab_descriptors)
+            )
+        ),
+        vocabulary_size=vocabulary_size,
+        rng=rng,
     )
     extractor = FrameFeatureExtractor(bow)
 

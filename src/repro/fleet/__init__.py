@@ -1,18 +1,17 @@
-"""Fleet-scale coordination mechanisms: cells, coordinator, peers.
+"""Fleet-scale coordination mechanisms: cells and their coordinator.
 
 This package holds everything *below* the engine that fleet-scale
 coordination needs — sharded cell layouts, the hierarchical budget
-coordinator, the per-run fleet runtime, the decentralised peer
-negotiation protocol, and the tiled synthetic fleet worlds.  The
-``cell`` and ``peer`` :class:`~repro.engine.policy.CoordinationPolicy`
-classes that expose these mechanisms live in :mod:`repro.engine.fleet`
-(policies are engine-layer objects); this package never imports the
-engine — the layer contract in ``tests/test_layer_contract.py``
-enforces the direction.
+coordinator, the per-run fleet runtime and the tiled synthetic fleet
+worlds.  The ``cell`` and ``cell_full``
+:class:`~repro.engine.policy.CoordinationPolicy` classes that expose
+these mechanisms live in :mod:`repro.engine.fleet` (policies are
+engine-layer objects); this package never imports the engine — the
+layer contract in ``tests/test_layer_contract.py`` enforces the
+direction.
 """
 
 from repro.fleet.cells import (
-    DEFAULT_CELL_SIZE,
     CellLayout,
     normalize_cells,
     partition_cameras,
@@ -22,19 +21,11 @@ from repro.fleet.coordinator import (
     BudgetCoordinator,
     CellReading,
 )
-from repro.fleet.peer import (
-    MAX_NEGOTIATION_ROUNDS,
-    NegotiationOutcome,
-    PeerCameraNode,
-    negotiate_activation,
-    ring_neighbors,
-)
 from repro.fleet.runtime import COORDINATOR_NODE_ID, FleetRuntime
 from repro.fleet.world import (
     PERSON_ID_STRIDE,
     TILE_PITCH_M,
     TiledFleetDataset,
-    make_fleet_dataset,
     tile_training_library,
     tiled_camera_id,
 )
@@ -44,19 +35,12 @@ __all__ = [
     "CellLayout",
     "CellReading",
     "COORDINATOR_NODE_ID",
-    "DEFAULT_CELL_SIZE",
     "FleetRuntime",
-    "MAX_NEGOTIATION_ROUNDS",
-    "NegotiationOutcome",
     "PERSON_ID_STRIDE",
-    "PeerCameraNode",
     "TILE_PITCH_M",
     "TiledFleetDataset",
-    "make_fleet_dataset",
-    "negotiate_activation",
     "normalize_cells",
     "partition_cameras",
-    "ring_neighbors",
     "tile_training_library",
     "tiled_camera_id",
     "validate_cells_value",

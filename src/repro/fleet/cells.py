@@ -12,9 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Camera ids per cell when a layout is derived from a bare count.
-DEFAULT_CELL_SIZE = 4
-
 
 def validate_cells_value(
     cells: "int | tuple[tuple[str, ...], ...]",

@@ -213,10 +213,3 @@ def tile_training_library(
             )
         )
     return library
-
-
-def make_fleet_dataset(
-    num_cameras: int, base: SyntheticDataset
-) -> TiledFleetDataset:
-    """A fleet world of ``num_cameras`` cameras tiled from ``base``."""
-    return TiledFleetDataset(base, num_cameras)

@@ -1,26 +1,17 @@
 """Multi-view geometry substrate.
 
-Provides the pinhole-camera model, planar homography estimation (direct
-linear transform with Hartley normalisation) and RANSAC robust fitting.
-These are the geometric tools EECS uses to project detections between
-overlapping camera views (Section IV-C of the paper).
+Provides the pinhole-camera model and planar homographies.  Each
+camera's image-to-ground homography comes from its calibration; EECS
+uses them to project detections between overlapping camera views
+(Section IV-C of the paper).
 """
 
 from repro.geometry.camera import CameraIntrinsics, CameraPose, PinholeCamera
-from repro.geometry.homography import (
-    Homography,
-    estimate_homography,
-    homography_between_cameras,
-)
-from repro.geometry.ransac import RansacResult, ransac_homography
+from repro.geometry.homography import Homography
 
 __all__ = [
     "CameraIntrinsics",
     "CameraPose",
     "PinholeCamera",
     "Homography",
-    "estimate_homography",
-    "homography_between_cameras",
-    "RansacResult",
-    "ransac_homography",
 ]

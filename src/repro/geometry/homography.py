@@ -1,11 +1,10 @@
-"""Planar homography estimation and application.
+"""Planar homography application.
 
-EECS builds homographies between the "ground planes" of pairs of
-cameras offline, from landmark correspondences, and uses them online to
-re-identify the same object across views (Section IV-C).  This module
-implements the normalised direct linear transform (DLT) used to fit the
-3x3 mapping and a small :class:`Homography` wrapper with composition
-and inversion.
+EECS maps each camera's image plane to the shared ground plane and uses
+those homographies online to re-identify the same object across views
+(Section IV-C).  The homographies come from camera calibration, as the
+paper's datasets ship them; this module applies them and wraps them in
+a small :class:`Homography` with composition and inversion.
 """
 
 from __future__ import annotations
@@ -14,72 +13,7 @@ import numpy as np
 
 
 class HomographyError(ValueError):
-    """Raised when a homography cannot be estimated from the input."""
-
-
-def _normalise_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hartley normalisation: zero mean, average distance sqrt(2)."""
-    centroid = points.mean(axis=0)
-    shifted = points - centroid
-    mean_dist = np.mean(np.linalg.norm(shifted, axis=1))
-    if mean_dist < 1e-12:
-        raise HomographyError("degenerate point set: all points coincide")
-    scale = np.sqrt(2.0) / mean_dist
-    T = np.array(
-        [
-            [scale, 0.0, -scale * centroid[0]],
-            [0.0, scale, -scale * centroid[1]],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    normed = shifted * scale
-    return normed, T
-
-
-def estimate_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Fit ``H`` such that ``dst ~ H @ src`` from >= 4 correspondences.
-
-    Uses the normalised DLT: build the 2n x 9 design matrix and take the
-    right singular vector of the smallest singular value.
-
-    Args:
-        src: ``(n, 2)`` source points.
-        dst: ``(n, 2)`` destination points.
-
-    Returns:
-        3x3 homography normalised so ``H[2, 2] == 1``.
-
-    Raises:
-        HomographyError: on fewer than 4 points or degenerate input.
-    """
-    src = np.asarray(src, dtype=float)
-    dst = np.asarray(dst, dtype=float)
-    if src.shape != dst.shape or src.ndim != 2 or src.shape[1] != 2:
-        raise HomographyError(
-            f"expected matching (n, 2) arrays, got {src.shape} and {dst.shape}"
-        )
-    n = src.shape[0]
-    if n < 4:
-        raise HomographyError(f"need at least 4 correspondences, got {n}")
-
-    src_n, T_src = _normalise_points(src)
-    dst_n, T_dst = _normalise_points(dst)
-
-    A = np.zeros((2 * n, 9))
-    for i in range(n):
-        x, y = src_n[i]
-        u, v = dst_n[i]
-        A[2 * i] = [-x, -y, -1, 0, 0, 0, u * x, u * y, u]
-        A[2 * i + 1] = [0, 0, 0, -x, -y, -1, v * x, v * y, v]
-
-    _, s, vt = np.linalg.svd(A)
-    if s[-2] < 1e-12:
-        raise HomographyError("degenerate configuration (collinear points?)")
-    H_n = vt[-1].reshape(3, 3)
-    H = np.linalg.inv(T_dst) @ H_n @ T_src
-    if abs(H[2, 2]) < 1e-12:
-        raise HomographyError("estimated homography is singular at infinity")
-    return H / H[2, 2]
+    """Raised when a matrix is not a usable 3x3 homography."""
 
 
 def apply_homography(H: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -109,10 +43,6 @@ class Homography:
     def identity(cls) -> "Homography":
         return cls(np.eye(3))
 
-    @classmethod
-    def from_points(cls, src: np.ndarray, dst: np.ndarray) -> "Homography":
-        return cls(estimate_homography(src, dst))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         return apply_homography(self.matrix, points)
 
@@ -123,22 +53,5 @@ class Homography:
         """Return the mapping that applies ``other`` first, then ``self``."""
         return Homography(self.matrix @ other.matrix)
 
-    def transfer_error(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Per-point Euclidean error of ``apply(src)`` against ``dst``."""
-        mapped = self.apply(src)
-        return np.linalg.norm(np.atleast_2d(mapped) - np.atleast_2d(dst), axis=1)
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Homography(det={np.linalg.det(self.matrix):.3g})"
-
-
-def homography_between_cameras(cam_a, cam_b) -> Homography:
-    """Ground-plane homography mapping pixels of ``cam_a`` to ``cam_b``.
-
-    Composes ``cam_a``'s image->ground mapping with ``cam_b``'s
-    ground->image mapping, mirroring how the paper chains the per-camera
-    ground homographies shipped with the datasets.
-    """
-    H_a = cam_a.ground_homography()  # ground -> image_a
-    H_b = cam_b.ground_homography()  # ground -> image_b
-    return Homography(H_b @ np.linalg.inv(H_a))

@@ -176,19 +176,3 @@ class BudgetGrant(Message):
     @property
     def size_bytes(self) -> int:
         return 64 + 8 + 8
-
-
-@dataclass
-class PeerClaim(Message):
-    """Camera -> neighbouring camera: one decentralised negotiation
-    step of the ``peer`` policy (N-queens-style conflict resolution:
-    a claim advertises the sender's utility and intended activation,
-    and neighbours back off from locally dominated claims)."""
-
-    negotiation_round: int = 0
-    utility: float = 0.0
-    active: bool = True
-
-    @property
-    def size_bytes(self) -> int:
-        return 64 + 4 + 8 + 1

@@ -213,7 +213,11 @@ def render_table(entries: list[ProfileEntry], limit: int = 30) -> list[str]:
 def render_profile(
     records: list[dict], limit: int = 30, folded: bool = False
 ) -> str:
-    """The ``obs profile`` report for one loaded trace."""
+    """The ``obs profile`` report for one loaded trace.
+
+    ``limit`` bounds both lists: the span paths with the most self
+    time, and the slowest rounds' critical paths.
+    """
     entries = fold_spans(records)
     if folded:
         return render_folded(entries)
@@ -227,6 +231,9 @@ def render_profile(
     if rounds:
         lines.append("")
         lines.append("Critical path per round:")
-        for critical in rounds:
+        slowest = sorted(rounds, key=lambda c: c.duration_s, reverse=True)
+        for critical in slowest[:limit]:
             lines.append("  " + critical.describe())
+        if len(rounds) > limit:
+            lines.append(f"(+{len(rounds) - limit} more rounds)")
     return "\n".join(lines) + "\n"

@@ -11,13 +11,12 @@ features under a Mahalanobis distance, and finally fuse the matched
 detections' probabilities with Eq. (6).
 """
 
-from repro.reid.fusion import ObjectGroup, fuse_probabilities
+from repro.reid.fusion import ObjectGroup
 from repro.reid.mahalanobis import MahalanobisMetric
 from repro.reid.matcher import CrossCameraMatcher
 
 __all__ = [
     "ObjectGroup",
-    "fuse_probabilities",
     "MahalanobisMetric",
     "CrossCameraMatcher",
 ]

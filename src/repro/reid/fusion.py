@@ -15,23 +15,6 @@ import numpy as np
 from repro.detection.base import Detection
 
 
-def fuse_probabilities(probabilities: list[float]) -> float:
-    """Eq. (6): combined true-positive probability of one object.
-
-    Args:
-        probabilities: Per-camera detection probabilities in [0, 1].
-
-    Returns:
-        ``1 - prod(1 - p)``; 0.0 for an empty list.
-    """
-    if not probabilities:
-        return 0.0
-    probs = np.asarray(probabilities, dtype=float)
-    if np.any((probs < 0) | (probs > 1)):
-        raise ValueError(f"probabilities must lie in [0, 1]: {probabilities}")
-    return float(1.0 - np.prod(1.0 - probs))
-
-
 @dataclass
 class ObjectGroup:
     """Detections from multiple cameras re-identified as one object."""
@@ -50,9 +33,8 @@ class ObjectGroup:
         clamped score as a fallback."""
         if not self.detections:
             return 0.0
-        # Inline Eq. (6): the clamped probabilities cannot fail
-        # fuse_probabilities' range check, and a sequential product
-        # over Python floats computes np.prod's result bit for bit.
+        # Eq. (6) as a sequential product over Python floats, which
+        # computes np.prod's result bit for bit.
         remainder = 1.0
         for det in self.detections:
             p = det.probability

@@ -104,8 +104,8 @@ class CrossCameraMatcher:
         """
         Args:
             image_to_ground: Per-camera homography mapping image pixels
-                to world ground-plane coordinates (built offline from
-                landmarks; see :mod:`repro.geometry.ransac`).
+                to world ground-plane coordinates (from camera
+                calibration).
             ground_radius: Gating distance (metres) on the ground plane.
             color_metric: Fitted Mahalanobis metric over colour
                 features; required when ``use_color`` is True.

@@ -18,8 +18,7 @@ The observability substrate of the reproduction.  One
 On top of the snapshot-at-exit dumps, the *live* layer streams the
 same state during a run: per-round flush records
 (``repro.stream.v1``) to pluggable sinks
-(:class:`~repro.telemetry.live.JsonlStreamSink`,
-:class:`~repro.telemetry.live.SubscriberSink`), threshold alert rules
+(:class:`~repro.telemetry.live.JsonlStreamSink`), threshold alert rules
 (:class:`~repro.telemetry.alerts.AlertEngine`) whose transitions land
 in the event log, and an HTTP ``/metrics`` + ``/status`` endpoint
 (:class:`~repro.telemetry.exporter.MetricsExporter`).  The package
@@ -43,7 +42,6 @@ from repro.telemetry.events import EventLog, TelemetryEvent, fault_log_sink
 from repro.telemetry.live import (
     STREAM_SCHEMA,
     JsonlStreamSink,
-    SubscriberSink,
     TelemetrySink,
     check_stream_contiguous,
     read_stream_records,
@@ -73,7 +71,6 @@ __all__ = [
     "SCORE_BUCKETS",
     "STREAM_SCHEMA",
     "Span",
-    "SubscriberSink",
     "Telemetry",
     "TelemetryEvent",
     "TelemetrySink",

@@ -9,22 +9,17 @@ cumulative metrics snapshot, the events emitted since the previous
 flush, and any alert transitions — and hands it to every attached
 :class:`TelemetrySink`.
 
-Two sinks cover the deployment shapes the roadmap needs:
-
-* :class:`JsonlStreamSink` appends one record per flush to a JSONL
-  file.  Each append is a single ``os.write`` of one complete line on
-  an ``O_APPEND`` descriptor — all-or-nothing with respect to process
-  death, so a SIGTERM/SIGKILL mid-run never tears a line.  ``fsync``
-  lands at rotation boundaries and on close (per-record fsync would
-  dominate the flush budget); only an OS crash or power loss can tear
-  the final line, and :meth:`JsonlStreamSink.on_resume` repairs
-  exactly that case.  Rotation goes through ``os.replace`` (the same
-  atomic primitive as :func:`repro.ioutils.atomic_write_text`), so a
-  crash during rotation leaves either the old layout or the new one,
-  never a torn file.
-* :class:`SubscriberSink` delivers records to an in-process callback
-  — the hook the planned ``serve`` daemon and the RF wake-up policy
-  (which must learn from streamed per-camera telemetry) consume.
+:class:`JsonlStreamSink` appends one record per flush to a JSONL file.
+Each append is a single ``os.write`` of one complete line on an
+``O_APPEND`` descriptor — all-or-nothing with respect to process
+death, so a SIGTERM/SIGKILL mid-run never tears a line. ``fsync``
+lands at rotation boundaries and on close (per-record fsync would
+dominate the flush budget); only an OS crash or power loss can tear
+the final line, and :meth:`JsonlStreamSink.on_resume` repairs exactly
+that case. Rotation goes through ``os.replace`` (the same atomic
+primitive as :func:`repro.ioutils.atomic_write_text`), so a crash
+during rotation leaves either the old layout or the new one, never a
+torn file.
 
 Checkpoint/resume stitching: a resumed run replays no completed
 round, but the killed process may have flushed rounds *past* the
@@ -40,7 +35,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.ioutils import atomic_write_text
 
@@ -80,37 +75,6 @@ class TelemetrySink:
 
     def close(self) -> None:
         """Release any resources; further emits are undefined."""
-
-
-class SubscriberSink(TelemetrySink):
-    """In-process delivery to a callback, with an optional ring buffer.
-
-    ``keep_last`` bounds the retained records so a subscriber that
-    only polls (the exporter's ``/status`` page, a test) can read the
-    tail without the sink growing with the run.
-    """
-
-    def __init__(
-        self,
-        callback: Callable[[dict], None] | None = None,
-        keep_last: int = 16,
-    ) -> None:
-        self.callback = callback
-        self.keep_last = keep_last
-        self.records: list[dict] = []
-        self.emitted = 0
-
-    def emit(self, record: dict) -> None:
-        self.emitted += 1
-        self.records.append(record)
-        if len(self.records) > self.keep_last:
-            del self.records[: len(self.records) - self.keep_last]
-        if self.callback is not None:
-            self.callback(record)
-
-    @property
-    def last(self) -> dict | None:
-        return self.records[-1] if self.records else None
 
 
 def _rotated_parts(path: Path) -> list[Path]:

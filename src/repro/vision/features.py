@@ -10,6 +10,7 @@ for the domain-adaptation similarity computation.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -46,17 +47,18 @@ class FrameFeatureExtractor:
 
 
 def build_vocabulary(
-    training_frames: list[np.ndarray],
+    training_frames: Iterable[np.ndarray],
     vocabulary_size: int = 400,
     rng: np.random.Generator | None = None,
 ) -> BagOfWords:
     """Fit the shared visual vocabulary from training frames.
 
-    Frames that yield no keypoint descriptors are skipped with a
-    warning naming the frame index; if *every* frame comes back empty
-    the vocabulary (and the PCA pipeline downstream) cannot be built,
-    so that case raises immediately instead of failing later with an
-    opaque shape error.
+    ``training_frames`` is read once, in order, so it may be a
+    generator that renders each frame as it is needed.  Frames that
+    yield no keypoint descriptors are skipped with a warning naming the
+    frame index; if *every* frame comes back empty the vocabulary (and
+    the PCA pipeline downstream) cannot be built, so that case raises
+    immediately instead of failing later with an opaque shape error.
     """
     stacks = [extract_descriptors(frame) for frame in training_frames]
     kept = []
@@ -77,10 +79,3 @@ def build_vocabulary(
         )
     bow = BagOfWords(vocabulary_size=vocabulary_size, rng=rng)
     return bow.fit(np.vstack(kept))
-
-
-def video_features(
-    frames: list[np.ndarray], bow: BagOfWords
-) -> np.ndarray:
-    """Convenience wrapper: per-frame combined features of a clip."""
-    return FrameFeatureExtractor(bow).extract_video(frames)

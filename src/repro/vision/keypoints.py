@@ -80,41 +80,12 @@ def detect_keypoints(
     return points[:max_keypoints]
 
 
-def describe_keypoint(
-    gx: np.ndarray, gy: np.ndarray, keypoint: Keypoint
-) -> np.ndarray:
-    """SURF-style 64-dim descriptor from precomputed gradients."""
-    half = _GRID * _SUBREGION // 2
-    cy, cx = int(keypoint.y), int(keypoint.x)
-    patch_gx = gx[cy - half : cy + half, cx - half : cx + half]
-    patch_gy = gy[cy - half : cy + half, cx - half : cx + half]
-    desc = np.zeros((_GRID, _GRID, 4))
-    for sy in range(_GRID):
-        for sx in range(_GRID):
-            rows = slice(sy * _SUBREGION, (sy + 1) * _SUBREGION)
-            cols = slice(sx * _SUBREGION, (sx + 1) * _SUBREGION)
-            dx = patch_gx[rows, cols]
-            dy = patch_gy[rows, cols]
-            desc[sy, sx] = [
-                dx.sum(),
-                np.abs(dx).sum(),
-                dy.sum(),
-                np.abs(dy).sum(),
-            ]
-    vec = desc.ravel()
-    norm = np.linalg.norm(vec)
-    if norm > 1e-12:
-        vec = vec / norm
-    return vec
-
-
 def _sum9_pairwise(blocks: np.ndarray) -> np.ndarray:
     """Numpy's unrolled pairwise sum over the last axis (9 elements).
 
-    Matches ``.sum()`` over a 3x3 sub-region in
-    :func:`describe_keypoint` — both the strided gradient slice and
-    the contiguous ``np.abs`` temporary reduce through numpy's
-    8-accumulator base case:
+    Matches ``.sum()`` over a 3x3 sub-region of one keypoint's patch —
+    both the strided gradient slice and the contiguous ``np.abs``
+    temporary reduce through numpy's 8-accumulator base case:
     ``(((a0+a1)+(a2+a3)) + ((a4+a5)+(a6+a7))) + a8``.
     """
     b = blocks
@@ -127,12 +98,13 @@ def _sum9_pairwise(blocks: np.ndarray) -> np.ndarray:
 def describe_keypoints(
     gx: np.ndarray, gy: np.ndarray, keypoints: list[Keypoint]
 ) -> np.ndarray:
-    """Vectorised :func:`describe_keypoint` over many keypoints.
+    """SURF-style 64-dim descriptors from precomputed gradients.
 
     Gathers every keypoint's patch with one sliding-window view and
     computes all sub-region sums as elementwise passes, replicating
-    the scalar path's reduction orders exactly — each row is
-    bit-identical to ``describe_keypoint(gx, gy, kp)``.
+    the reduction orders of a per-keypoint loop exactly — each row is
+    bit-identical to the scalar oracle in
+    ``tests/test_batched_equivalence.py``.
     """
     if not keypoints:
         return np.zeros((0, DESCRIPTOR_DIM))

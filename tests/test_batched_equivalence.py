@@ -2,11 +2,11 @@
 
 Each optimised path in the detection pipeline keeps its original
 one-at-a-time implementation as a pinned reference
-(``detect_reference``, ``describe_keypoint``, ``group_reference``, and
-here the per-detection ``BoundingBox.iou`` greedy matcher); these tests
-assert the fast paths reproduce the references — bitwise where the
-refactor preserves the arithmetic, structurally where only the gating
-norm differs by design.
+(``detect_reference``, ``group_reference``, and here the one-keypoint
+descriptor and the per-detection ``BoundingBox.iou`` greedy matcher);
+these tests assert the fast paths reproduce the references — bitwise
+where the refactor preserves the arithmetic, structurally where only
+the gating norm differs by design.
 """
 
 from __future__ import annotations
@@ -266,14 +266,38 @@ def test_iou_exactly_at_threshold_matches():
     ]
 
 
+def describe_keypoint(gx, gy, keypoint, grid=4, subregion=3):
+    """The one-keypoint SURF-style descriptor: a 4x4 grid of 3x3-pixel
+    sub-regions, each summarised by (sum dx, sum |dx|, sum dy,
+    sum |dy|), then L2-normalised."""
+    half = grid * subregion // 2
+    cy, cx = int(keypoint.y), int(keypoint.x)
+    patch_gx = gx[cy - half : cy + half, cx - half : cx + half]
+    patch_gy = gy[cy - half : cy + half, cx - half : cx + half]
+    desc = np.zeros((grid, grid, 4))
+    for sy in range(grid):
+        for sx in range(grid):
+            rows = slice(sy * subregion, (sy + 1) * subregion)
+            cols = slice(sx * subregion, (sx + 1) * subregion)
+            dx = patch_gx[rows, cols]
+            dy = patch_gy[rows, cols]
+            desc[sy, sx] = [
+                dx.sum(),
+                np.abs(dx).sum(),
+                dy.sum(),
+                np.abs(dy).sum(),
+            ]
+    vec = desc.ravel()
+    norm = np.linalg.norm(vec)
+    if norm > 1e-12:
+        vec = vec / norm
+    return vec
+
+
 class TestDescriptorEquivalence:
     def test_describe_keypoints_matches_scalar(self, rng):
         from repro.vision.image import image_gradients
-        from repro.vision.keypoints import (
-            describe_keypoint,
-            describe_keypoints,
-            detect_keypoints,
-        )
+        from repro.vision.keypoints import describe_keypoints, detect_keypoints
 
         for _ in range(5):
             image = rng.random((96, 128))

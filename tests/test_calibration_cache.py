@@ -79,7 +79,7 @@ class TestBasisCache:
         )
         library.subspace("T-a", 5)
         library.subspace("T-a", 5)
-        stats = library.cache_stats()
+        stats = library.cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
 
 
@@ -143,5 +143,5 @@ class TestComparatorCaching:
     def test_cache_stats_exposed(self, rng):
         comparator, incoming = self._comparator(rng)
         comparator.similarities(incoming)
-        stats = comparator.cache_stats()
+        stats = comparator.cache.stats()
         assert stats["misses"] > 0

@@ -7,7 +7,6 @@ from repro.core.ranking import (
     affordable_profiles,
     best_affordable,
     efficiency_candidates,
-    rank_algorithms,
 )
 from tests.test_core_calibration import make_profile
 
@@ -24,12 +23,6 @@ def item():
             "LSVM": make_profile("LSVM", f=0.89, energy=3.31),
         },
     )
-
-
-class TestRankAlgorithms:
-    def test_ordering(self, item):
-        ranked = rank_algorithms(item)
-        assert [p.algorithm for p in ranked] == ["LSVM", "HOG", "C4", "ACF"]
 
 
 class TestAffordable:

@@ -113,8 +113,8 @@ class TestExecutors:
 class TestPolicyRegistry:
     def test_all_registered(self):
         assert available_policies() == (
-            "all_best", "cell", "cell_full", "fixed", "full", "peer",
-            "predictive", "subset",
+            "all_best", "cell", "cell_full", "fixed", "full", "predictive",
+            "subset",
         )
 
     def test_unknown_name_lists_valid_policies(self):

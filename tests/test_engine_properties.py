@@ -87,9 +87,7 @@ def test_run_invariants(runner1, policy, budget, end, draw_bits):
 
     # Assessing policies record one decision per re-calibration round;
     # static policies record none.
-    if policy in (
-        "subset", "full", "cell", "cell_full", "peer", "predictive"
-    ):
+    if policy in ("subset", "full", "cell", "cell_full", "predictive"):
         assert result.decisions
     else:
         assert result.decisions == []

@@ -1,4 +1,4 @@
-"""Fleet-scale coordination: cells, coordinator, peers, tiled worlds.
+"""Fleet-scale coordination: cells, coordinator, tiled worlds.
 
 The tentpole guarantees pinned here:
 
@@ -7,8 +7,6 @@ The tentpole guarantees pinned here:
 * multi-cell runs are deterministic, conserve the budget envelope, and
   kill-and-resume byte-identically with per-cell controller state in
   the checkpoint;
-* the ``peer`` policy needs no controller and its negotiation settles
-  to a maximal independent set over the ring;
 * tiled fleet worlds namespace identities and never fuse across tiles;
 * a cell that loses its leader re-elects deterministically over the
   survivors (the resilience ladder's transitions reach cell
@@ -27,7 +25,6 @@ from repro.core.controller import CAMERA_ACTIVE, CAMERA_QUARANTINED
 from repro.engine import (
     CellPolicy,
     DeploymentEngine,
-    PeerPolicy,
     SubsetPolicy,
     available_policies,
     fleet_context,
@@ -46,7 +43,6 @@ from repro.fleet.coordinator import (
     BudgetCoordinator,
     CellReading,
 )
-from repro.fleet.peer import negotiate_activation, ring_neighbors
 from repro.fleet.runtime import FleetRuntime
 from repro.fleet.world import (
     PERSON_ID_STRIDE,
@@ -238,72 +234,6 @@ class TestBudgetCoordinator:
 
 
 # ----------------------------------------------------------------------
-# Peer negotiation
-# ----------------------------------------------------------------------
-class TestPeerNegotiation:
-    def test_ring_shapes(self):
-        assert ring_neighbors(["a"]) == {"a": []}
-        assert ring_neighbors(["a", "b"]) == {"a": ["b"], "b": ["a"]}
-        ring = ring_neighbors(["a", "b", "c", "d"])
-        assert ring["a"] == ["d", "b"]
-        assert ring["c"] == ["b", "d"]
-
-    def test_single_camera_short_circuits(self):
-        outcome = negotiate_activation(["solo"], {"solo": 3.0})
-        assert outcome.active == {"solo": True}
-        assert outcome.energy_by_camera == {"solo": 0.0}
-        assert outcome.rounds == 0
-
-    def fixed_point(self, camera_ids, utilities):
-        outcome = negotiate_activation(camera_ids, utilities)
-        ring = ring_neighbors(camera_ids)
-        key = lambda c: (utilities[c], c)  # noqa: E731
-        for camera_id in camera_ids:
-            neighbor_keys = [
-                key(n) for n in ring[camera_id] if outcome.active[n]
-            ]
-            if outcome.active[camera_id]:
-                # Active: no active neighbour dominates it.
-                assert all(k < key(camera_id) for k in neighbor_keys)
-            else:
-                # Standby: some active neighbour covers its area.
-                assert any(k > key(camera_id) for k in neighbor_keys)
-        return outcome
-
-    def test_fixed_point_is_maximal_independent_set(self):
-        cams = [f"cam{i}" for i in range(8)]
-        utilities = {c: float((7 * i) % 5) + i * 0.01
-                     for i, c in enumerate(cams)}
-        outcome = self.fixed_point(cams, utilities)
-        best = max(cams, key=lambda c: (utilities[c], c))
-        assert outcome.active[best]
-        assert outcome.claims_sent > 0
-        assert all(e > 0 for e in outcome.energy_by_camera.values())
-
-    def test_equal_utilities_break_ties_by_id(self):
-        cams = ["camA", "camB", "camC", "camD"]
-        outcome = self.fixed_point(cams, {c: 1.0 for c in cams})
-        # Ids order the ring deterministically: D beats its neighbours
-        # A and C; B survives because both its neighbours backed off.
-        assert outcome.active == {
-            "camA": False, "camB": True, "camC": False, "camD": True,
-        }
-
-    def test_negotiation_is_deterministic(self):
-        cams = [f"cam{i}" for i in range(6)]
-        utilities = {c: float(i % 3) for i, c in enumerate(cams)}
-        first = negotiate_activation(cams, utilities)
-        second = negotiate_activation(cams, utilities)
-        assert first.active == second.active
-        assert first.energy_by_camera == second.energy_by_camera
-        assert first.claims_sent == second.claims_sent
-
-    def test_empty_fleet_raises(self):
-        with pytest.raises(ValueError, match="empty fleet"):
-            negotiate_activation([], {})
-
-
-# ----------------------------------------------------------------------
 # Tiled fleet worlds
 # ----------------------------------------------------------------------
 class TestTiledFleetWorld:
@@ -389,13 +319,15 @@ class TestTiledFleetWorld:
 class TestCellPolicy:
     def test_registered_like_any_policy(self):
         names = available_policies()
-        assert "cell" in names and "peer" in names and "cell_full" in names
+        assert "cell" in names and "cell_full" in names
         assert isinstance(resolve_policy("cell"), CellPolicy)
-        assert isinstance(resolve_policy("peer"), PeerPolicy)
 
     def test_entropy_aliases_subset(self):
         assert CellPolicy().entropy_token() == SubsetPolicy().entropy_token()
-        assert PeerPolicy().entropy_token() != SubsetPolicy().entropy_token()
+        assert (
+            resolve_policy("fixed").entropy_token()
+            != SubsetPolicy().entropy_token()
+        )
 
     def test_one_cell_bit_identical_to_flat_subset(self, ctx1):
         """The tentpole guarantee: at one cell the hierarchy IS the
@@ -583,54 +515,6 @@ class TestLeaderElection:
         assert engine.controller.camera(leader).mode == CAMERA_QUARANTINED
         runtime.ensure_leaders()
         assert runtime.leaders["cell000"] == layout.cells[0][1]
-
-
-# ----------------------------------------------------------------------
-# The peer policy
-# ----------------------------------------------------------------------
-class TestPeerPolicy:
-    def test_peer_smoke_four_cameras(self, ctx1):
-        result = run_engine(ctx1, "peer")
-        assert result.mode == "peer"
-        assert result.humans_present > 0
-        assert result.humans_detected > 0
-        for decision in result.decisions:
-            assert decision.assignment
-            assert decision.ranked_camera_ids
-
-    def test_peer_negotiation_charges_meter(self, ctx1):
-        """Claim messages cost Joules and land in the energy meter —
-        the counters and the RunResult must both see them."""
-        from repro.telemetry import Telemetry
-
-        telemetry = Telemetry(run_id="peer-test")
-        engine = DeploymentEngine(ctx1, seed=2017, telemetry=telemetry)
-        result = engine.run("peer", budget=2.0, **WINDOW)
-        assert result.communication_joules > 0
-        snapshot = telemetry.registry.snapshot()
-        values = {
-            entry["name"]: sum(s["value"] for s in entry["series"])
-            for entry in snapshot["metrics"]
-            if entry["type"] != "histogram"
-        }
-        assert values.get("peer_negotiation_claims_total", 0) > 0
-        assert values.get("peer_negotiation_rounds_total", 0) > 0
-        assert values.get("peer_negotiation_joules_total", 0) > 0
-
-    def test_peer_deterministic(self, fleet8):
-        first = run_engine(fleet8, "peer")
-        second = run_engine(fleet8, "peer")
-        assert run_result_fingerprint(first) == run_result_fingerprint(
-            second
-        )
-
-    def test_peer_standby_cameras_exist_at_scale(self, fleet8):
-        """On an 8-camera ring with real utilities the negotiation
-        must actually shed cameras — otherwise it degenerates to
-        all-best."""
-        result = run_engine(fleet8, "peer")
-        for decision in result.decisions:
-            assert 0 < decision.num_active < 8
 
 
 # ----------------------------------------------------------------------

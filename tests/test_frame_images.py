@@ -29,7 +29,7 @@ import pytest
 from repro.datasets.synthetic import make_dataset
 from repro.engine.context import shared_context
 from repro.engine.spec import DeploymentSpec
-from repro.fleet.world import make_fleet_dataset, tiled_camera_id
+from repro.fleet.world import TiledFleetDataset, tiled_camera_id
 from repro.world.renderer import Renderer
 
 GOLDEN = Path(__file__).parent / "goldens" / "frame_images.json"
@@ -136,7 +136,7 @@ def test_unread_images_do_not_shift_later_ones(golden, number):
 def test_tiled_fleet_shares_base_images(golden):
     """A fleet replaying backwards, read newest first."""
     base = make_dataset(1)
-    fleet = make_fleet_dataset(6, base)
+    fleet = TiledFleetDataset(base, 6)
     late = fleet.frames(1000, 1050, only_ground_truth=True)
     early = fleet.frames(0, 50, only_ground_truth=True)
     for record in reversed(late + early):

@@ -1,4 +1,4 @@
-"""Tests for homography estimation and RANSAC fitting."""
+"""Tests for planar homographies."""
 
 import math
 
@@ -6,57 +6,13 @@ import numpy as np
 import pytest
 
 from repro.geometry.camera import CameraIntrinsics, CameraPose, PinholeCamera
-from repro.geometry.homography import (
-    Homography,
-    HomographyError,
-    apply_homography,
-    estimate_homography,
-    homography_between_cameras,
-)
-from repro.geometry.ransac import ransac_homography
+from repro.geometry.homography import Homography, HomographyError
 
 
 def random_homography(rng) -> np.ndarray:
     h = np.eye(3) + 0.1 * rng.normal(size=(3, 3))
     h[2, 2] = 1.0
     return h
-
-
-class TestEstimateHomography:
-    def test_recovers_identity(self, rng):
-        pts = rng.uniform(0, 100, size=(8, 2))
-        h = estimate_homography(pts, pts)
-        np.testing.assert_allclose(h, np.eye(3), atol=1e-8)
-
-    def test_recovers_known_mapping(self, rng):
-        true_h = random_homography(rng)
-        src = rng.uniform(0, 100, size=(10, 2))
-        dst = apply_homography(true_h, src)
-        est = estimate_homography(src, dst)
-        np.testing.assert_allclose(est, true_h / true_h[2, 2], atol=1e-6)
-
-    def test_exact_with_four_points(self, rng):
-        true_h = random_homography(rng)
-        src = np.array([[0, 0], [100, 0], [100, 100], [0, 100]], dtype=float)
-        dst = apply_homography(true_h, src)
-        est = estimate_homography(src, dst)
-        np.testing.assert_allclose(
-            apply_homography(est, src), dst, atol=1e-6
-        )
-
-    def test_rejects_too_few_points(self):
-        pts = np.zeros((3, 2))
-        with pytest.raises(HomographyError):
-            estimate_homography(pts, pts)
-
-    def test_rejects_mismatched_shapes(self):
-        with pytest.raises(HomographyError):
-            estimate_homography(np.zeros((5, 2)), np.zeros((4, 2)))
-
-    def test_rejects_coincident_points(self):
-        pts = np.ones((5, 2))
-        with pytest.raises(HomographyError):
-            estimate_homography(pts, pts)
 
 
 class TestHomographyClass:
@@ -86,19 +42,6 @@ class TestHomographyClass:
         with pytest.raises(HomographyError):
             Homography(np.eye(4))
 
-    def test_transfer_error_zero_for_exact(self, rng):
-        h = Homography(random_homography(rng))
-        src = rng.uniform(0, 50, size=(5, 2))
-        dst = h.apply(src)
-        np.testing.assert_allclose(h.transfer_error(src, dst), 0, atol=1e-9)
-
-    def test_from_points(self, rng):
-        true_h = Homography(random_homography(rng))
-        src = rng.uniform(0, 100, size=(12, 2))
-        dst = true_h.apply(src)
-        est = Homography.from_points(src, dst)
-        np.testing.assert_allclose(est.apply(src), dst, atol=1e-6)
-
 
 class TestBetweenCameras:
     def _camera(self, yaw, x, y):
@@ -110,48 +53,12 @@ class TestBetweenCameras:
     def test_transfers_ground_points(self):
         cam_a = self._camera(math.pi / 4, -2, -2)
         cam_b = self._camera(3 * math.pi / 4, 10, -2)
-        h = homography_between_cameras(cam_a, cam_b)
+        # image_a -> ground -> image_b, as the matcher chains the
+        # calibrated per-camera ground homographies.
+        h = Homography(cam_b.ground_homography()).compose(
+            Homography(cam_a.ground_homography()).inverse()
+        )
         ground = np.array([4.0, 4.0])
         uv_a = cam_a.project_ground(ground)
         uv_b = cam_b.project_ground(ground)
         np.testing.assert_allclose(h.apply(uv_a), uv_b, atol=1e-6)
-
-
-class TestRansac:
-    def test_fits_despite_outliers(self, rng):
-        true_h = random_homography(rng)
-        src = rng.uniform(0, 200, size=(40, 2))
-        dst = apply_homography(true_h, src)
-        # Corrupt 25% of correspondences.
-        outliers = rng.choice(40, size=10, replace=False)
-        dst[outliers] += rng.uniform(30, 80, size=(10, 2))
-        result = ransac_homography(src, dst, threshold=2.0, rng=rng)
-        assert result.num_inliers >= 28
-        inlier_mask = np.ones(40, dtype=bool)
-        inlier_mask[outliers] = False
-        errors = result.homography.transfer_error(
-            src[inlier_mask], dst[inlier_mask]
-        )
-        assert errors.max() < 2.0
-
-    def test_clean_data_all_inliers(self, rng):
-        true_h = random_homography(rng)
-        src = rng.uniform(0, 100, size=(20, 2))
-        dst = apply_homography(true_h, src)
-        result = ransac_homography(src, dst, threshold=1.0, rng=rng)
-        assert result.num_inliers == 20
-        assert result.inlier_rmse < 1e-6
-
-    def test_rejects_too_few_points(self, rng):
-        with pytest.raises(HomographyError):
-            ransac_homography(np.zeros((3, 2)), np.zeros((3, 2)), rng=rng)
-
-    def test_noisy_inliers_fit_within_threshold(self, rng):
-        true_h = random_homography(rng)
-        src = rng.uniform(0, 200, size=(30, 2))
-        dst = apply_homography(true_h, src) + rng.normal(
-            scale=0.3, size=(30, 2)
-        )
-        result = ransac_homography(src, dst, threshold=3.0, rng=rng)
-        assert result.num_inliers >= 25
-        assert result.inlier_rmse < 3.0

@@ -1,19 +1,19 @@
-"""Tests for the geodesic flow kernel and manifold utilities."""
+"""Tests for the geodesic flow kernel."""
 
 import numpy as np
 import pytest
 
 from repro.domain_adaptation.gfk import geodesic_flow_kernel
-from repro.domain_adaptation.manifold import (
-    orthonormalize,
-    principal_angles,
-    projection_frobenius_distance,
-    subspace_distance,
-)
+from tests.subspaces import orthonormalize
 
 
 def random_basis(rng, alpha, beta):
     return orthonormalize(rng.normal(size=(alpha, beta)))
+
+
+def principal_angles(x, z):
+    """The principal angles the kernel's flow coefficients are built on."""
+    return geodesic_flow_kernel(x, z).angles
 
 
 class TestPrincipalAngles:
@@ -47,28 +47,6 @@ class TestPrincipalAngles:
             principal_angles(
                 random_basis(rng, 10, 2), random_basis(rng, 12, 2)
             )
-
-
-class TestSubspaceDistances:
-    def test_zero_for_same_subspace(self, rng):
-        x = random_basis(rng, 15, 3)
-        assert subspace_distance(x, x) == pytest.approx(0.0, abs=1e-6)
-
-    def test_rotation_invariance(self, rng):
-        """Distance depends on the subspace, not the basis choice."""
-        x = random_basis(rng, 20, 4)
-        z = random_basis(rng, 20, 4)
-        rotation = orthonormalize(rng.normal(size=(4, 4)))
-        np.testing.assert_allclose(
-            subspace_distance(x, z),
-            subspace_distance(x @ rotation, z),
-            atol=1e-8,
-        )
-
-    def test_chordal_bounded_by_sqrt_beta(self, rng):
-        x = random_basis(rng, 20, 4)
-        z = random_basis(rng, 20, 4)
-        assert projection_frobenius_distance(x, z) <= np.sqrt(4) + 1e-9
 
 
 class TestGeodesicFlowKernel:

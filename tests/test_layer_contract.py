@@ -16,10 +16,16 @@ and relative forms.
 The same walk keeps the chaos shim (``ChaosSpec`` / ``run_chaos`` in
 ``repro.experiments.faults``) perfbench-only: a networked run is a
 ``DeploymentSpec(network=True, ...)`` everywhere else.
+
+Last, no library code exists for the tests alone: every public
+top-level function and class in ``src/repro`` must be named by code
+outside ``tests/`` (another module, a benchmark, perfbench, an
+example or a CI step), bar a short allow-list with reasons.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,8 +49,8 @@ CONTRACTS = {
         "repro.cli",
         "repro.fleet",
     ),
-    # Fleet mechanisms (cells, coordinator, peer protocol, tiled
-    # worlds) sit below the engine: the engine and its policies import
+    # Fleet mechanisms (cells, coordinator, tiled worlds) sit below
+    # the engine: the engine and its policies import
     # repro.fleet, never the reverse.  The fleet may use the network
     # and checkpoint codecs, but not the orchestration layers.
     "repro.fleet": ("repro.engine", "repro.experiments", "repro.cli"),
@@ -231,6 +237,112 @@ def test_deployments_load_no_scipy_or_http_server():
     assert out.strip() == "[]", out
 
 
+#: Public top-level definitions in ``src/repro`` that only tests may
+#: reach, each with the reason it stays.  Anything else that no module,
+#: benchmark, example or CI step names is dead code: delete it with its
+#: tests, or move a test oracle into ``tests/``.
+TEST_ONLY_ALLOWED = {
+    "hog_descriptor_reference": (
+        "the loop-based oracle tests/test_hog_equivalence.py checks the "
+        "vectorised HOG against"
+    ),
+    "EnvironmentChangeDetector": (
+        "the re-match trigger of the GFK item in ROADMAP.md, which wires "
+        "it into the engine or deletes it"
+    ),
+    "load_library": (
+        "the reader of the library file `repro train --save` writes; "
+        "deleting it would leave that file without a reader"
+    ),
+}
+REACH_SCANNED = ("benchmarks", "perfbench", "examples")
+CI_FILE = ROOT / ".github" / "workflows" / "ci.yml"
+
+
+def public_definitions(tree: ast.Module) -> list[ast.stmt]:
+    """Top-level public functions and classes, bar registered policies
+    (the policy registry reaches those by name)."""
+    return [
+        node
+        for node in tree.body
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        )
+        and not node.name.startswith("_")
+        and not any(
+            (getattr(d, "id", None) or getattr(d, "attr", None))
+            == "register_policy"
+            for d in node.decorator_list
+        )
+    ]
+
+
+def referenced_names(tree: ast.Module, reexports: bool = True) -> set[str]:
+    """Names a module reads: identifiers, attributes and (unless the
+    module is a package ``__init__`` whose imports only re-export)
+    imported names.  Docstrings and comments do not count."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and reexports:
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreached_definitions() -> list[str]:
+    """Public ``src/repro`` definitions that nothing outside tests names."""
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted((SRC / "repro").rglob("*.py"))
+    }
+    reads = {
+        path: referenced_names(tree, reexports=path.name != "__init__.py")
+        for path, tree in trees.items()
+    }
+    outside = set().union(
+        *(
+            referenced_names(ast.parse(path.read_text(), filename=str(path)))
+            for top in REACH_SCANNED
+            for path in sorted((ROOT / top).rglob("*.py"))
+        )
+    )
+    ci_words = set(re.findall(r"\w+", CI_FILE.read_text()))
+    found = []
+    for path, tree in trees.items():
+        for node in public_definitions(tree):
+            name = node.name
+            if name in outside or name in ci_words:
+                continue
+            if any(name in names for names in reads.values()):
+                continue
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    return found
+
+
+def test_no_test_only_library_code():
+    found = [
+        entry
+        for entry in unreached_definitions()
+        if entry.rsplit(" ", 1)[1] not in TEST_ONLY_ALLOWED
+    ]
+    assert not found, (
+        "public definitions that only tests reach; delete them (and "
+        "their tests) or move a test oracle into tests/:\n"
+        + "\n".join(found)
+    )
+
+
+def test_test_only_allow_list_is_current():
+    """Every allow-listed name still exists and is still test-only."""
+    reached_only_by_tests = {
+        entry.rsplit(" ", 1)[1] for entry in unreached_definitions()
+    }
+    assert set(TEST_ONLY_ALLOWED) <= reached_only_by_tests
+
+
 class TestCheckerCatchesViolations:
     """The contract only means something if the checker can fail."""
 
@@ -257,6 +369,17 @@ class TestCheckerCatchesViolations:
         try:
             resolved = imported_modules(bad)
             assert "repro.experiments.fig4" in resolved
+        finally:
+            bad.unlink()
+
+    def test_test_only_definition_detected(self):
+        bad = SRC / "repro" / "engine" / "_contract_canary.py"
+        bad.write_text("def canary_only_tests_call():\n    pass\n")
+        try:
+            assert any(
+                entry.endswith(" canary_only_tests_call")
+                for entry in unreached_definitions()
+            )
         finally:
             bad.unlink()
 

@@ -122,6 +122,23 @@ class TestCriticalPaths:
         assert "Critical path per round:" in report
         assert "round 0: 6000.0ms" in report
 
+    def test_render_profile_bounds_rounds_by_limit(self):
+        """More rounds than ``limit``: only the slowest are listed,
+        slowest first, and the rest are counted."""
+        spans = [_span(1, "run", 0.0, 100.0)]
+        for index, duration in enumerate([3.0, 9.0, 1.0, 7.0, 5.0]):
+            spans.append(
+                _span(2 + index, "round", float(index), duration,
+                      parent=1, index=index)
+            )
+        lines = render_profile(spans, limit=2).splitlines()
+        listed = lines[lines.index("Critical path per round:") + 1:]
+        assert listed == [
+            "  round 1: 9000.0ms",
+            "  round 3: 7000.0ms",
+            "(+3 more rounds)",
+        ]
+
 
 class TestLoadInputs:
     def test_load_spans_rejects_other_schemas(self, tmp_path):

@@ -16,13 +16,12 @@ from repro.telemetry import (
     AlertRuleError,
     JsonlStreamSink,
     MetricsRegistry,
-    SubscriberSink,
     Telemetry,
     check_stream_contiguous,
     read_stream_records,
 )
 from repro.telemetry.exporter import METRICS_CONTENT_TYPE, MetricsExporter
-from repro.telemetry.live import build_stream_record
+from repro.telemetry.live import TelemetrySink, build_stream_record
 from repro.telemetry.report import render_events_report
 from repro.telemetry.schema import validate_stream_file
 
@@ -35,6 +34,28 @@ SPEC = DeploymentSpec(
     start=1000,
     end=1300,
 )
+
+
+class SubscriberSink(TelemetrySink):
+    """In-process delivery to a callback, keeping the last
+    ``keep_last`` records for the assertions to read."""
+
+    def __init__(self, callback=None, keep_last=16):
+        self.callback = callback
+        self.keep_last = keep_last
+        self.records = []
+        self.emitted = 0
+
+    def emit(self, record):
+        self.emitted += 1
+        self.records.append(record)
+        del self.records[: -self.keep_last]
+        if self.callback is not None:
+            self.callback(record)
+
+    @property
+    def last(self):
+        return self.records[-1] if self.records else None
 
 
 def _record(seq, round_index):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.domain_adaptation.pca import PCA, pca_basis, uncentered_basis
+from repro.domain_adaptation.pca import PCA, uncentered_basis
 
 
 class TestPCA:
@@ -55,11 +55,6 @@ class TestPCA:
 
 
 class TestBases:
-    def test_pca_basis_shape(self, rng):
-        data = rng.normal(size=(40, 12))
-        basis = pca_basis(data, 5)
-        assert basis.shape == (12, 5)
-
     def test_uncentered_basis_orthonormal(self, rng):
         data = rng.normal(size=(30, 15))
         basis = uncentered_basis(data, 6)

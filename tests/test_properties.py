@@ -9,10 +9,10 @@ from hypothesis.extra import numpy as hnp
 from repro.detection.base import BoundingBox
 from repro.detection.metrics import f_score
 from repro.domain_adaptation.gfk import geodesic_flow_kernel
-from repro.domain_adaptation.manifold import orthonormalize, principal_angles
 from repro.energy.battery import Battery, frame_budget
 from repro.geometry.homography import Homography, apply_homography
-from repro.reid.fusion import fuse_probabilities
+from tests.subspaces import orthonormalize
+from tests.test_reid import fuse_probabilities
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -155,7 +155,7 @@ class TestGfkProperties:
         rng = np.random.default_rng(seed)
         x = orthonormalize(rng.normal(size=(15, 4)))
         z = orthonormalize(rng.normal(size=(15, 4)))
-        angles = principal_angles(x, z)
+        angles = geodesic_flow_kernel(x, z).angles
         assert np.all(angles >= -1e-12)
         assert np.all(angles <= np.pi / 2 + 1e-12)
 

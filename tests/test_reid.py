@@ -13,9 +13,27 @@ from hypothesis import strategies as st
 from repro.core.config import EECSConfig
 from repro.detection.base import BoundingBox, Detection
 from repro.geometry.homography import Homography
-from repro.reid.fusion import ObjectGroup, fuse_probabilities
+from repro.reid.fusion import ObjectGroup
 from repro.reid.mahalanobis import MahalanobisMetric
 from repro.reid.matcher import CrossCameraMatcher
+
+
+def fuse_probabilities(probabilities):
+    """Eq. (6) as a deployment computes it: the fused probability of one
+    object group whose members report ``probabilities``."""
+    return ObjectGroup(
+        detections=[
+            Detection(
+                bbox=BoundingBox(0, 0, 10, 20),
+                score=0.5,
+                camera_id=f"c{index}",
+                frame_index=0,
+                algorithm="HOG",
+                probability=p,
+            )
+            for index, p in enumerate(probabilities)
+        ]
+    ).fused_probability
 
 
 class TestFuseProbabilities:
@@ -35,9 +53,9 @@ class TestFuseProbabilities:
     def test_empty_is_zero(self):
         assert fuse_probabilities([]) == 0.0
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            fuse_probabilities([1.5])
+    def test_clamps_out_of_range(self):
+        assert fuse_probabilities([1.5]) == 1.0
+        assert fuse_probabilities([-0.5, 0.5]) == pytest.approx(0.5)
 
     def test_commutative(self):
         assert fuse_probabilities([0.3, 0.8, 0.1]) == pytest.approx(

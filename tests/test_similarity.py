@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.domain_adaptation.gfk import geodesic_flow_kernel
-from repro.domain_adaptation.manifold import orthonormalize
 from repro.domain_adaptation.similarity import (
     VideoComparator,
     kernel_distance_matrix,
     mean_manifold_distance,
     video_similarity,
 )
+from tests.subspaces import orthonormalize
 
 
 def make_video(rng, mean, k=12, alpha=40, spread=0.3):

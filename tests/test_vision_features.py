@@ -8,7 +8,6 @@ from repro.vision.features import (
     FRAME_FEATURE_DIM,
     FrameFeatureExtractor,
     build_vocabulary,
-    video_features,
 )
 from repro.vision.hog import HOG_DIM
 from repro.vision.keypoints import DESCRIPTOR_DIM
@@ -41,11 +40,6 @@ class TestFrameFeatureExtractor:
     def test_extract_video_rejects_empty(self, fitted_bow):
         with pytest.raises(ValueError):
             FrameFeatureExtractor(fitted_bow).extract_video([])
-
-    def test_video_features_wrapper(self, fitted_bow, rng):
-        frames = [rng.uniform(size=(64, 80)) for _ in range(2)]
-        stack = video_features(frames, fitted_bow)
-        assert stack.shape[0] == 2
 
 
 class TestBuildVocabulary:
