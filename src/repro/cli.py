@@ -16,7 +16,6 @@ Usage::
     python -m repro telemetry-report --metrics m.json --trace t.jsonl
     python -m repro obs profile trace.jsonl
     python -m repro obs diff baseline.json candidate.json
-    python -m repro train --dataset 1 --save library.json
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-
-import numpy as np
 
 
 def _make_telemetry(args: argparse.Namespace):
@@ -641,22 +638,6 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
     return 1 if has_regression(diffs) else 0
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    from repro.engine.context import build_training_library
-    from repro.datasets.synthetic import make_dataset
-    from repro.detection.detectors import make_detector_suite
-    from repro.persistence import save_library
-
-    dataset = make_dataset(args.dataset)
-    detectors = make_detector_suite(dataset.environment)
-    library = build_training_library(
-        dataset, detectors, np.random.default_rng(args.seed)
-    )
-    save_library(library, args.save)
-    print(f"trained {len(library)} items; saved to {args.save}")
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import ALL_SECTIONS, generate_report
 
@@ -968,12 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(repeatable)",
     )
     p.set_defaults(func=_cmd_obs_diff)
-
-    p = sub.add_parser("train", help="offline training -> JSON library")
-    p.add_argument("--dataset", type=int, default=1, choices=(1, 2, 3, 4))
-    p.add_argument("--save", required=True)
-    p.add_argument("--seed", type=int, default=2017)
-    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser(
         "report", help="regenerate all experiments as one Markdown report"

@@ -101,10 +101,6 @@ class SelectionDecision:
     ranked_camera_ids: list[str] = field(default_factory=list)
 
     @property
-    def active_cameras(self) -> list[str]:
-        return list(self.assignment)
-
-    @property
     def num_active(self) -> int:
         return len(self.assignment)
 

@@ -60,10 +60,6 @@ class VideoSegment:
     def num_frames(self) -> int:
         return len(self.frames)
 
-    @property
-    def ground_truth_frames(self) -> list[FrameRecord]:
-        return [f for f in self.frames if f.has_ground_truth]
-
     def camera_frames(self, camera_id: str) -> list[FrameObservation]:
         """This camera's observations across the segment."""
         return [f.observation(camera_id) for f in self.frames]

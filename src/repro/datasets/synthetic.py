@@ -68,9 +68,9 @@ DATASET_SPECS: dict[int, DatasetSpec] = {
 class SyntheticDataset:
     """One dataset: scene + cameras + renderers + frame generation."""
 
-    def __init__(self, spec: DatasetSpec, cache_frames: bool = True) -> None:
+    def __init__(self, spec: DatasetSpec) -> None:
         self.spec = spec
-        self.cache_frames = cache_frames
+        self.cache_frames = True
         self.cameras: list[PinholeCamera] = make_camera_ring(
             spec.environment,
             num_cameras=spec.num_cameras,

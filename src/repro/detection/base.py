@@ -100,11 +100,6 @@ class Detection:
         """Ground-truth label (evaluation only)."""
         return self.truth_id is not None
 
-    def metadata_bytes(self) -> int:
-        """Size of the per-object metadata uploaded to the controller:
-        8 B box + 4 B probability + 160 B colour feature (Section V-A)."""
-        return 8 + 4 + 4 * len(self.color_feature)
-
 
 class DetectionColumns(NamedTuple):
     """One frame's scored detections as plain columns.

@@ -286,20 +286,6 @@ class SimulatedDetector:
         fp_loc = max(fp_loc, p.threshold - 0.7 * self._sigma_eff)
         return float(fp_loc), float(fp_count), float(conf_mu), float(conf_count)
 
-    @property
-    def calibration(self) -> dict[str, float]:
-        """Inspection hook: the solved distribution parameters."""
-        return {
-            "tp_mu": self._tp_mu,
-            "fp_loc": self._fp_loc,
-            "fp_count": self._fp_count,
-            "conf_mu": self._conf_mu,
-            "conf_count": self._conf_count,
-            "sigma": self._sigma,
-            "sigma_eff": self._sigma_eff,
-            "fp_tail": self._fp_tail,
-        }
-
     # ------------------------------------------------------------------
     # Runtime response model
     # ------------------------------------------------------------------

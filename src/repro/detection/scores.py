@@ -32,19 +32,6 @@ class ScoreCalibrator:
     def is_fitted(self) -> bool:
         return self._fitted
 
-    def restore(self, weight: float, bias: float) -> "ScoreCalibrator":
-        """Adopt previously fitted parameters.
-
-        The persistence layer's counterpart to :meth:`fit`: a
-        calibrator serialised as ``(weight, bias)`` comes back fitted
-        without callers reaching into private state.  Returns ``self``
-        for chaining.
-        """
-        self.weight = float(weight)
-        self.bias = float(bias)
-        self._fitted = True
-        return self
-
     def fit(
         self,
         scores: np.ndarray,

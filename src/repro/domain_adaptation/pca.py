@@ -46,9 +46,6 @@ class PCA:
         data = np.atleast_2d(np.asarray(data, dtype=float))
         return (data - self.mean_) @ self.components_.T
 
-    def fit_transform(self, data: np.ndarray) -> np.ndarray:
-        return self.fit(data).transform(data)
-
 
 
 def uncentered_basis(

@@ -176,10 +176,6 @@ class VideoComparator:
             raise ValueError(f"training video {name!r} already registered")
         self._library[name] = _normalise_rows(features)
 
-    @property
-    def training_names(self) -> list[str]:
-        return list(self._library)
-
     def similarities(self, features: np.ndarray) -> dict[str, float]:
         """Similarity of the incoming video to every training item."""
         if not self._library:

@@ -151,10 +151,6 @@ class Battery:
             self._observe_draw(before)
         return drawn
 
-    def deplete(self) -> float:
-        """Drain whatever is left (premature-exhaustion injection)."""
-        return self.draw(self.residual)
-
     def restore_consumed(self, joules: float) -> None:
         """Adopt a checkpointed consumed total without re-drawing.
 

@@ -21,6 +21,10 @@ JPEG_BYTES_PER_PIXEL = 0.15
 #: conditions (order of magnitude from PowerTutor-style measurements).
 WIFI_JOULES_PER_BYTE = 5.0e-7
 
+#: Detection metadata uploaded per object (Section V-A): 8 B bounding
+#: box, 4 B probability and a 160 B colour feature.
+METADATA_BYTES_PER_OBJECT = 172
+
 
 def jpeg_frame_bytes(width: int, height: int) -> int:
     """Approximate JPEG size of a full frame."""
@@ -66,14 +70,7 @@ class CommunicationEnergyModel:
         return self.transfer_energy(jpeg_frame_bytes(self.width, self.height))
 
     def metadata_cost(self, num_objects: int) -> float:
-        """Energy to upload detection metadata: 172 bytes per object."""
+        """Energy to upload detection metadata for ``num_objects``."""
         if num_objects < 0:
             raise ValueError("num_objects must be non-negative")
-        return self.transfer_energy(172 * num_objects)
-
-    def feature_upload_cost(self, num_frames: int, bytes_per_frame: int = 16720) -> float:
-        """Energy to upload frame features (~16 KB per frame: the
-        4180-dim float vector of Section V-A)."""
-        if num_frames < 0:
-            raise ValueError("num_frames must be non-negative")
-        return self.transfer_energy(num_frames * bytes_per_frame)
+        return self.transfer_energy(METADATA_BYTES_PER_OBJECT * num_objects)

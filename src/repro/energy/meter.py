@@ -108,6 +108,3 @@ class EnergyMeter:
             ledger = self.ledger(camera_id)
             for category, joules in categories.items():
                 ledger.by_category[category] += float(joules)
-
-    def reset(self) -> None:
-        self._ledgers.clear()

@@ -99,16 +99,3 @@ class ProcessingEnergyModel:
         if not algorithms:
             raise ValueError("algorithms list is empty")
         return min(algorithms, key=self.energy_per_frame)
-
-    def affordable(
-        self, algorithms: list[str], budget: float, communication: float = 0.0
-    ) -> list[str]:
-        """Algorithms whose total per-frame cost fits in ``budget``.
-
-        Implements the paper's constraint ``c(A_j) + C_j <= B_j``.
-        """
-        return [
-            name
-            for name in algorithms
-            if self.energy_per_frame(name) + communication <= budget
-        ]

@@ -40,9 +40,6 @@ class SimulationClock:
         self.now_s = self.time_at_frame(frame_index)
         return self.now_s
 
-    def reset(self) -> None:
-        self.now_s = 0.0
-
     def snapshot(self) -> dict:
         """Checkpointable state (cadence included for validation)."""
         return {

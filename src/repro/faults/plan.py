@@ -270,19 +270,6 @@ class FaultPlan:
     clock_skews: tuple[ClockSkew, ...] = ()
     message_corruptions: tuple[MessageCorruption, ...] = ()
 
-    @property
-    def is_empty(self) -> bool:
-        return not (
-            self.link_faults
-            or self.partitions
-            or self.crashes
-            or self.battery_faults
-            or self.sensor_faults
-            or self.calibration_drifts
-            or self.clock_skews
-            or self.message_corruptions
-        )
-
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------

@@ -4,10 +4,10 @@ The synthetic world lives in a right-handed coordinate system with the
 ground plane at ``z = 0`` and ``z`` pointing up.  A camera is described
 by intrinsics (focal length, principal point, image size) and a pose
 (position plus yaw/pitch).  The model supports projecting world points
-to pixels, testing visibility, and extracting the ground-plane
-homography that maps ``(x, y)`` world coordinates on ``z = 0`` to image
-pixels — the same construction the evaluation datasets of the paper
-ship with their calibration files.
+to pixels and extracting the ground-plane homography that maps
+``(x, y)`` world coordinates on ``z = 0`` to image pixels — the same
+construction the evaluation datasets of the paper ship with their
+calibration files.
 """
 
 from __future__ import annotations
@@ -56,16 +56,6 @@ class CameraIntrinsics:
                 [0.0, 0.0, 1.0],
             ]
         )
-
-    @property
-    def resolution(self) -> tuple[int, int]:
-        """(width, height) in pixels."""
-        return (self.width, self.height)
-
-    @property
-    def pixels(self) -> int:
-        """Total pixel count — drives resolution-dependent energy costs."""
-        return self.width * self.height
 
 
 @dataclass(frozen=True)
@@ -127,11 +117,6 @@ class PinholeCamera:
         self._R = pose.rotation
         self._t = -self._R @ pose.position
 
-    @property
-    def projection_matrix(self) -> np.ndarray:
-        """The 3x4 projection matrix ``P = K [R | t]``."""
-        return self._K @ np.hstack([self._R, self._t[:, None]])
-
     def project(self, points: np.ndarray) -> np.ndarray:
         """Project world points to pixel coordinates.
 
@@ -162,16 +147,6 @@ class PinholeCamera:
             return depth[0]
         return depth
 
-    def is_visible(self, point: np.ndarray, margin: float = 0.0) -> bool:
-        """Whether a world point projects inside the image bounds."""
-        uv = self.project(np.asarray(point, dtype=float))
-        if np.any(np.isnan(uv)):
-            return False
-        w, h = self.intrinsics.width, self.intrinsics.height
-        return bool(
-            -margin <= uv[0] <= w + margin and -margin <= uv[1] <= h + margin
-        )
-
     def ground_homography(self) -> np.ndarray:
         """Homography mapping ground-plane ``(x, y, 1)`` to pixels.
 
@@ -181,28 +156,6 @@ class PinholeCamera:
         """
         H = self._K @ np.column_stack([self._R[:, 0], self._R[:, 1], self._t])
         return H / H[2, 2]
-
-    def project_ground(self, xy: np.ndarray) -> np.ndarray:
-        """Project ground-plane world coordinates ``(x, y)`` to pixels."""
-        single = np.asarray(xy).ndim == 1
-        xy = np.atleast_2d(np.asarray(xy, dtype=float))
-        pts = np.column_stack([xy, np.zeros(len(xy))])
-        uv = self.project(pts)
-        if single:
-            return uv[0]
-        return uv
-
-    def backproject_to_ground(self, uv: np.ndarray) -> np.ndarray:
-        """Map pixel coordinates back to the ground plane ``z = 0``."""
-        H = self.ground_homography()
-        Hinv = np.linalg.inv(H)
-        pts = np.atleast_2d(np.asarray(uv, dtype=float))
-        homo = np.column_stack([pts, np.ones(len(pts))])
-        ground = (Hinv @ homo.T).T
-        ground = ground[:, :2] / ground[:, 2:3]
-        if np.asarray(uv).ndim == 1:
-            return ground[0]
-        return ground
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

@@ -50,9 +50,3 @@ class WirelessLink:
         if num_bytes < 0:
             raise ValueError("num_bytes must be non-negative")
         return num_bytes * self.joules_per_byte * self.link_quality
-
-    def estimate_bandwidth(self, probe_bytes: int, measured_s: float) -> float:
-        """iPerf-style estimate: bits over measured transfer seconds."""
-        if measured_s <= 0:
-            raise ValueError("measured time must be positive")
-        return 8.0 * probe_bytes / measured_s

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.detection.base import Detection
+from repro.energy.communication import METADATA_BYTES_PER_OBJECT
 
 FEATURE_BYTES_PER_FRAME = 16720
-METADATA_BYTES_PER_OBJECT = 172
 
 
 #: Sequence number of a message sent outside any reliable transport.

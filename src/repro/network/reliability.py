@@ -126,10 +126,6 @@ class ReliableTransport:
     # ------------------------------------------------------------------
     # Sender side
     # ------------------------------------------------------------------
-    @property
-    def in_flight(self) -> int:
-        return len(self._pending)
-
     def _breaker(self, peer_id: str) -> "CircuitBreaker | None":
         if self.breaker_for is None:
             return None

@@ -37,6 +37,9 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.telemetry.live import STREAM_SCHEMA, read_stream_records
+from repro.telemetry.metrics import METRICS_SCHEMA
+
 #: Indicator -> the direction of movement that counts as a regression.
 WORSE = {
     "energy_joules": "higher",
@@ -60,23 +63,21 @@ def load_metrics(path: str | Path) -> dict:
         # carries the run's final cumulative snapshot, which is what
         # the diff wants; read_stream_records also folds in rotated
         # parts and repairs a torn trailing line.
-        from repro.telemetry.live import read_stream_records
-
         records = read_stream_records(path)
         if not records:
             raise ValueError(f"{path}: no stream records") from None
         payload = records[-1]
-    if payload.get("schema") == "repro.stream.v1":
+    if payload.get("schema") == STREAM_SCHEMA:
         metrics = payload.get("metrics")
         if metrics is None:
             raise ValueError(
                 f"{path}: stream record has no metrics snapshot"
             )
         return metrics
-    if payload.get("schema") != "repro.metrics.v1":
+    if payload.get("schema") != METRICS_SCHEMA:
         raise ValueError(
-            f"{path}: expected a repro.metrics.v1 snapshot or a "
-            f"repro.stream.v1 stream, got schema "
+            f"{path}: expected a {METRICS_SCHEMA} snapshot or a "
+            f"{STREAM_SCHEMA} stream, got schema "
             f"{payload.get('schema')!r}"
         )
     return payload

@@ -29,6 +29,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.telemetry.trace import SPAN_SCHEMA
+
 PATH_SEPARATOR = ";"
 
 
@@ -45,10 +47,10 @@ def load_spans(path: str | Path) -> list[dict]:
         if not line.strip():
             continue
         record = json.loads(line)
-        schema = record.get("schema", "repro.span.v1")
-        if schema != "repro.span.v1":
+        schema = record.get("schema", SPAN_SCHEMA)
+        if schema != SPAN_SCHEMA:
             raise ValueError(
-                f"{path}:{lineno}: expected a repro.span.v1 trace, "
+                f"{path}:{lineno}: expected a {SPAN_SCHEMA} trace, "
                 f"got schema {schema!r}"
             )
         records.append(record)

@@ -65,17 +65,3 @@ class MahalanobisMetric:
         diff = self._reduce(a) - self._reduce(b)
         value = float(diff @ self._precision @ diff)
         return float(np.sqrt(max(0.0, value)))
-
-    def pairwise(self, features: np.ndarray) -> np.ndarray:
-        """Symmetric ``(n, n)`` distance matrix."""
-        features = np.asarray(features, dtype=float)
-        reduced = np.stack([self._reduce(f) for f in features])
-        n = len(reduced)
-        out = np.zeros((n, n))
-        for i in range(n):
-            diff = reduced[i + 1 :] - reduced[i]
-            vals = np.einsum("ij,jk,ik->i", diff, self._precision, diff)
-            dists = np.sqrt(np.maximum(0.0, vals))
-            out[i, i + 1 :] = dists
-            out[i + 1 :, i] = dists
-        return out

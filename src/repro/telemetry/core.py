@@ -32,6 +32,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.detection.base import Detection
     from repro.faults.events import FaultLog
 
+#: Schema of the exporter's ``/status`` page
+#: (:meth:`Telemetry.status_snapshot`).
+STATUS_SCHEMA = "repro.status.v1"
+
 #: Detection-score histogram bounds: raw detector confidences span
 #: roughly [-2, 5] across the suite's algorithms.
 SCORE_BUCKETS = (
@@ -262,7 +266,7 @@ class Telemetry:
         """The ``/status`` page payload (caller holds :attr:`lock`)."""
         active = self.alerts.active
         return {
-            "schema": "repro.status.v1",
+            "schema": STATUS_SCHEMA,
             "run_id": self.run_id,
             "rounds_completed": self._status.get("rounds_completed", 0),
             "sim_time_s": self._status.get("sim_time_s", 0.0),

@@ -22,6 +22,8 @@ from typing import Callable, Iterator
 
 from repro.ioutils import atomic_write_text
 
+EVENT_SCHEMA = "repro.event.v1"
+
 
 @dataclass(frozen=True)
 class TelemetryEvent:
@@ -46,7 +48,7 @@ class TelemetryEvent:
 
     def to_record(self) -> dict:
         return {
-            "schema": "repro.event.v1",
+            "schema": EVENT_SCHEMA,
             "run_id": self.run_id,
             "time_s": self.time_s,
             "kind": self.kind,

@@ -34,8 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 logger = logging.getLogger(__name__)
 
-STATUS_SCHEMA = "repro.status.v1"
-
 #: Prometheus text exposition content type.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 

@@ -23,6 +23,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+METRICS_SCHEMA = "repro.metrics.v1"
+
 #: Default histogram bucket upper bounds (seconds-ish scale); callers
 #: with domain knowledge should pass their own.
 DEFAULT_BUCKETS: tuple[float, ...] = (
@@ -140,9 +142,6 @@ class Gauge(_Instrument):
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         key = self._key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        self.inc(-amount, **labels)
 
     def value(self, **labels: object) -> float:
         return self._values.get(self._key(labels), 0.0)
@@ -312,7 +311,7 @@ class MetricsRegistry:
                     for key, value in sorted(inst._values.items())
                 ]
             metrics.append(entry)
-        return {"schema": "repro.metrics.v1", "metrics": metrics}
+        return {"schema": METRICS_SCHEMA, "metrics": metrics}
 
     def merge(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` payload into this registry.
@@ -357,18 +356,8 @@ class MetricsRegistry:
             else:
                 raise MetricError(f"unknown instrument type {kind!r}")
 
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "MetricsRegistry":
-        registry = cls()
-        registry.merge(snapshot)
-        return registry
-
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, payload: str) -> "MetricsRegistry":
-        return cls.from_snapshot(json.loads(payload))
 
     def render_text(self) -> str:
         """Prometheus text exposition format."""

@@ -116,10 +116,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-METRICS_SCHEMA = "repro.metrics.v1"
-SPAN_SCHEMA = "repro.span.v1"
-EVENT_SCHEMA = "repro.event.v1"
-STREAM_SCHEMA = "repro.stream.v1"
+from repro.telemetry.events import EVENT_SCHEMA
+from repro.telemetry.live import STREAM_SCHEMA, read_stream_records
+from repro.telemetry.metrics import METRICS_SCHEMA
+from repro.telemetry.trace import SPAN_SCHEMA
 
 
 class SchemaError(ValueError):
@@ -284,8 +284,6 @@ def validate_stream_file(path: str | Path) -> int:
     so rotated parts are included and a torn trailing line — legal
     mid-run — is ignored rather than flagged.
     """
-    from repro.telemetry.live import read_stream_records
-
     records = read_stream_records(path)
     for i, record in enumerate(records):
         validate_stream_record(record, where=f"{path}[{i}]")

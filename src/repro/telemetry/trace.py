@@ -25,6 +25,8 @@ from typing import Callable, Iterator
 
 from repro.ioutils import atomic_write_text
 
+SPAN_SCHEMA = "repro.span.v1"
+
 
 @dataclass
 class Span:
@@ -56,7 +58,7 @@ class Span:
     def to_record(self, run_id: str = "") -> dict:
         """The span's JSONL record."""
         return {
-            "schema": "repro.span.v1",
+            "schema": SPAN_SCHEMA,
             "run_id": run_id,
             "span_id": self.span_id,
             "parent_id": self.parent_id,
@@ -122,10 +124,6 @@ class Tracer:
             yield opened
         finally:
             self.end(opened)
-
-    @property
-    def open_spans(self) -> int:
-        return len(self._stack)
 
     def finish(self) -> None:
         """Close every span still open (end-of-run cleanup)."""

@@ -59,10 +59,6 @@ class KalmanFilter2D:
     def position(self) -> np.ndarray:
         return np.array(self.state[:2])
 
-    @property
-    def velocity(self) -> np.ndarray:
-        return np.array(self.state[2:])
-
     def predict(self) -> np.ndarray:
         """Advance one time step; returns the predicted position."""
         self.state = self._F @ self.state
@@ -80,10 +76,6 @@ class KalmanFilter2D:
         self.state = self.state + gain @ innovation
         identity = np.eye(4)
         self.covariance = (identity - gain @ self._H) @ self.covariance
-
-    def position_uncertainty(self) -> float:
-        """Root-mean of the positional covariance diagonal (metres)."""
-        return float(np.sqrt(np.trace(self.covariance[:2, :2]) / 2.0))
 
     def gating_distance(self, measurement: np.ndarray) -> float:
         """Mahalanobis distance of a measurement to the prediction."""

@@ -34,12 +34,6 @@ class BagOfWords:
     def is_fitted(self) -> bool:
         return self._fitted
 
-    @property
-    def vocabulary(self) -> np.ndarray:
-        if not self._fitted:
-            raise RuntimeError("vocabulary accessed before fit")
-        return self._kmeans.centroids
-
     def fit(self, descriptors: np.ndarray) -> "BagOfWords":
         """Build the vocabulary from an ``(n, 64)`` descriptor stack."""
         descriptors = np.asarray(descriptors, dtype=float)

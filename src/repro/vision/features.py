@@ -18,8 +18,6 @@ from repro.vision.bow import BagOfWords
 from repro.vision.hog import HOG_DIM, hog_descriptor
 from repro.vision.keypoints import extract_descriptors
 
-FRAME_FEATURE_DIM = HOG_DIM + 400
-
 logger = logging.getLogger(__name__)
 
 

@@ -146,11 +146,3 @@ class KMeans:
             raise RuntimeError("KMeans.predict called before fit")
         data = np.atleast_2d(np.asarray(data, dtype=float))
         return self._assign(data, self.centroids)
-
-    def inertia(self, data: np.ndarray) -> float:
-        """Sum of squared distances to assigned centroids."""
-        if self.centroids is None:
-            raise RuntimeError("KMeans.inertia called before fit")
-        data = np.asarray(data, dtype=float)
-        labels = self.predict(data)
-        return float(np.sum((data - self.centroids[labels]) ** 2))

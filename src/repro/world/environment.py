@@ -59,10 +59,6 @@ class Environment:
                 raise ValueError(f"{attr} must lie in [0, 1], got {value}")
 
     @property
-    def resolution(self) -> tuple[int, int]:
-        return (self.width, self.height)
-
-    @property
     def megapixels(self) -> float:
         return self.width * self.height / 1e6
 
@@ -123,10 +119,3 @@ NIGHT = Environment(
     height=288,
     seed=404,
 )
-
-ENVIRONMENTS = {
-    "lab": LAB,
-    "chap": CHAP,
-    "terrace": TERRACE,
-    "night": NIGHT,
-}

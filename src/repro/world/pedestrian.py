@@ -35,10 +35,6 @@ class Pedestrian:
     width_m: float = 0.5
     shade: float = 0.4
 
-    def footprint(self) -> np.ndarray:
-        """Ground-plane position as a copy."""
-        return np.array(self.position, dtype=float)
-
 
 @dataclass
 class RandomWaypointWalker:

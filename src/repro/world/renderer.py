@@ -64,10 +64,6 @@ class ObjectView:
     shade: float
     ground_xy: tuple[float, float]
 
-    @property
-    def fully_occluded(self) -> bool:
-        return self.occlusion >= 0.999
-
 
 class FrameImage:
     """A frame's image, painted on first read and then cached.
@@ -89,10 +85,6 @@ class FrameImage:
         self._paint = paint
         self._views = views
         self._noise_state = noise_state
-
-    @property
-    def painted(self) -> bool:
-        return self._array is not None
 
     def read(self) -> np.ndarray:
         if self._array is None:

@@ -135,9 +135,10 @@ class TestComparatorCaching:
         other = rng.normal(size=(8, 60))
         comparator.similarities(other)
         # The training bases (one per item) are reused; only the new
-        # incoming basis and the new kernels are computed.
+        # incoming basis and the new kernels (one per training item)
+        # are computed.
         new_misses = comparator.cache.misses - misses_after_first
-        assert new_misses == 1 + len(comparator.training_names)
+        assert new_misses == 1 + 2
         assert comparator.cache.hits > 0
 
     def test_cache_stats_exposed(self, rng):

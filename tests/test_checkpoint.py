@@ -139,7 +139,7 @@ class TestAtomicWrites:
         self, tmp_path, monkeypatch
     ):
         """A crash mid-write must leave the old contents, not a torn
-        file — the property the non-atomic ``save_library`` lacked."""
+        file."""
         path = tmp_path / "out.json"
         atomic_write_json(path, {"generation": 1})
 
@@ -153,24 +153,6 @@ class TestAtomicWrites:
         assert json.loads(path.read_text()) == {"generation": 1}
         leftovers = [p for p in tmp_path.iterdir() if p != path]
         assert not leftovers, f"temp files leaked: {leftovers}"
-
-    def test_save_library_is_atomic(self, tmp_path, monkeypatch):
-        from repro.persistence import load_library, save_library
-        from tests.test_persistence_cli import sample_library
-
-        path = tmp_path / "library.json"
-        save_library(sample_library(), path)
-        before = path.read_text()
-
-        def exploding_replace(src, dst):
-            raise OSError("simulated crash")
-
-        monkeypatch.setattr(os, "replace", exploding_replace)
-        with pytest.raises(OSError):
-            save_library(sample_library(), path)
-        monkeypatch.undo()
-        assert path.read_text() == before
-        assert set(load_library(path).names) == {"T1", "T2"}
 
     def test_checkpoint_save_is_atomic(self, tmp_path, monkeypatch):
         store = CheckpointStore(tmp_path)
@@ -189,7 +171,6 @@ class TestAtomicWrites:
 # ----------------------------------------------------------------------
 # Codec round-trips (property-based)
 # ----------------------------------------------------------------------
-finite = st.floats(allow_nan=False, allow_infinity=False)
 #: GlobalAccuracy/DesiredAccuracy validate their fields: object counts
 #: are non-negative, probabilities live in [0, 1].
 objects = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
@@ -219,75 +200,6 @@ class TestDecisionRoundTrip:
         payload = json.loads(json.dumps(decision_to_dict(decision)))
         restored = decision_from_dict(payload)
         assert decision_to_dict(restored) == decision_to_dict(decision)
-
-
-class TestLibraryFeatureRoundTrip:
-    """Satellite bugfix: a ``(0, D)`` feature stack used to come back
-    as ``(0, 0)``."""
-
-    @given(
-        rows=st.integers(0, 4),
-        cols=st.integers(1, 5),
-        fill=finite,
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_any_shape_round_trips(self, rows, cols, fill):
-        from repro.core.calibration import (
-            TrainingItem,
-            TrainingLibrary,
-        )
-        from repro.persistence import library_from_dict, library_to_dict
-        from tests.test_core_calibration import make_profile
-
-        library = TrainingLibrary()
-        library.add(
-            TrainingItem(
-                name="T1",
-                profiles={"HOG": make_profile("HOG")},
-                features=np.full((rows, cols), fill),
-            )
-        )
-        restored = library_from_dict(
-            json.loads(json.dumps(library_to_dict(library)))
-        )
-        features = restored.get("T1").features
-        assert features.shape == (rows, cols)
-        assert features.tolist() == np.full((rows, cols), fill).tolist()
-
-    def test_legacy_document_without_shape_still_loads(self):
-        from repro.persistence import library_from_dict, library_to_dict
-        from tests.test_persistence_cli import sample_library
-
-        data = library_to_dict(sample_library())
-        for item in data["items"].values():
-            del item["features_shape"]  # pre-shape-field document
-        restored = library_from_dict(data)
-        assert restored.get("T1").features.shape == (2, 3)
-
-    def test_malformed_calibrator_raises_descriptive_error(self):
-        from repro.persistence import library_from_dict, library_to_dict
-        from tests.test_persistence_cli import sample_library
-
-        data = library_to_dict(sample_library())
-        doc = data["items"]["T1"]["profiles"]["HOG"]
-        del doc["calibrator"]["weight"]  # fitted but incomplete
-        with pytest.raises(ValueError, match="malformed calibrator"):
-            library_from_dict(data)
-
-    def test_calibrator_restore_round_trips_probabilities(self):
-        from repro.detection.scores import ScoreCalibrator
-
-        fitted = ScoreCalibrator()
-        fitted.fit(
-            np.array([2.0, 1.5, -1.0, -1.5]), np.array([1, 1, 0, 0])
-        )
-        clone = ScoreCalibrator().restore(fitted.weight, fitted.bias)
-        assert clone.is_fitted
-        scores = np.linspace(-3, 3, 7)
-        assert (
-            clone.predict_proba(scores).tolist()
-            == fitted.predict_proba(scores).tolist()
-        )
 
 
 # ----------------------------------------------------------------------

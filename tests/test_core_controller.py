@@ -191,7 +191,7 @@ class TestSelect:
             self._assessment(), enable_downgrade=False
         )
         # c1 alone meets 85% of the baseline object count.
-        assert decision.active_cameras == ["c1"]
+        assert list(decision.assignment) == ["c1"]
 
     def test_downgrade_switches_to_cheap(self, controller):
         decision = controller.select(self._assessment())
@@ -203,7 +203,7 @@ class TestSelect:
             enable_subset=False,
             enable_downgrade=False,
         )
-        assert set(decision.active_cameras) == {"c1", "c2"}
+        assert set(decision.assignment) == {"c1", "c2"}
 
     def test_budget_override_forces_cheap(self, controller):
         decision = controller.select(

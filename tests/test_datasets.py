@@ -92,7 +92,7 @@ class TestSyntheticDataset:
         homographies = dataset1.ground_homographies()
         camera = dataset1.cameras[0]
         ground = np.array([3.0, 4.0])
-        uv = camera.project_ground(ground)
+        uv = camera.project(np.array([3.0, 4.0, 0.0]))
         back = homographies[camera.camera_id].apply(uv)
         np.testing.assert_allclose(back, ground, atol=1e-6)
 
@@ -101,7 +101,7 @@ class TestSyntheticDataset:
             dataset1.frames(10, 5)
 
     def test_cache_disabled(self):
-        ds = make_dataset(1, cache_frames=False) if False else make_dataset(1)
+        ds = make_dataset(1)
         ds.cache_frames = False
         ds.frames(0, 1)
         assert ds._frame_cache == {}
@@ -120,8 +120,8 @@ class TestVideoSegment:
 
     def test_ground_truth_frames(self, dataset1):
         segment = dataset1.segment(0, 60)
-        gt = segment.ground_truth_frames
-        assert [f.frame_index for f in gt] == [0, 25, 50]
+        gt = [f.frame_index for f in segment.frames if f.has_ground_truth]
+        assert gt == [0, 25, 50]
 
 
 class TestGroundTruthHelpers:

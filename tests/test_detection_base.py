@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.detection.base import BoundingBox, Detection
+from repro.energy.communication import METADATA_BYTES_PER_OBJECT
 
 
 class TestBoundingBox:
@@ -70,8 +71,8 @@ class TestDetection:
     def test_metadata_bytes_matches_paper(self):
         """8 B box + 4 B probability + 160 B colour feature = 172 B."""
         det = self._detection()
-        det.color_feature = np.zeros(40)
-        assert det.metadata_bytes() == 172
+        assert len(det.color_feature) == 40
+        assert METADATA_BYTES_PER_OBJECT == 8 + 4 + 4 * 40 == 172
 
     def test_probability_defaults_nan(self):
         assert np.isnan(self._detection().probability)

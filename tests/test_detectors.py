@@ -36,16 +36,11 @@ class TestDetectorConstruction:
         suite = make_detector_suite(LAB)
         assert set(suite) == set(ALGORITHM_NAMES)
 
-    def test_calibration_exposed(self):
-        det = make_detector("HOG", LAB)
-        cal = det.calibration
-        assert {"tp_mu", "fp_loc", "fp_count", "sigma"} <= set(cal)
-
     def test_tp_mean_above_threshold_minus_sigma(self):
         """The clean-object response sits near the threshold region."""
         det = make_detector("LSVM", LAB)
         profile = get_profile("LSVM", LAB.family)
-        assert det.calibration["tp_mu"] > profile.threshold
+        assert det._tp_mu > profile.threshold
 
     def test_unknown_algorithm_raises(self):
         with pytest.raises(KeyError):
@@ -110,10 +105,7 @@ class TestDetectorBehaviour:
     def test_cluttered_scene_has_more_false_positives(self, rng):
         lab_det = make_detector("HOG", LAB)
         chap_det = make_detector("HOG", CHAP)
-        assert (
-            chap_det.calibration["conf_count"]
-            > lab_det.calibration["conf_count"]
-        )
+        assert chap_det._conf_count > lab_det._conf_count
 
     def test_false_positives_have_no_truth_id(self, lab_frames, rng):
         det = make_detector("HOG", LAB)

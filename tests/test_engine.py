@@ -59,12 +59,6 @@ class TestSimulationClock:
         assert clock.advance_to_frame(1500) == 3000.0
         assert clock.now_s == 3000.0
 
-    def test_reset(self):
-        clock = SimulationClock()
-        clock.advance_to_frame(100)
-        clock.reset()
-        assert clock.now_s == 0.0
-
 
 class TestExecutors:
     def test_unknown_backend_lists_valid_names(self):

@@ -91,8 +91,8 @@ class TestFaultPlan:
         assert not fault.matches("x", "y", 2.0)
 
     def test_uniform_loss_zero_is_empty(self):
-        assert FaultPlan.uniform_loss(0.0, seed=3).is_empty
-        assert not FaultPlan.uniform_loss(0.2, seed=3).is_empty
+        assert FaultPlan.uniform_loss(0.0, seed=3) == FaultPlan(seed=3)
+        assert FaultPlan.uniform_loss(0.2, seed=3).link_faults
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -311,11 +311,6 @@ class TestBatteryHardening:
         assert battery.is_depleted
         assert battery.draw(5.0) == 0.0
         assert battery.residual == 0.0
-
-    def test_deplete(self):
-        battery = Battery(capacity_joules=7.0)
-        assert battery.deplete() == 7.0
-        assert battery.is_depleted
 
 
 def _camera(observations, battery=None, **kwargs):

@@ -173,9 +173,9 @@ def test_render_advances_noise_as_an_eager_draw(number):
 
 def test_read_paints_once():
     obs = make_dataset(1).frames(1000, 1001)[0].observation("lab-cam1")
-    assert not obs.frame_image.painted
+    assert obs.frame_image._array is None
     first = obs.image
-    assert obs.frame_image.painted
+    assert obs.frame_image._array is not None
     assert obs.image is first
 
 
@@ -207,7 +207,10 @@ def test_deployments_paint_nothing():
         for obs in record.observations.values()
     ]
     assert len(cached) >= 4 * (40 + 12)  # training and deployment frames
-    assert not [obs.frame_image for obs in cached if obs.frame_image.painted]
+    assert not [
+        obs.frame_image for obs in cached
+        if obs.frame_image._array is not None
+    ]
 
 
 if __name__ == "__main__":

@@ -42,10 +42,6 @@ class TestCameraIntrinsics:
         with pytest.raises(ValueError):
             CameraIntrinsics(focal_px=10, width=0, height=10)
 
-    def test_pixels(self):
-        k = CameraIntrinsics(focal_px=10, width=360, height=288)
-        assert k.pixels == 360 * 288
-
 
 class TestCameraPoseRotation:
     def test_rotation_is_orthonormal(self):
@@ -94,27 +90,16 @@ class TestProjection:
     def test_depth_positive_for_visible_points(self, camera):
         assert camera.depth_of(np.array([2.0, 2.0, 0.0])) > 0
 
-    def test_is_visible_inside_and_outside(self, camera):
-        assert camera.is_visible(np.array([2.0, 2.0, 0.0]))
-        assert not camera.is_visible(np.array([-100.0, 50.0, 0.0]))
-
 
 class TestGroundHomography:
     def test_matches_projection_for_ground_points(self, camera):
+        h = camera.ground_homography()
         for pt in [(1.0, 1.0), (3.0, 2.0), (0.5, 4.0)]:
-            via_h = camera.project_ground(np.array(pt))
+            uvw = h @ np.array([pt[0], pt[1], 1.0])
+            via_h = uvw[:2] / uvw[2]
             direct = camera.project(np.array([pt[0], pt[1], 0.0]))
             np.testing.assert_allclose(via_h, direct, atol=1e-9)
-
-    def test_backprojection_round_trip(self, camera):
-        pt = np.array([2.5, 3.5])
-        uv = camera.project_ground(pt)
-        back = camera.backproject_to_ground(uv)
-        np.testing.assert_allclose(back, pt, atol=1e-9)
 
     def test_normalised(self, camera):
         h = camera.ground_homography()
         assert h[2, 2] == pytest.approx(1.0)
-
-    def test_projection_matrix_shape(self, camera):
-        assert camera.projection_matrix.shape == (3, 4)

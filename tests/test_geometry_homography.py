@@ -58,7 +58,7 @@ class TestBetweenCameras:
         h = Homography(cam_b.ground_homography()).compose(
             Homography(cam_a.ground_homography()).inverse()
         )
-        ground = np.array([4.0, 4.0])
-        uv_a = cam_a.project_ground(ground)
-        uv_b = cam_b.project_ground(ground)
+        ground = np.array([4.0, 4.0, 0.0])
+        uv_a = cam_a.project(ground)
+        uv_b = cam_b.project(ground)
         np.testing.assert_allclose(h.apply(uv_a), uv_b, atol=1e-6)

@@ -18,9 +18,15 @@ The same walk keeps the chaos shim (``ChaosSpec`` / ``run_chaos`` in
 ``DeploymentSpec(network=True, ...)`` everywhere else.
 
 Last, no library code exists for the tests alone: every public
-top-level function and class in ``src/repro`` must be named by code
-outside ``tests/`` (another module, a benchmark, perfbench, an
-example or a CI step), bar a short allow-list with reasons.
+top-level function and class in ``src/repro``, every public method and
+property of a public class, and every public UPPER_CASE module
+constant must be named by code outside ``tests/`` (another module, a
+benchmark, perfbench, an example or a CI step), bar a short allow-list
+with reasons.  A name counts as reached when such code loads it as an
+identifier, reads or imports it as an attribute or name, or spells it
+as a string literal (``getattr(policy, "snapshot_state", None)``).
+Names match by their last part, so any ``.reset`` reaches every
+``reset`` method.  Dunder methods and private classes are exempt.
 """
 
 import ast
@@ -237,110 +243,166 @@ def test_deployments_load_no_scipy_or_http_server():
     assert out.strip() == "[]", out
 
 
-#: Public top-level definitions in ``src/repro`` that only tests may
-#: reach, each with the reason it stays.  Anything else that no module,
-#: benchmark, example or CI step names is dead code: delete it with its
-#: tests, or move a test oracle into ``tests/``.
+#: Public definitions in ``src/repro`` that only tests may reach, each
+#: with the reason it stays: a name, or a module whose whole body
+#: stays.  Anything else that no module, benchmark, example or CI step
+#: names is dead code: delete it with its tests, or move a test oracle
+#: into ``tests/``.
 TEST_ONLY_ALLOWED = {
     "hog_descriptor_reference": (
         "the loop-based oracle tests/test_hog_equivalence.py checks the "
         "vectorised HOG against"
     ),
-    "EnvironmentChangeDetector": (
-        "the re-match trigger of the GFK item in ROADMAP.md, which wires "
-        "it into the engine or deletes it"
-    ),
-    "load_library": (
-        "the reader of the library file `repro train --save` writes; "
-        "deleting it would leave that file without a reader"
+    "repro.core.change_detector": (
+        "the CUSUM re-match trigger of the GFK item in ROADMAP.md, which "
+        "wires the module into the engine or deletes it"
     ),
 }
 REACH_SCANNED = ("benchmarks", "perfbench", "examples")
 CI_FILE = ROOT / ".github" / "workflows" / "ci.yml"
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
 
 
-def public_definitions(tree: ast.Module) -> list[ast.stmt]:
-    """Top-level public functions and classes, bar registered policies
-    (the policy registry reaches those by name)."""
-    return [
-        node
-        for node in tree.body
-        if isinstance(
+def public_definitions(tree: ast.Module) -> list[tuple[int, str, str]]:
+    """``(line, qualified name, name)`` of every public top-level
+    function and class (bar registered policies: the policy registry
+    reaches those by name), every public method and property of a
+    public class, and every public UPPER_CASE module constant."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target
+            ]
+            found += [
+                (node.lineno, target.id, target.id)
+                for target in targets
+                if isinstance(target, ast.Name)
+                and CONSTANT.fullmatch(target.id)
+            ]
+            continue
+        if not isinstance(
             node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        )
-        and not node.name.startswith("_")
-        and not any(
+        ) or node.name.startswith("_"):
+            continue
+        if not any(
             (getattr(d, "id", None) or getattr(d, "attr", None))
             == "register_policy"
             for d in node.decorator_list
-        )
-    ]
+        ):
+            found.append((node.lineno, node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (item.lineno, f"{node.name}.{item.name}", item.name)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not item.name.startswith("_")
+            ]
+    return found
 
 
 def referenced_names(tree: ast.Module, reexports: bool = True) -> set[str]:
-    """Names a module reads: identifiers, attributes and (unless the
-    module is a package ``__init__`` whose imports only re-export)
-    imported names.  Docstrings and comments do not count."""
+    """Names a module reads: loaded identifiers, attributes,
+    identifier-shaped string literals (``getattr(obj, "name")``) and
+    (unless the module is a package ``__init__`` whose imports only
+    re-export) imported names.  Assignment targets and ``__all__``
+    lists do not count, nor does prose in docstrings and comments."""
+    exported = {
+        id(node)
+        for statement in tree.body
+        if isinstance(statement, ast.Assign)
+        and any(getattr(t, "id", None) == "__all__" for t in statement.targets)
+        for node in ast.walk(statement.value)
+    }
     names: set[str] = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.ImportFrom) and reexports:
             names.update(alias.name for alias in node.names)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and IDENTIFIER.fullmatch(node.value)
+            and id(node) not in exported
+        ):
+            names.add(node.value)
     return names
 
 
-def unreached_definitions() -> list[str]:
-    """Public ``src/repro`` definitions that nothing outside tests names."""
+def outside_tests() -> list[Path]:
+    """Python files outside ``src/repro`` and ``tests/`` that count as
+    reaching library code."""
+    return [
+        path
+        for top in REACH_SCANNED
+        for path in sorted((ROOT / top).rglob("*.py"))
+    ]
+
+
+def unreached_definitions() -> list[tuple[str, str, str]]:
+    """``(module, qualified name, location)`` of every public
+    ``src/repro`` definition that nothing outside tests names."""
     trees = {
         path: ast.parse(path.read_text(), filename=str(path))
         for path in sorted((SRC / "repro").rglob("*.py"))
     }
-    reads = {
-        path: referenced_names(tree, reexports=path.name != "__init__.py")
-        for path, tree in trees.items()
-    }
-    outside = set().union(
+    reached = set().union(
+        *(
+            referenced_names(tree, reexports=path.name != "__init__.py")
+            for path, tree in trees.items()
+        ),
         *(
             referenced_names(ast.parse(path.read_text(), filename=str(path)))
-            for top in REACH_SCANNED
-            for path in sorted((ROOT / top).rglob("*.py"))
-        )
+            for path in outside_tests()
+        ),
+        re.findall(r"\w+", CI_FILE.read_text()),
     )
-    ci_words = set(re.findall(r"\w+", CI_FILE.read_text()))
-    found = []
-    for path, tree in trees.items():
-        for node in public_definitions(tree):
-            name = node.name
-            if name in outside or name in ci_words:
-                continue
-            if any(name in names for names in reads.values()):
-                continue
-            found.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
-    return found
+    return [
+        (module_name(path), qualified, f"{path.relative_to(ROOT)}:{line}")
+        for path, tree in trees.items()
+        for line, qualified, name in public_definitions(tree)
+        if name not in reached
+    ]
 
 
 def test_no_test_only_library_code():
     found = [
-        entry
-        for entry in unreached_definitions()
-        if entry.rsplit(" ", 1)[1] not in TEST_ONLY_ALLOWED
+        f"{location} {qualified}"
+        for module, qualified, location in unreached_definitions()
+        if qualified not in TEST_ONLY_ALLOWED
+        and module not in TEST_ONLY_ALLOWED
     ]
     assert not found, (
-        "public definitions that only tests reach; delete them (and "
-        "their tests) or move a test oracle into tests/:\n"
-        + "\n".join(found)
+        "public definitions, methods and constants that only tests "
+        "reach; delete them (and their tests) or move a test oracle "
+        "into tests/:\n" + "\n".join(found)
     )
 
 
 def test_test_only_allow_list_is_current():
-    """Every allow-listed name still exists and is still test-only."""
-    reached_only_by_tests = {
-        entry.rsplit(" ", 1)[1] for entry in unreached_definitions()
+    """Every allow-listed name still exists and is still test-only;
+    every allow-listed module still holds test-only definitions and
+    nothing outside tests imports it."""
+    unreached = unreached_definitions()
+    names = {qualified for _, qualified, _ in unreached}
+    modules = {module for module, _, _ in unreached}
+    importers = {
+        module_name(path): imported_modules(path)
+        for path in [*sorted((SRC / "repro").rglob("*.py")), *outside_tests()]
     }
-    assert set(TEST_ONLY_ALLOWED) <= reached_only_by_tests
+    for entry in TEST_ONLY_ALLOWED:
+        if entry in modules:
+            assert not [
+                importer
+                for importer, imported in importers.items()
+                if importer != entry and entry in imported
+            ], f"{entry} is imported outside tests"
+        else:
+            assert entry in names, f"{entry} is gone or reached outside tests"
 
 
 class TestCheckerCatchesViolations:
@@ -373,13 +435,37 @@ class TestCheckerCatchesViolations:
             bad.unlink()
 
     def test_test_only_definition_detected(self):
+        assert "canary_only_tests_call" in self._unreached_in_canary(
+            "def canary_only_tests_call():\n    pass\n"
+        )
+
+    def test_test_only_method_detected(self):
+        unreached = self._unreached_in_canary(
+            "class Canary:\n"
+            "    def only_tests_call(self):\n"
+            "        pass\n"
+            "\n"
+            "    def __repr__(self):\n"
+            "        return 'canary'\n"
+        )
+        assert "Canary.only_tests_call" in unreached
+        assert "Canary.__repr__" not in unreached  # dunders are exempt
+
+    def test_test_only_constant_detected(self):
+        assert "CANARY_ONLY_TESTS_READ" in self._unreached_in_canary(
+            "CANARY_ONLY_TESTS_READ = 1\n"
+        )
+
+    @staticmethod
+    def _unreached_in_canary(source: str) -> set[str]:
         bad = SRC / "repro" / "engine" / "_contract_canary.py"
-        bad.write_text("def canary_only_tests_call():\n    pass\n")
+        bad.write_text(source)
         try:
-            assert any(
-                entry.endswith(" canary_only_tests_call")
-                for entry in unreached_definitions()
-            )
+            return {
+                qualified
+                for module, qualified, _ in unreached_definitions()
+                if module == "repro.engine._contract_canary"
+            }
         finally:
             bad.unlink()
 

@@ -57,11 +57,6 @@ class TestWirelessLink:
             2 * good.transfer_energy(100)
         )
 
-    def test_bandwidth_estimate(self):
-        link = WirelessLink(bandwidth_bps=1e6, latency_s=0.0)
-        measured = link.transfer_time(12500)  # 100 kbit at 1 Mbps = 0.1 s
-        assert link.estimate_bandwidth(12500, measured) == pytest.approx(1e6)
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             WirelessLink(bandwidth_bps=0)

@@ -47,12 +47,6 @@ class TestPCA:
         with pytest.raises(RuntimeError):
             PCA(2).transform(np.zeros((3, 5)))
 
-    def test_fit_transform_equals_fit_then_transform(self, rng):
-        data = rng.normal(size=(30, 7))
-        a = PCA(3).fit_transform(data)
-        pca = PCA(3).fit(data)
-        np.testing.assert_allclose(a, pca.transform(data))
-
 
 class TestBases:
     def test_uncentered_basis_orthonormal(self, rng):

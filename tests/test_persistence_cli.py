@@ -1,90 +1,15 @@
-"""Tests for library persistence and the command-line interface."""
+"""Tests for the command-line interface."""
 
-import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core.calibration import TrainingItem, TrainingLibrary
-from repro.detection.scores import ScoreCalibrator
-from repro.persistence import (
-    library_from_dict,
-    library_to_dict,
-    load_library,
-    save_library,
-)
-from tests.test_core_calibration import make_profile
 
-
-def sample_library():
-    library = TrainingLibrary()
-    for name in ("T1", "T2"):
-        profiles = {
-            "HOG": make_profile("HOG", f=0.7, energy=1.08, item=name),
-            "ACF": make_profile("ACF", f=0.5, energy=0.07, item=name),
-        }
-        cal = ScoreCalibrator()
-        cal.fit(
-            np.array([2.0, 1.8, -1.0, -1.2]),
-            np.array([1, 1, 0, 0]),
-        )
-        profiles["HOG"].calibrator = cal
-        library.add(
-            TrainingItem(
-                name=name,
-                profiles=profiles,
-                features=np.arange(6, dtype=float).reshape(2, 3),
-            )
-        )
-    return library
-
-
-class TestPersistence:
-    def test_round_trip_preserves_profiles(self):
-        original = sample_library()
-        restored = library_from_dict(library_to_dict(original))
-        assert set(restored.names) == {"T1", "T2"}
-        for name in restored.names:
-            for algorithm in ("HOG", "ACF"):
-                a = original.get(name).profile(algorithm)
-                b = restored.get(name).profile(algorithm)
-                assert a.threshold == b.threshold
-                assert a.f_score == b.f_score
-                assert a.energy_per_frame == b.energy_per_frame
-
-    def test_round_trip_preserves_calibrator(self):
-        original = sample_library()
-        restored = library_from_dict(library_to_dict(original))
-        cal_a = original.get("T1").profile("HOG").calibrator
-        cal_b = restored.get("T1").profile("HOG").calibrator
-        assert cal_b.is_fitted
-        assert cal_b(1.5) == pytest.approx(cal_a(1.5))
-
-    def test_round_trip_preserves_features(self):
-        restored = library_from_dict(library_to_dict(sample_library()))
-        np.testing.assert_allclose(
-            restored.get("T1").features,
-            np.arange(6, dtype=float).reshape(2, 3),
-        )
-
-    def test_file_round_trip(self, tmp_path):
-        path = tmp_path / "library.json"
-        save_library(sample_library(), path)
-        restored = load_library(path)
-        assert set(restored.names) == {"T1", "T2"}
-        # The file really is JSON.
-        json.loads(path.read_text())
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_library(tmp_path / "nope.json")
-
-    def test_version_check(self):
-        data = library_to_dict(sample_library())
-        data["version"] = 99
-        with pytest.raises(ValueError):
-            library_from_dict(data)
+SRC = Path(__file__).parent.parent / "src"
 
 
 class TestCli:
@@ -93,12 +18,9 @@ class TestCli:
         for command in (
             "table2", "table3", "table4", "table5",
             "fig3", "fig4", "fig5a", "fig5b", "fig6",
-            "run", "train",
+            "run",
         ):
-            args = parser.parse_args(
-                [command] + (["--save", "x.json"] if command == "train" else [])
-            )
-            assert args.command == command
+            assert parser.parse_args([command]).command == command
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -109,8 +31,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "HOG" in out and "LSVM" in out
 
-    def test_train_writes_library(self, tmp_path, capsys):
-        path = tmp_path / "lib.json"
-        assert main(["train", "--dataset", "1", "--save", str(path)]) == 0
-        restored = load_library(path)
-        assert len(restored) == 4  # one item per camera
+    def test_train_command_is_gone(self):
+        """Deployments train their library in process; no command
+        writes a library file."""
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "train", "--dataset", "1",
+             "--save", "library.json"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 2
+        assert "invalid choice: 'train'" in out.stderr

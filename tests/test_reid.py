@@ -124,15 +124,6 @@ class TestMahalanobis:
         a, b = rng.normal(size=3), rng.normal(size=3)
         assert metric.distance(a, b) == pytest.approx(metric.distance(b, a))
 
-    def test_pairwise_matches_distance(self, rng):
-        metric = MahalanobisMetric().fit(rng.normal(size=(60, 4)))
-        pts = rng.normal(size=(5, 4))
-        pairwise = metric.pairwise(pts)
-        assert pairwise[1, 3] == pytest.approx(
-            metric.distance(pts[1], pts[3])
-        )
-        np.testing.assert_allclose(pairwise, pairwise.T)
-
     def test_pca_reduction(self, rng):
         data = rng.normal(size=(100, 10))
         metric = MahalanobisMetric(n_components=3).fit(data)

@@ -61,7 +61,7 @@ class TestHappyPath:
         a.transport.send(_report())
         sim.run()
         assert [m.residual_joules for m in b.processed] == [5.0]
-        assert a.transport.in_flight == 0
+        assert len(a.transport._pending) == 0
         assert a.transport.retransmissions == 0
         assert b.transport.acks_sent == 1
 
@@ -110,7 +110,7 @@ class TestRetryPath:
         sim.run()
         assert a.transport.retransmissions == 1
         assert [m.residual_joules for m in b.processed] == [5.0]
-        assert a.transport.in_flight == 0
+        assert len(a.transport._pending) == 0
 
     def test_each_attempt_charges_sender_energy(self, net):
         sim, a, b = net
@@ -132,7 +132,7 @@ class TestRetryPath:
         assert len(b.processed) == 1
         assert b.transport.duplicates_dropped == 1
         assert b.transport.acks_sent == 2
-        assert a.transport.in_flight == 0
+        assert len(a.transport._pending) == 0
 
     def test_backoff_grows_exponentially(self, net):
         sim, a, b = net
@@ -162,7 +162,7 @@ class TestRetryPath:
         assert a.transport.gave_up == 1
         assert a.transport.retransmissions == 2  # the cap
         assert [m.kind for m in given_up] == ["EnergyReport"]
-        assert a.transport.in_flight == 0
+        assert len(a.transport._pending) == 0
         assert b.processed == []
 
 

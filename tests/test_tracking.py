@@ -8,6 +8,11 @@ from repro.tracking.kalman import KalmanFilter2D
 from repro.tracking.tracker import GroundPlaneTracker
 
 
+def position_variance(kf: KalmanFilter2D) -> float:
+    """Trace of the filter's positional covariance block."""
+    return float(np.trace(kf.covariance[:2, :2]))
+
+
 class TestKalmanFilter:
     def test_stationary_object_converges(self):
         kf = KalmanFilter2D(np.array([1.0, 2.0]))
@@ -15,14 +20,14 @@ class TestKalmanFilter:
             kf.predict()
             kf.update(np.array([1.0, 2.0]))
         np.testing.assert_allclose(kf.position, [1.0, 2.0], atol=0.05)
-        np.testing.assert_allclose(kf.velocity, [0.0, 0.0], atol=0.05)
+        np.testing.assert_allclose(kf.state[2:], [0.0, 0.0], atol=0.05)
 
     def test_constant_velocity_estimated(self):
         kf = KalmanFilter2D(np.array([0.0, 0.0]), dt=1.0)
         for t in range(1, 25):
             kf.predict()
             kf.update(np.array([0.5 * t, -0.25 * t]))
-        np.testing.assert_allclose(kf.velocity, [0.5, -0.25], atol=0.05)
+        np.testing.assert_allclose(kf.state[2:], [0.5, -0.25], atol=0.05)
 
     def test_prediction_extrapolates(self):
         kf = KalmanFilter2D(np.array([0.0, 0.0]), dt=1.0)
@@ -35,18 +40,18 @@ class TestKalmanFilter:
     def test_uncertainty_shrinks_with_updates(self):
         kf = KalmanFilter2D(np.array([0.0, 0.0]))
         kf.predict()
-        before = kf.position_uncertainty()
+        before = position_variance(kf)
         kf.update(np.array([0.0, 0.0]))
-        assert kf.position_uncertainty() < before
+        assert position_variance(kf) < before
 
     def test_uncertainty_grows_without_updates(self):
         kf = KalmanFilter2D(np.array([0.0, 0.0]))
         kf.predict()
         kf.update(np.array([0.0, 0.0]))
-        after_update = kf.position_uncertainty()
+        after_update = position_variance(kf)
         for _ in range(5):
             kf.predict()
-        assert kf.position_uncertainty() > after_update
+        assert position_variance(kf) > after_update
 
     def test_gating_distance_small_for_consistent(self):
         kf = KalmanFilter2D(np.array([3.0, 3.0]))

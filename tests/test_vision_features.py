@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.vision.bow import BagOfWords
-from repro.vision.features import (
-    FRAME_FEATURE_DIM,
-    FrameFeatureExtractor,
-    build_vocabulary,
-)
+from repro.vision.features import FrameFeatureExtractor, build_vocabulary
 from repro.vision.hog import HOG_DIM
 from repro.vision.keypoints import DESCRIPTOR_DIM
 
@@ -29,7 +25,7 @@ class TestFrameFeatureExtractor:
 
     def test_paper_dimension_with_400_words(self):
         """3780 HOG + 400 BoW = 4180, the paper's 16 KB frame vector."""
-        assert FRAME_FEATURE_DIM == 4180
+        assert FrameFeatureExtractor(BagOfWords()).dim == 4180
 
     def test_extract_video_stacks(self, fitted_bow, rng):
         extractor = FrameFeatureExtractor(fitted_bow)
@@ -47,7 +43,7 @@ class TestBuildVocabulary:
         frames = [rng.uniform(size=(64, 64)) for _ in range(4)]
         bow = build_vocabulary(frames, vocabulary_size=30, rng=rng)
         assert bow.is_fitted
-        assert bow.vocabulary.shape == (30, DESCRIPTOR_DIM)
+        assert bow._kmeans.centroids.shape == (30, DESCRIPTOR_DIM)
 
     def test_rejects_featureless_frames(self, rng):
         frames = [np.zeros((40, 40)) for _ in range(3)]

@@ -35,8 +35,13 @@ class TestKMeans:
 
     def test_inertia_decreases_with_more_clusters(self, rng):
         data, _ = three_clusters(rng)
-        inertia1 = KMeans(1, rng=rng).fit(data).inertia(data)
-        inertia3 = KMeans(3, rng=rng).fit(data).inertia(data)
+
+        def inertia(km: KMeans) -> float:
+            # Sum of squared distances to the assigned centres.
+            return float(np.sum((data - km.centroids[km.predict(data)]) ** 2))
+
+        inertia1 = inertia(KMeans(1, rng=rng).fit(data))
+        inertia3 = inertia(KMeans(3, rng=rng).fit(data))
         assert inertia3 < inertia1
 
     def test_degenerate_fewer_points_than_k(self, rng):
@@ -100,7 +105,7 @@ class TestBagOfWords:
         assert hist.sum() == pytest.approx(1.0, abs=1e-9) or hist.sum() == 0.0
 
     def test_vocabulary_shape(self, fitted):
-        assert fitted.vocabulary.shape == (20, DESCRIPTOR_DIM)
+        assert fitted._kmeans.centroids.shape == (20, DESCRIPTOR_DIM)
 
     def test_default_vocabulary_size_is_papers(self):
         assert BagOfWords().vocabulary_size == 400

