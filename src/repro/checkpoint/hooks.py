@@ -24,7 +24,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from repro.checkpoint.store import CheckpointStore, normalize_fingerprint
+from repro.checkpoint.store import (
+    CheckpointStore,
+    document_header,
+    normalize_fingerprint,
+)
 
 
 @dataclass(frozen=True)
@@ -94,8 +98,7 @@ class RunCheckpointer:
     def __init__(self, config: CheckpointConfig) -> None:
         self.config = config
         self.store = CheckpointStore(config.directory)
-        self._kind = "run"
-        self._fingerprint: dict = {}
+        self._header = document_header("run", {})
         self._sigterm_received = False
         self._previous_handler = None
 
@@ -104,12 +107,13 @@ class RunCheckpointer:
     # ------------------------------------------------------------------
     def begin(self, kind: str, fingerprint: dict) -> dict | None:
         """Start (or resume) a run; returns the state to restore."""
-        self._kind = kind
-        # Normalised once: every save writes the same fingerprint.
-        self._fingerprint = normalize_fingerprint(fingerprint)
+        # Normalised and encoded once: every save writes the same
+        # document header and encodes only its state.
+        fingerprint = normalize_fingerprint(fingerprint)
+        self._header = document_header(kind, fingerprint)
         self._install_sigterm_handler()
         if self.config.resume:
-            return self.store.load(kind, self._fingerprint)
+            return self.store.load(kind, fingerprint)
         return None
 
     def finish(self) -> None:
@@ -123,7 +127,7 @@ class RunCheckpointer:
     # ------------------------------------------------------------------
     def save(self, position: int, capture: Callable[[], dict]) -> Path:
         """Unconditionally persist ``capture()`` as position+1 done."""
-        return self.store.save(self._kind, self._fingerprint, capture())
+        return self.store.save(self._header, capture())
 
     def save_due(self, position: int, total: int) -> bool:
         """Whether :meth:`unit_complete` at ``position`` will save: on

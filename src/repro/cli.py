@@ -189,8 +189,8 @@ def _add_checkpoint_flags(p: argparse.ArgumentParser, unit: str) -> None:
     p.add_argument(
         "--checkpoint-every",
         type=int,
-        default=1,
-        help=f"checkpoint cadence in completed {unit}s",
+        default=None,
+        help=f"checkpoint cadence in completed {unit}s (default 1)",
     )
     p.add_argument(
         "--resume",
@@ -263,17 +263,43 @@ def _make_resilience_config(args: argparse.Namespace):
     )
 
 
+#: Durability flags and the flag each needs: without it they would do
+#: nothing, so :func:`main` refuses them as usage errors (exit 2).
+_FLAG_PREREQUISITES = (
+    ("stream_rotate_bytes", "stream_out"),
+    ("checkpoint_every", "checkpoint_dir"),
+    ("resume", "checkpoint_dir"),
+    ("crash_after", "checkpoint_dir"),
+)
+
+
+def _missing_prerequisite(args: argparse.Namespace) -> str | None:
+    """The usage error for a flag given without the flag it needs."""
+    for flag, needed in _FLAG_PREREQUISITES:
+        # ``is`` tests: ``--crash-after 0`` is given, ``--resume``
+        # defaults to False.
+        given = getattr(args, flag, None)
+        if given is not None and given is not False and not getattr(
+            args, needed
+        ):
+            return (
+                f"--{flag.replace('_', '-')} requires "
+                f"--{needed.replace('_', '-')}"
+            )
+    return None
+
+
 def _make_checkpointer(args: argparse.Namespace):
     if not args.checkpoint_dir:
-        if args.resume:
-            raise SystemExit("--resume requires --checkpoint-dir")
         return None
     from repro.checkpoint import CheckpointConfig, RunCheckpointer
 
     return RunCheckpointer(
         CheckpointConfig(
             directory=args.checkpoint_dir,
-            every=args.checkpoint_every,
+            every=(
+                1 if args.checkpoint_every is None else args.checkpoint_every
+            ),
             resume=args.resume,
             crash_after=args.crash_after,
         )
@@ -969,6 +995,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    missing = _missing_prerequisite(args)
+    if missing:
+        parser.error(missing)
     level = getattr(args, "log_level", None)
     if level:
         logging.basicConfig(

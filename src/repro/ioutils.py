@@ -3,13 +3,17 @@
 A plain ``path.write_text`` truncates the destination before the new
 bytes land, so a crash mid-write (power loss, SIGKILL, a full disk)
 leaves a corrupt or empty file where a valid one used to be.  Every
-artefact the project persists — training libraries, checkpoints,
-telemetry dumps, run results — goes through :func:`atomic_write_text`
-instead: the content is written to a temporary file *in the same
-directory* (same filesystem, so the final rename cannot cross a mount
-boundary) and moved over the destination with :func:`os.replace`,
-which POSIX guarantees to be atomic.  A crash at any point leaves
-either the complete old file or the complete new file, never a mix.
+artefact the project persists — checkpoints, telemetry dumps, run
+results — goes through :func:`atomic_write_bytes` instead: the bytes
+are written with ``os.write`` straight onto the descriptor of a
+temporary file *in the same directory* (same filesystem, so the final
+rename cannot cross a mount boundary), fsynced, and moved over the
+destination with :func:`os.replace`, which POSIX guarantees to be
+atomic.  A crash at any point leaves either the complete old file or
+the complete new file, never a mix, and a failed write removes its
+temporary file.  Text and JSON callers encode first and share the
+same path; a checkpoint, saved every tick, hands over ready-made bytes
+and skips the text layer altogether.
 """
 
 from __future__ import annotations
@@ -20,12 +24,10 @@ import tempfile
 from pathlib import Path
 
 
-def atomic_write_text(
-    path: str | Path, content: str, encoding: str = "utf-8"
-) -> Path:
-    """Write ``content`` to ``path`` atomically.
+def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
+    """Write ``data`` to ``path`` atomically.
 
-    The bytes are flushed and fsynced to a sibling temporary file
+    The bytes are written and fsynced to a sibling temporary file
     before an :func:`os.replace` swings it into place, so a reader (or
     a resumed process) never observes a partially written file and the
     previous contents survive any crash that happens before the
@@ -36,10 +38,13 @@ def atomic_write_text(
         prefix=f".{path.name}.", suffix=".tmp", dir=path.parent or "."
     )
     try:
-        with os.fdopen(fd, "w", encoding=encoding) as fh:
-            fh.write(content)
-            fh.flush()
-            os.fsync(fh.fileno())
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            os.fsync(fd)
+        finally:
+            os.close(fd)
         os.replace(tmp_name, path)
     except BaseException:
         # The destination is untouched; drop the orphaned temp file.
@@ -49,6 +54,14 @@ def atomic_write_text(
             pass
         raise
     return path
+
+
+def atomic_write_text(
+    path: str | Path, content: str, encoding: str = "utf-8"
+) -> Path:
+    """Write ``content`` to ``path`` atomically (see
+    :func:`atomic_write_bytes`)."""
+    return atomic_write_bytes(path, content.encode(encoding))
 
 
 def atomic_write_json(

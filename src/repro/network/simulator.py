@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.network.link import WirelessLink
@@ -36,18 +35,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.core import Telemetry
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-
-
 class EventSimulator:
     """Priority-queue discrete-event loop with message routing."""
 
     def __init__(self, telemetry: "Telemetry | None" = None) -> None:
-        self._queue: list[_Event] = []
+        # (time, seq, callback) heap entries: ``seq`` is unique, so
+        # ties on time run in schedule order and tuple comparison
+        # never reaches the (unorderable) callbacks.
+        self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._nodes: dict[str, "Node"] = {}
@@ -206,7 +201,7 @@ class EventSimulator:
         if delay < 0:
             raise ValueError("cannot schedule in the past")
         heapq.heappush(
-            self._queue, _Event(self._now + delay, next(self._seq), callback)
+            self._queue, (self._now + delay, next(self._seq), callback)
         )
 
     def send(self, message: Message) -> None:
@@ -271,12 +266,14 @@ class EventSimulator:
     def run(self, until: float | None = None, max_events: int = 1_000_000) -> int:
         """Drain the event queue; returns the number of events run."""
         executed = 0
-        while self._queue and executed < max_events:
-            if until is not None and self._queue[0].time > until:
+        queue = self._queue
+        while queue and executed < max_events:
+            if until is not None and queue[0][0] > until:
                 break
-            event = heapq.heappop(self._queue)
-            self._now = max(self._now, event.time)
-            event.callback()
+            time, _, callback = heapq.heappop(queue)
+            if time > self._now:
+                self._now = time
+            callback()
             executed += 1
         return executed
 

@@ -16,6 +16,7 @@ on one vocabulary.
 
 from __future__ import annotations
 
+import json
 import threading
 import uuid
 from pathlib import Path
@@ -24,7 +25,7 @@ from typing import TYPE_CHECKING
 from repro.ioutils import atomic_write_text
 from repro.telemetry.alerts import AlertEngine, AlertRule
 from repro.telemetry.events import EventLog, fault_log_sink
-from repro.telemetry.live import TelemetrySink, build_stream_record
+from repro.telemetry.live import TelemetrySink, stream_line
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import Tracer
 
@@ -199,7 +200,7 @@ class Telemetry:
         """Whether a flush does any work beyond the status update."""
         return bool(self._sinks or self.alerts.rules)
 
-    def flush_round(self, round_index: int, time_s: float) -> dict | None:
+    def flush_round(self, round_index: int, time_s: float) -> str | None:
         """Fold the live state into one stream record at a round
         boundary: evaluate alert rules, emit their transitions as
         events, and hand the record to every sink.
@@ -207,8 +208,12 @@ class Telemetry:
         Called by the engine after every completed round; with no
         sinks and no rules only the (cheap) status page data is
         refreshed, so always-on instrumentation stays within the
-        pinned overhead budget.  Returns the record, or ``None`` when
-        live streaming is off.
+        pinned overhead budget.  The record is encoded once, as its
+        JSONL line, with the metrics snapshot taken from the
+        registry's incremental encoder
+        (:meth:`~repro.telemetry.metrics.MetricsRegistry.to_json`);
+        every sink receives that line.  Returns the line, or ``None``
+        when live streaming is off.
         """
         with self.lock:
             self._status = {
@@ -232,19 +237,19 @@ class Telemetry:
                 for event in self.events.events[self._events_cursor:]
             ]
             self._events_cursor = len(self.events.events)
-            record = build_stream_record(
+            line = stream_line(
                 run_id=self.run_id,
                 seq=self._flush_seq,
                 round_index=round_index,
                 time_s=time_s,
-                metrics=self.registry.snapshot(),
+                metrics_json=self.registry.to_json(),
                 events=new_events,
                 alerts=[s.to_detail() for s in self.alerts.active],
             )
             self._flush_seq += 1
         for sink in self._sinks:
-            sink.emit(record)
-        return record
+            sink.emit(line)
+        return line
 
     def prepare_resume(self, first_round: int) -> None:
         """Stitch live state for a run resuming at ``first_round``.
@@ -287,7 +292,11 @@ class Telemetry:
         if path.suffix in (".prom", ".txt"):
             atomic_write_text(path, self.registry.render_text())
         else:
-            atomic_write_text(path, self.registry.to_json(indent=2) + "\n")
+            atomic_write_text(
+                path,
+                json.dumps(self.registry.snapshot(), indent=2, sort_keys=True)
+                + "\n",
+            )
 
     def write_trace(self, path: str | Path) -> int:
         self.tracer.finish()

@@ -7,7 +7,12 @@ boundary the engine calls :meth:`~repro.telemetry.core.Telemetry.flush_round`,
 which folds the live state into one ``repro.stream.v1`` record — the
 cumulative metrics snapshot, the events emitted since the previous
 flush, and any alert transitions — and hands it to every attached
-:class:`TelemetrySink`.
+:class:`TelemetrySink`.  The record is encoded once per flush, as its
+JSONL line (:func:`stream_line`), and every sink receives that line.
+The metrics part is the registry's cached compact encoding
+(:meth:`~repro.telemetry.metrics.MetricsRegistry.to_json`), which
+re-renders only the series that changed since the previous flush, so
+a per-tick flush costs what moved, not the whole 10 KB record.
 
 :class:`JsonlStreamSink` appends one record per flush to a JSONL file.
 Each append is a single ``os.write`` of one complete line on an
@@ -41,33 +46,48 @@ from repro.ioutils import atomic_write_text
 
 STREAM_SCHEMA = "repro.stream.v1"
 
+#: ``json.dumps(..., sort_keys=True)`` without building an encoder per
+#: call.
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
-def build_stream_record(
+
+def stream_line(
     run_id: str,
     seq: int,
     round_index: int,
     time_s: float,
-    metrics: dict,
+    metrics_json: str,
     events: list[dict],
     alerts: list[dict],
-) -> dict:
-    """One ``repro.stream.v1`` record (see ``repro.telemetry.schema``)."""
-    return {
-        "schema": STREAM_SCHEMA,
-        "run_id": run_id,
-        "seq": seq,
-        "round": round_index,
-        "time_s": time_s,
-        "metrics": metrics,
-        "events": events,
-        "alerts": alerts,
-    }
+) -> str:
+    """One ``repro.stream.v1`` record (see ``repro.telemetry.schema``)
+    as its JSONL line: ``json.dumps(record, sort_keys=True) + "\n"``.
+
+    ``metrics_json`` is the compact metrics snapshot
+    (:meth:`~repro.telemetry.metrics.MetricsRegistry.to_json`), spliced
+    in as text at its sorted-key position (after ``events``, before
+    ``round``) so the flush never re-encodes it.
+    """
+    head = _ENCODER.encode({"alerts": alerts, "events": events})
+    tail = _ENCODER.encode(
+        {
+            "round": round_index,
+            "run_id": run_id,
+            "schema": STREAM_SCHEMA,
+            "seq": seq,
+            "time_s": time_s,
+        }
+    )
+    return "".join(
+        (head[:-1], ', "metrics": ', metrics_json, ", ", tail[1:], "\n")
+    )
 
 
 class TelemetrySink:
     """Receives one record per flush; subclasses define delivery."""
 
-    def emit(self, record: dict) -> None:
+    def emit(self, line: str) -> None:
+        """Deliver one record, encoded once as its :func:`stream_line`."""
         raise NotImplementedError
 
     def on_resume(self, first_round: int) -> None:
@@ -206,8 +226,8 @@ class JsonlStreamSink(TelemetrySink):
         os.replace(self.path, self.path.with_name(f"{self.path.name}.1"))
         self._size = 0
 
-    def emit(self, record: dict) -> None:
-        data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+    def emit(self, line: str) -> None:
+        data = line.encode("utf-8")
         if (
             self.rotate_bytes is not None
             and self._size > 0

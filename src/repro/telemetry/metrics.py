@@ -14,6 +14,10 @@ the hot loops.  :meth:`MetricsRegistry.snapshot` produces a plain
 JSON-able payload that round-trips losslessly through
 :meth:`MetricsRegistry.merge`, which is how per-run dumps from
 parallel or sharded deployments fold into one fleet-wide view.
+:meth:`MetricsRegistry.to_json` is the same payload as compact JSON,
+encoded incrementally: recording stays untouched, and each encode
+re-renders only the series whose value changed since the last one, so
+a per-tick stream flush pays for what moved, not for every series.
 """
 
 from __future__ import annotations
@@ -34,6 +38,31 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 COUNTER = "counter"
 GAUGE = "gauge"
 HISTOGRAM = "histogram"
+
+
+#: How ``json.dumps`` spells the floats whose repr is not JSON.
+_NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _number_json(value: object) -> str:
+    """``json.dumps(value)`` of one series number, minus the encoder
+    set-up: floats (subclasses too) render through ``float.__repr__``,
+    exactly as the C encoder renders them."""
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NONFINITE_JSON.get(text, text)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
+def _renders_as(value: object, rendered: object) -> bool:
+    """Whether ``value`` encodes exactly as ``rendered`` did: the same
+    object, or an equal non-zero value of the same type (equal values
+    can still print differently: 0.0 and -0.0, 1 and 1.0)."""
+    return value is rendered or (
+        value == rendered and bool(value) and type(value) is type(rendered)
+    )
 
 
 class MetricError(ValueError):
@@ -82,6 +111,12 @@ class _Instrument:
         self.name = name
         self.help = help
         self.label_names = tuple(labels)
+        # Compact-encoding cache (see MetricsRegistry.to_json): the
+        # entry's constant head and tail, the sorted series keys, and
+        # per series the state its fragment was rendered from.
+        self._json_frame: tuple[str, str] | None = None
+        self._json_keys: list[tuple[str, ...]] = []
+        self._fragments: dict[tuple[str, ...], tuple] = {}
 
     def _key(self, labels: Mapping[str, object]) -> tuple[str, ...]:
         # Unrolled for the 0/1/2-label shapes every hot-loop metric in
@@ -99,17 +134,81 @@ class _Instrument:
             pass
         return _label_key(names, labels)
 
+    def _labels_json(self, key: tuple[str, ...]) -> str:
+        return json.dumps(dict(zip(self.label_names, key)), sort_keys=True)
 
-class Counter(_Instrument):
-    """A monotonically increasing total, one value per label set."""
+    def _entry_fields(self) -> dict:
+        """The snapshot entry's fields that sort before ``series``."""
+        return {
+            "help": self.help,
+            "labels": list(self.label_names),
+            "name": self.name,
+        }
 
-    type = COUNTER
+    def _json(self) -> str:
+        """``json.dumps(entry, sort_keys=True)`` of this instrument's
+        snapshot entry, re-rendering only the series that changed."""
+        if self._json_frame is None:
+            head = json.dumps(self._entry_fields(), sort_keys=True)
+            self._json_frame = (
+                head[:-1] + ', "series": [',
+                '], "type": ' + json.dumps(self.type) + "}",
+            )
+        head, tail = self._json_frame
+        return "".join((head, ", ".join(self._series_json()), tail))
+
+    def _sorted_keys(self, series: dict) -> list[tuple[str, ...]]:
+        # Series are never removed, so a new key changes the length.
+        if len(series) != len(self._json_keys):
+            self._json_keys = sorted(series)
+        return self._json_keys
+
+
+class _ScalarInstrument(_Instrument):
+    """One float per label set: the shared body of counters and gauges."""
 
     def __init__(
         self, name: str, help: str = "", labels: Iterable[str] = ()
     ) -> None:
         super().__init__(name, help, labels)
         self._values: dict[tuple[str, ...], float] = {}
+
+    def value(self, **labels: object) -> float:
+        return self._values.get(self._key(labels), 0.0)
+
+    @property
+    def series_count(self) -> int:
+        return len(self._values)
+
+    def _series_json(self) -> list[str]:
+        """Each series' fragment, in key order; a fragment is re-rendered
+        only when its value changed since it was rendered."""
+        values = self._values
+        fragments = self._fragments
+        parts = []
+        for key in self._sorted_keys(values):
+            value = values[key]
+            cached = fragments.get(key)
+            if cached is not None:
+                old, labels, text = cached
+                if value is old or _renders_as(value, old):
+                    parts.append(text)
+                    continue
+            else:
+                labels = self._labels_json(key)
+            text = (
+                '{"labels": ' + labels + ', "value": '
+                + _number_json(value) + "}"
+            )
+            fragments[key] = (value, labels, text)
+            parts.append(text)
+        return parts
+
+
+class Counter(_ScalarInstrument):
+    """A monotonically increasing total, one value per label set."""
+
+    type = COUNTER
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         if amount < 0:
@@ -117,24 +216,11 @@ class Counter(_Instrument):
         key = self._key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
 
-    def value(self, **labels: object) -> float:
-        return self._values.get(self._key(labels), 0.0)
 
-    @property
-    def series_count(self) -> int:
-        return len(self._values)
-
-
-class Gauge(_Instrument):
+class Gauge(_ScalarInstrument):
     """A value that can go up and down, one per label set."""
 
     type = GAUGE
-
-    def __init__(
-        self, name: str, help: str = "", labels: Iterable[str] = ()
-    ) -> None:
-        super().__init__(name, help, labels)
-        self._values: dict[tuple[str, ...], float] = {}
 
     def set(self, value: float, **labels: object) -> None:
         self._values[self._key(labels)] = float(value)
@@ -142,13 +228,6 @@ class Gauge(_Instrument):
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         key = self._key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels: object) -> float:
-        return self._values.get(self._key(labels), 0.0)
-
-    @property
-    def series_count(self) -> int:
-        return len(self._values)
 
 
 class Histogram(_Instrument):
@@ -203,6 +282,46 @@ class Histogram(_Instrument):
     def series_count(self) -> int:
         return len(self._series)
 
+    def _entry_fields(self) -> dict:
+        return dict(super()._entry_fields(), buckets=list(self.buckets))
+
+    def _series_json(self) -> list[str]:
+        """Each series' fragment, in key order; a fragment is re-rendered
+        only when an observation or merge touched the series."""
+        fragments = self._fragments
+        parts = []
+        for key in self._sorted_keys(self._series):
+            series = self._series[key]
+            cached = fragments.get(key)
+            if cached is not None:
+                count, total, buckets, labels, text = cached
+                if (
+                    _renders_as(series.count, count)
+                    and _renders_as(series.sum, total)
+                    and series.bucket_counts == buckets
+                ):
+                    parts.append(text)
+                    continue
+            else:
+                labels = self._labels_json(key)
+            # Bucket counts are exact ints (merge checks), so the list
+            # repr is their JSON.
+            text = (
+                '{"bucket_counts": ' + repr(series.bucket_counts)
+                + ', "count": ' + _number_json(series.count)
+                + ', "labels": ' + labels
+                + ', "sum": ' + _number_json(series.sum) + "}"
+            )
+            fragments[key] = (
+                series.count,
+                series.sum,
+                list(series.bucket_counts),
+                labels,
+                text,
+            )
+            parts.append(text)
+        return parts
+
 
 class MetricsRegistry:
     """Get-or-create home for every instrument of one process/run.
@@ -214,6 +333,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: dict[str, _Instrument] = {}
+        self._json_names: list[str] = []
 
     # ------------------------------------------------------------------
     # Instrument factories
@@ -349,6 +469,11 @@ class MetricsRegistry:
                         raise MetricError(
                             f"histogram {name!r}: bucket count mismatch"
                         )
+                    if any(type(c) is not int for c in counts):
+                        raise MetricError(
+                            f"histogram {name!r}: bucket counts must be "
+                            f"integers, got {counts!r}"
+                        )
                     for i, c in enumerate(counts):
                         mine.bucket_counts[i] += c
                     mine.count += series["count"]
@@ -356,8 +481,25 @@ class MetricsRegistry:
             else:
                 raise MetricError(f"unknown instrument type {kind!r}")
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        """``json.dumps(self.snapshot(), sort_keys=True)``, built from
+        cached pieces instead of a fresh snapshot.
+
+        Every instrument keeps its entry's constant head and tail, its
+        sorted series keys (re-sorted only when a series is added) and
+        each series' last rendered fragment, reused while the series'
+        value is unchanged.  A stream flush therefore re-encodes only
+        the series that moved since the previous flush.
+        """
+        instruments = self._instruments
+        # Instruments are never removed either.
+        if len(instruments) != len(self._json_names):
+            self._json_names = sorted(instruments)
+        return "".join((
+            '{"metrics": [',
+            ", ".join([instruments[n]._json() for n in self._json_names]),
+            '], "schema": ' + json.dumps(METRICS_SCHEMA) + "}",
+        ))
 
     def render_text(self) -> str:
         """Prometheus text exposition format."""

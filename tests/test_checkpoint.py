@@ -26,6 +26,7 @@ from repro.checkpoint import (
     SimulatedCrash,
 )
 from repro.checkpoint.codec import decision_from_dict, decision_to_dict
+from repro.checkpoint.store import document_header
 from repro.core.accuracy import DesiredAccuracy, GlobalAccuracy
 from repro.core.controller import SelectionDecision
 from repro.ioutils import atomic_write_json
@@ -57,7 +58,9 @@ class TestCheckpointStore:
 
     def test_round_trip(self, tmp_path):
         store = CheckpointStore(tmp_path / "ck")
-        store.save("run", self.FP, {"next_round": 2, "x": 0.1 + 0.2})
+        store.save(
+            document_header("run", self.FP), {"next_round": 2, "x": 0.1 + 0.2}
+        )
         assert store.load("run", self.FP) == {
             "next_round": 2,
             "x": 0.1 + 0.2,  # doubles survive JSON exactly
@@ -68,14 +71,14 @@ class TestCheckpointStore:
 
     def test_fingerprint_mismatch_names_fields(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.save("run", self.FP, {"next_round": 1})
+        store.save(document_header("run", self.FP), {"next_round": 1})
         other = dict(self.FP, seed=8, policy="subset")
         with pytest.raises(CheckpointError, match="policy, seed"):
             store.load("run", other)
 
     def test_kind_mismatch_rejected(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.save("run", self.FP, {"next_round": 1})
+        store.save(document_header("run", self.FP), {"next_round": 1})
         with pytest.raises(CheckpointError, match="kind"):
             store.load("chaos", self.FP)
 
@@ -106,7 +109,10 @@ class TestCheckpointStore:
     def test_document_is_compact(self, tmp_path):
         """One line, sorted keys: the C encoder's output."""
         store = CheckpointStore(tmp_path)
-        store.save("run", self.FP, {"b": [1, 2], "a": {"y": 1, "x": 2}})
+        store.save(
+            document_header("run", self.FP),
+            {"b": [1, 2], "a": {"y": 1, "x": 2}},
+        )
         text = store.path.read_text()
         assert text.count("\n") == 1 and text.endswith("\n")
         assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
@@ -122,7 +128,9 @@ class TestCheckpointStore:
     def test_tuple_fingerprint_matches_disk_form(self, tmp_path):
         """In-memory tuples must compare equal to their JSON arrays."""
         store = CheckpointStore(tmp_path)
-        store.save("run", {"entropy": (1, 2, 3)}, {"next_round": 1})
+        store.save(
+            document_header("run", {"entropy": (1, 2, 3)}), {"next_round": 1}
+        )
         assert store.load("run", {"entropy": [1, 2, 3]}) is not None
 
 
@@ -156,14 +164,14 @@ class TestAtomicWrites:
 
     def test_checkpoint_save_is_atomic(self, tmp_path, monkeypatch):
         store = CheckpointStore(tmp_path)
-        store.save("run", {"seed": 1}, {"next_round": 3})
+        store.save(document_header("run", {"seed": 1}), {"next_round": 3})
 
         def exploding_replace(src, dst):
             raise OSError("simulated crash")
 
         monkeypatch.setattr(os, "replace", exploding_replace)
         with pytest.raises(OSError):
-            store.save("run", {"seed": 1}, {"next_round": 4})
+            store.save(document_header("run", {"seed": 1}), {"next_round": 4})
         monkeypatch.undo()
         assert store.load("run", {"seed": 1}) == {"next_round": 3}
 

@@ -93,6 +93,27 @@ class TestCliCheckpoint:
         with pytest.raises(SystemExit):
             main(self.BASE + ["--resume"])
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--dataset", "1", "--mode", "full", "--start", "1000",
+         "--end", "1500", "--recalibration-interval", "250"],
+        ["chaos", "--dataset", "1", "--frames", "4"],
+    ], ids=["run", "chaos"])
+    @pytest.mark.parametrize("flag, needed", [
+        (["--stream-rotate-bytes", "100"], "--stream-out"),
+        (["--checkpoint-every", "1"], "--checkpoint-dir"),
+        (["--resume"], "--checkpoint-dir"),
+        (["--crash-after", "0"], "--checkpoint-dir"),
+    ], ids=["rotate", "every", "resume", "crash-after"])
+    def test_durability_flag_needs_its_prerequisite(
+        self, capsys, command, flag, needed
+    ):
+        """A durability flag that would do nothing alone is a usage
+        error (exit 2) naming the missing flag, before any training."""
+        with pytest.raises(SystemExit) as info:
+            main(command + flag)
+        assert info.value.code == 2
+        assert f"{flag[0]} requires {needed}" in capsys.readouterr().err
+
 
 class TestCliSpecErrors:
     def test_wake_threshold_without_predictive_mode(self):

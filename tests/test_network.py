@@ -109,6 +109,41 @@ class TestEventSimulator:
         sim.run()
         assert order == ["early", "late"]
 
+    def test_tied_times_run_in_schedule_order(self):
+        """Events run in (time, schedule order): ties never reorder."""
+        sim = EventSimulator()
+        delays = np.random.default_rng(0).integers(0, 20, size=1000) * 0.25
+        order = []
+        for index, delay in enumerate(delays):
+            sim.schedule(float(delay), lambda i=index: order.append(i))
+        assert sim.run() == 1000
+        assert order == sorted(range(1000), key=lambda i: (delays[i], i))
+        assert sim.now == delays.max()
+
+    def test_unorderable_callbacks_at_the_same_time(self):
+        """Two callbacks due at the same instant are never compared."""
+
+        class Unorderable:
+            def __init__(self, log):
+                self.log = log
+
+            def __call__(self):
+                self.log.append(self)
+
+            def __eq__(self, other):
+                raise AssertionError("callbacks were compared")
+
+            __lt__ = __gt__ = __le__ = __ge__ = __eq__
+            __hash__ = object.__hash__
+
+        sim = EventSimulator()
+        log = []
+        first, second = Unorderable(log), Unorderable(log)
+        sim.schedule(1.0, first)
+        sim.schedule(1.0, second)
+        sim.run()
+        assert log[0] is first and log[1] is second
+
     def test_message_delivery(self, pair):
         sim, a, b = pair
         a.send(EnergyReport(sender="a", recipient="b", residual_joules=5.0))

@@ -21,7 +21,7 @@ from repro.telemetry import (
     read_stream_records,
 )
 from repro.telemetry.exporter import METRICS_CONTENT_TYPE, MetricsExporter
-from repro.telemetry.live import TelemetrySink, build_stream_record
+from repro.telemetry.live import TelemetrySink, stream_line
 from repro.telemetry.report import render_events_report
 from repro.telemetry.schema import validate_stream_file
 
@@ -46,7 +46,8 @@ class SubscriberSink(TelemetrySink):
         self.records = []
         self.emitted = 0
 
-    def emit(self, record):
+    def emit(self, line):
+        record = json.loads(line)
         self.emitted += 1
         self.records.append(record)
         del self.records[: -self.keep_last]
@@ -58,13 +59,13 @@ class SubscriberSink(TelemetrySink):
         return self.records[-1] if self.records else None
 
 
-def _record(seq, round_index):
-    return build_stream_record(
+def _line(seq, round_index):
+    return stream_line(
         run_id="t",
         seq=seq,
         round_index=round_index,
         time_s=float(round_index),
-        metrics={"schema": "repro.metrics.v1", "metrics": []},
+        metrics_json=MetricsRegistry().to_json(),
         events=[],
         alerts=[],
     )
@@ -75,7 +76,7 @@ class TestSubscriberSink:
         seen = []
         sink = SubscriberSink(callback=seen.append, keep_last=2)
         for i in range(5):
-            sink.emit(_record(i, i))
+            sink.emit(_line(i, i))
         assert sink.emitted == 5
         assert len(seen) == 5
         assert [r["round"] for r in sink.records] == [3, 4]
@@ -87,7 +88,7 @@ class TestJsonlStreamSink:
         path = tmp_path / "s.jsonl"
         sink = JsonlStreamSink(path)
         for i in range(3):
-            sink.emit(_record(i, i))
+            sink.emit(_line(i, i))
         sink.close()
         records = read_stream_records(path)
         check_stream_contiguous(records)
@@ -97,7 +98,7 @@ class TestJsonlStreamSink:
         path = tmp_path / "s.jsonl"
         sink = JsonlStreamSink(path, rotate_bytes=400)
         for i in range(8):
-            sink.emit(_record(i, i))
+            sink.emit(_line(i, i))
         sink.close()
         assert (tmp_path / "s.jsonl.1").exists(), "no rotation happened"
         records = read_stream_records(path)
@@ -108,7 +109,7 @@ class TestJsonlStreamSink:
         path = tmp_path / "s.jsonl"
         sink = JsonlStreamSink(path)
         for i in range(3):
-            sink.emit(_record(i, i))
+            sink.emit(_line(i, i))
         sink.close()
         with open(path, "a", encoding="utf-8") as f:
             f.write('{"schema": "repro.stream.v1", "seq": 9, "rou')
@@ -124,7 +125,7 @@ class TestJsonlStreamSink:
         path = tmp_path / "s.jsonl"
         sink = JsonlStreamSink(path, rotate_bytes=400)
         for i in range(8):
-            sink.emit(_record(i, i))
+            sink.emit(_line(i, i))
         sink.close()
         fresh = JsonlStreamSink(path)
         fresh.close()
@@ -135,13 +136,13 @@ class TestJsonlStreamSink:
         path = tmp_path / "s.jsonl"
         sink = JsonlStreamSink(path)
         for i in range(4):
-            sink.emit(_record(i, i))
+            sink.emit(_line(i, i))
         sink.close()
         resumed = JsonlStreamSink(path, resume=True)
         resumed.on_resume(2)
         assert [r["round"] for r in read_stream_records(path)] == [0, 1]
         for i in range(2, 4):
-            resumed.emit(_record(i, i))
+            resumed.emit(_line(i, i))
         resumed.close()
         check_stream_contiguous(read_stream_records(path))
 
@@ -149,7 +150,7 @@ class TestJsonlStreamSink:
         path = tmp_path / "s.jsonl"
         sink = JsonlStreamSink(path, rotate_bytes=400)
         for i in range(8):
-            sink.emit(_record(i, i))
+            sink.emit(_line(i, i))
         sink.close()
         with open(path, "a", encoding="utf-8") as f:
             f.write('{"half": ')
@@ -256,6 +257,45 @@ class TestFlushRound:
             [e["kind"] for e in r["events"]] for r in sink.records
         ]
         assert kinds == [["first"], ["second"]]
+
+    def test_flushed_line_equals_dumps_of_rebuilt_record(self):
+        """The line spliced from the cached metrics encoding is the
+        record rebuilt from ``snapshot()``, encoded whole."""
+        class LineSink(TelemetrySink):
+            def __init__(self):
+                self.lines = []
+
+            def emit(self, line):
+                self.lines.append(line)
+
+        telemetry = Telemetry(run_id="t")
+        sink = telemetry.attach_sink(LineSink())
+        telemetry.add_alert_rule("g > 1")
+        gauge = telemetry.registry.gauge("g", labels=("node",))
+        for round_index, value in enumerate([0.5, 2.0, -0.0, 3.5]):
+            gauge.set(value, node=f'cam "{round_index}"')
+            telemetry.energy_counter().inc(
+                value + 1.0, node="cé", category="processing"
+            )
+            telemetry.event("tick", time_s=float(round_index))
+            cursor = len(telemetry.events.events)
+            line = telemetry.flush_round(round_index, float(round_index))
+            record = {
+                "schema": "repro.stream.v1",
+                "run_id": "t",
+                "seq": round_index,
+                "round": round_index,
+                "time_s": float(round_index),
+                "metrics": telemetry.registry.snapshot(),
+                # Alert transitions land after the tick event.
+                "events": [
+                    e.to_record()
+                    for e in telemetry.events.events[cursor - 1:]
+                ],
+                "alerts": [s.to_detail() for s in telemetry.alerts.active],
+            }
+            assert line == json.dumps(record, sort_keys=True) + "\n"
+            assert sink.lines[-1] is line
 
     def test_alert_transitions_become_events(self):
         telemetry = Telemetry(run_id="t")

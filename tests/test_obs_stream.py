@@ -14,7 +14,7 @@ from repro.telemetry import (
     check_stream_contiguous,
     read_stream_records,
 )
-from repro.telemetry.live import build_stream_record
+from repro.telemetry.live import stream_line
 from repro.telemetry.schema import validate_stream_file
 
 
@@ -96,15 +96,15 @@ class TestRunStreamStitching:
         assert all(r["round"] != 99 for r in records)
 
 
-def _fixed_record(seq, round_index):
-    """A record whose serialized length is the same for every seq < 10,
-    so rotation boundaries can be pinned to exact byte offsets."""
-    return build_stream_record(
+def _fixed_line(seq, round_index):
+    """A record line whose length is the same for every seq < 10, so
+    rotation boundaries can be pinned to exact byte offsets."""
+    return stream_line(
         run_id="rot",
         seq=seq,
         round_index=round_index,
         time_s=0.0,
-        metrics={"schema": "repro.metrics.v1", "metrics": []},
+        metrics_json='{"metrics": [], "schema": "repro.metrics.v1"}',
         events=[],
         alerts=[],
     )
@@ -116,14 +116,12 @@ class TestRotationBoundaryStitching:
 
     def test_torn_line_at_exact_rotation_boundary(self, tmp_path):
         path = tmp_path / "s.jsonl"
-        line_len = len(
-            json.dumps(_fixed_record(0, 0), sort_keys=True) + "\n"
-        )
+        line_len = len(_fixed_line(0, 0))
         rotate = 4 * line_len
 
         sink = JsonlStreamSink(path, rotate_bytes=rotate)
         for i in range(4):
-            sink.emit(_fixed_record(i, i))
+            sink.emit(_fixed_line(i, i))
         sink.close()
         # A record that exactly fills the file does not rotate: the
         # live file sits at precisely rotate_bytes, the worst case.
@@ -140,7 +138,7 @@ class TestRotationBoundaryStitching:
         # boundary, so the very next emit must rotate.
         assert path.stat().st_size == rotate
         for i in range(4, 7):
-            resumed.emit(_fixed_record(i, i))
+            resumed.emit(_fixed_line(i, i))
         resumed.close()
 
         assert (tmp_path / "s.jsonl.1").exists()

@@ -1,9 +1,10 @@
 """Metrics registry: instruments, exposition, and lossless round-trips."""
 
 import json
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.telemetry.metrics import (
@@ -165,6 +166,124 @@ class TestRoundTripProperties:
                     ]
                 else:  # gauge: last write wins
                     assert s2["value"] == s1["value"]
+
+
+# Hypothesis: the cached compact encoder stays equal to encoding a
+# fresh snapshot while traffic lands between encodes.
+#: name -> (instrument kind, label names); histograms get two bucket
+#: layouts so their head text differs.
+_ENCODED = {
+    "c_tagged_total": ("counter", ("tag",)),
+    "c_plain_total": ("counter", ()),
+    "g_tagged": ("gauge", ("tag",)),
+    "g_pair": ("gauge", ("tag", "zone")),
+    "h_tagged": ("histogram", ("tag",)),
+    "h_plain": ("histogram", ()),
+}
+_BUCKETS = {"h_tagged": (-1.0, 0.0, 2.5), "h_plain": DEFAULT_BUCKETS}
+_edge_floats = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+        2.2250738585072014e-308, 1e308, -1e308, 1e16, 0.1,
+    ]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_label_values = st.one_of(
+    st.sampled_from(['', 'x', 'say "hi"', 'back\\slash', 'na\u00efve',
+                     '\u96ea', 'tab\tnew\nline', '\u2028']),
+    st.text(max_size=3),
+)
+_traffic = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(_ENCODED) + ["gauge_inc", "merge"]),
+        _label_values,
+        _label_values,
+        _edge_floats,
+    ),
+    max_size=12,
+)
+#: Report a counterexample as found; shrinking float lattices is slow.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+def _record(reg, name, tag, zone, amount):
+    kind, labels = _ENCODED[name]
+    values = dict(zip(("tag", "zone"), (tag, zone)))
+    kwargs = {label: values[label] for label in labels}
+    if kind == "counter":
+        counter = reg.counter(name, f"{name} help", labels=labels)
+        counter.inc(abs(amount), **kwargs)
+    elif kind == "gauge":
+        reg.gauge(name, f'"{name}" \\ help', labels=labels).set(
+            amount, **kwargs
+        )
+    else:
+        reg.histogram(
+            name, "h\u00e9lp", labels=labels, buckets=_BUCKETS[name]
+        ).observe(amount, **kwargs)
+
+
+def _play(reg, traffic):
+    for op, tag, zone, amount in traffic:
+        if op == "gauge_inc":
+            reg.gauge("g_tagged", '"g_tagged" \\ help', labels=("tag",)).inc(
+                amount, tag=tag
+            )
+        elif op == "merge":
+            # A snapshot of other traffic, folded in (resume's path).
+            other = MetricsRegistry()
+            _record(other, "c_tagged_total", tag, zone, amount)
+            _record(other, "h_tagged", tag, zone, amount)
+            _record(other, "g_pair", zone, tag, amount)
+            reg.merge(other.snapshot())
+        else:
+            _record(reg, op, tag, zone, amount)
+
+
+class TestIncrementalEncoding:
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+    @given(st.lists(_traffic, min_size=1, max_size=6))
+    def test_to_json_equals_dumps_of_snapshot_after_every_encode(
+        self, batches
+    ):
+        reg = MetricsRegistry()
+        for batch in batches:
+            _play(reg, batch)
+            assert reg.to_json() == json.dumps(reg.snapshot(), sort_keys=True)
+
+    def test_edge_values_re_render(self):
+        """Values that compare equal but print differently, non-finite
+        values and series added after an encode."""
+        reg = MetricsRegistry()
+        gauge = reg.gauge("g", labels=("tag",))
+
+        def check():
+            assert reg.to_json() == json.dumps(reg.snapshot(), sort_keys=True)
+
+        gauge.set(0.0, tag="a")
+        check()
+        gauge.set(-0.0, tag="a")  # == 0.0, prints "-0.0"
+        check()
+        gauge.set(math.nan, tag="a")
+        check()
+        gauge.set(math.nan, tag="a")
+        gauge.set(math.inf, tag='q"uote\\')
+        check()
+        reg.histogram("h", buckets=(1.0,)).observe(-0.0)
+        check()
+        reg.histogram("h", buckets=(1.0,)).observe(0.0)
+        check()
+        reg.counter("late_total").inc(1e308)
+        check()
+        assert '"value": NaN' in reg.to_json()
+
+    def test_merge_refuses_non_integer_bucket_counts(self):
+        reg = MetricsRegistry()
+        reg.histogram("h", buckets=(1.0,)).observe(0.5)
+        snap = reg.snapshot()
+        snap["metrics"][0]["series"][0]["bucket_counts"] = [1.0, 0]
+        with pytest.raises(MetricError, match="integers"):
+            MetricsRegistry().merge(snap)
 
 
 class TestExposition:
