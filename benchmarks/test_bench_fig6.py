@@ -6,8 +6,11 @@ downgrade contributes nothing because ACF is already the cheapest.
 """
 
 from repro.experiments.fig5 import accuracy_retention, energy_savings
-from repro.experiments.fig6 import DEFAULT_BUDGET, run_dataset2
 from repro.experiments.tables import format_table
+
+#: Only ACF (0.315 J/frame at 1024x768) fits this budget; HOG, C4 and
+#: LSVM cost 9.86, 5.56 and 25.06 J/frame respectively.
+DEFAULT_BUDGET = 1.0
 
 
 def test_bench_fig6(benchmark, runner_ds2):

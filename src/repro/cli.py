@@ -1,12 +1,8 @@
-"""Command-line interface: regenerate any of the paper's experiments.
+"""Command-line interface: deployment runs and telemetry tools.
 
 Usage::
 
-    python -m repro table2            # Tables II/III/IV
-    python -m repro table5 --frames 16 --repeats 2
-    python -m repro fig3|fig4|fig5a|fig5b|fig6
     python -m repro run --dataset 1 --mode full --budget 2.0
-    python -m repro run --dataset 1 --perf-report
     python -m repro run --metrics-out m.json --trace-out t.jsonl
     python -m repro run --checkpoint-dir ckpt --result-out result.json
     python -m repro run --checkpoint-dir ckpt --resume
@@ -16,6 +12,9 @@ Usage::
     python -m repro telemetry-report --metrics m.json --trace t.jsonl
     python -m repro obs profile trace.jsonl
     python -m repro obs diff baseline.json candidate.json
+
+The paper's tables and figures print from their benchmarks, e.g.
+``pytest benchmarks/test_bench_fig5.py -s``.
 """
 
 from __future__ import annotations
@@ -247,11 +246,6 @@ def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
 def _make_resilience_config(args: argparse.Namespace):
     """The ResilienceConfig the flags describe (None = layer off)."""
     if not args.resilience:
-        for flag in ("health_degrade", "health_quarantine", "health_readmit"):
-            if getattr(args, flag) is not None:
-                raise SystemExit(
-                    f"--{flag.replace('_', '-')} requires --resilience"
-                )
         return None
     from repro.resilience import ResilienceConfig, config_with_thresholds
 
@@ -263,13 +257,17 @@ def _make_resilience_config(args: argparse.Namespace):
     )
 
 
-#: Durability flags and the flag each needs: without it they would do
-#: nothing, so :func:`main` refuses them as usage errors (exit 2).
+#: Durability and health flags and the flag each needs: without it
+#: they would do nothing, so :func:`main` refuses them as usage errors
+#: (exit 2).
 _FLAG_PREREQUISITES = (
     ("stream_rotate_bytes", "stream_out"),
     ("checkpoint_every", "checkpoint_dir"),
     ("resume", "checkpoint_dir"),
     ("crash_after", "checkpoint_dir"),
+    ("health_degrade", "resilience"),
+    ("health_quarantine", "resilience"),
+    ("health_readmit", "resilience"),
 )
 
 
@@ -306,100 +304,11 @@ def _make_checkpointer(args: argparse.Namespace):
     )
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    from repro.experiments.table2_3_4 import algorithm_table, render_table
-
-    mapping = {"table2": (1, "train"), "table3": (2, "train"),
-               "table4": (1, "test")}
-    number, segment = mapping[args.command]
-    rows = algorithm_table(number, camera_index=args.camera, segment=segment)
-    print(render_table(
-        rows,
-        title=f"{args.command.upper()} (dataset #{number}, "
-              f"cam {args.camera + 1}, {segment})",
-    ))
-    return 0
-
-
-def _cmd_table5(args: argparse.Namespace) -> int:
-    from repro.experiments.table5 import similarity_matrix
-    from repro.experiments.tables import format_table
-
-    result = similarity_matrix(
-        window_frames=args.frames,
-        repeats=args.repeats,
-        subspace_dim=args.subspace_dim,
-    )
-    headers = ["train\\test"] + result.labels
-    rows = [
-        [f"T_{label}"] + [f"{v:.2f}" for v in result.matrix[i]]
-        for i, label in enumerate(result.labels)
-    ]
-    print(format_table(headers, rows))
-    print(f"diagonal accuracy: {result.diagonal_accuracy:.2f}")
-    return 0
-
-
-def _cmd_fig3(args: argparse.Namespace) -> int:
-    from repro.experiments.fig3 import adaptive_vs_fixed
-    from repro.experiments.tables import format_table
-
-    results = adaptive_vs_fixed()
-    print(format_table(
-        ["strategy", "recall", "precision", "f_score", "choices"],
-        [[r.strategy, r.recall, r.precision, r.f_score, str(r.per_dataset)]
-         for r in results],
-    ))
-    return 0
-
-
-def _cmd_fig4(args: argparse.Namespace) -> int:
-    from repro.experiments.fig4 import tradeoff_curve
-    from repro.experiments.tables import format_table
-
-    points = tradeoff_curve(dataset_number=1)
-    print(format_table(
-        ["config", "detected", "present", "recall", "energy (J)"],
-        [[p.label, p.humans_detected, p.humans_present, p.recall,
-          p.energy_joules] for p in points],
-    ))
-    return 0
-
-
-def _cmd_fig5(args: argparse.Namespace) -> int:
-    from repro.experiments.fig5 import (
-        HIGH_BUDGET,
-        LOW_BUDGET,
-        run_modes,
-    )
-    from repro.experiments.fig6 import DEFAULT_BUDGET
-    from repro.experiments.tables import format_table
-
-    if args.command == "fig5a":
-        dataset, budget = 1, HIGH_BUDGET
-    elif args.command == "fig5b":
-        dataset, budget = 1, LOW_BUDGET
-    else:
-        dataset, budget = 2, DEFAULT_BUDGET
-    results = run_modes(dataset_number=dataset, budget=budget)
-    print(format_table(
-        ["mode", "detected", "present", "energy (J)", "cameras/round"],
-        [[r.mode, r.humans_detected, r.humans_present, r.energy_joules,
-          str(r.cameras_per_round)] for r in results.values()],
-    ))
-    return 0
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.checkpoint import CheckpointError, CheckpointInterrupted
     from repro.engine.spec import DeploymentSpec
 
     telemetry = _make_telemetry(args)
-    if telemetry is None and args.perf_report:
-        # The perf report is a view over the run's spans.
-        from repro.telemetry import Telemetry
-
-        telemetry = Telemetry(run_id=f"{args.command}-{args.seed}")
     config = None
     if (
         args.assessment_period is not None
@@ -436,7 +345,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             predictor_warmup=args.predictor_warmup,
             wake_probe_every=args.wake_probe_every,
             max_sleepers=args.max_sleepers,
-            low_energy_below=args.low_energy_below,
         )
     except ValueError as exc:
         # A spec the engine would refuse (e.g. --cells on a flat
@@ -475,12 +383,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if result.decisions:
         cameras = [d.num_active for d in result.decisions]
         print(f"cameras/round:   {cameras}")
-    if args.perf_report:
-        from repro.obs.profile import fold_by_name, render_table
-
-        entries = fold_by_name(list(telemetry.tracer.iter_records()))
-        print()
-        print("\n".join(render_table(entries)))
     if telemetry is not None:
         _write_telemetry(telemetry, args)
     return 0
@@ -664,51 +566,12 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
     return 1 if has_regression(diffs) else 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.report import ALL_SECTIONS, generate_report
-
-    sections = (
-        tuple(args.sections) if args.sections else ALL_SECTIONS
-    )
-    report = generate_report(sections=sections, scale=args.scale)
-    if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(report)
-        print(f"wrote report to {args.output}")
-    else:
-        print(report)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="EECS reproduction: regenerate the paper's experiments.",
+        description="EECS reproduction: deployment runs and telemetry tools.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("table2", "table3", "table4"):
-        p = sub.add_parser(name, help=f"regenerate {name.upper()}")
-        p.add_argument("--camera", type=int, default=0)
-        p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("table5", help="regenerate the similarity matrix")
-    p.add_argument("--frames", type=int, default=16)
-    p.add_argument("--repeats", type=int, default=2)
-    p.add_argument("--subspace-dim", type=int, default=8)
-    p.set_defaults(func=_cmd_table5)
-
-    sub.add_parser("fig3", help="adaptive vs fixed").set_defaults(
-        func=_cmd_fig3
-    )
-    sub.add_parser("fig4", help="accuracy/energy trade-off").set_defaults(
-        func=_cmd_fig4
-    )
-    for name in ("fig5a", "fig5b", "fig6"):
-        sub.add_parser(name, help="EECS vs all-best").set_defaults(
-            func=_cmd_fig5
-        )
 
     from repro.engine.policy import available_policies
 
@@ -757,15 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="predictive policy: at most N cameras may sleep per round "
         "(the lowest-predicted win the slots; default 1; 0 = uncapped)",
     )
-    p.add_argument(
-        "--low-energy-below",
-        type=float,
-        default=None,
-        metavar="A",
-        help="predictive policy: downgrade woken selected cameras "
-        "predicted below activity A to their cheapest affordable "
-        "detector profile (default: disabled)",
-    )
     p.add_argument("--budget", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=2017)
     p.add_argument(
@@ -807,11 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard the fleet into N cells for the 'cell'/'cell_full' "
         "policies (default: one fleet-wide cell); other policies "
         "reject it",
-    )
-    p.add_argument(
-        "--perf-report",
-        action="store_true",
-        help="print the run's phase spans folded by name after the run",
     )
     p.add_argument(
         "--result-out",
@@ -975,19 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(repeatable)",
     )
     p.set_defaults(func=_cmd_obs_diff)
-
-    p = sub.add_parser(
-        "report", help="regenerate all experiments as one Markdown report"
-    )
-    p.add_argument("--output", default=None, help="write to a file")
-    p.add_argument(
-        "--sections",
-        nargs="+",
-        default=None,
-        help="subset of sections, e.g. table2 fig5a",
-    )
-    p.add_argument("--scale", choices=("small", "full"), default="small")
-    p.set_defaults(func=_cmd_report)
 
     return parser
 

@@ -150,10 +150,6 @@ class TrainingItem:
                     f"profile.algorithm {profile.algorithm!r}"
                 )
 
-    @property
-    def algorithms(self) -> list[str]:
-        return list(self.profiles)
-
     def ranked(self) -> list[AlgorithmProfile]:
         """Profiles sorted by decreasing f_score."""
         return sorted(self.profiles.values(), key=lambda p: -p.f_score)
@@ -209,10 +205,6 @@ class TrainingLibrary:
                 f"unknown training item {name!r}; "
                 f"available: {sorted(self._items)}"
             ) from None
-
-    @property
-    def names(self) -> list[str]:
-        return list(self._items)
 
     def subspace(self, name: str, dim: int) -> np.ndarray:
         """A named item's PCA basis, memoised in the library cache."""

@@ -300,26 +300,6 @@ class AssignmentGrouping:
         self.assignment[trial.camera_id] = trial.algorithm
         self._version += 1
 
-    def frame_groups(
-        self, trial: GroupingTrial | None = None
-    ) -> list[list[ObjectGroup]]:
-        """Each frame's groups, in the order ``group`` returns them —
-        now, or once ``trial`` (of the current state) is committed."""
-        if trial is not None and trial.patches is None:
-            assignment = dict(self.assignment)
-            assignment[trial.camera_id] = trial.algorithm
-            return self._regroup(assignment)
-        if self._split is None:
-            return self._regroup(self.assignment)
-        if trial is None:
-            return [regrouping.groups for regrouping in self._split]
-        return [
-            regrouping.groups
-            if patch is None
-            else regrouping.groups_after(patch)
-            for regrouping, patch in zip(self._split, trial.patches)
-        ]
-
 
 @dataclass
 class CameraPlan:

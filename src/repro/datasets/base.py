@@ -31,10 +31,6 @@ class FrameRecord:
                 f"available: {sorted(self.observations)}"
             ) from None
 
-    @property
-    def camera_ids(self) -> list[str]:
-        return list(self.observations)
-
 
 @dataclass
 class VideoSegment:
@@ -55,11 +51,3 @@ class VideoSegment:
                 f"segment {self.name!r} ends before it starts: "
                 f"[{self.start_frame}, {self.end_frame}]"
             )
-
-    @property
-    def num_frames(self) -> int:
-        return len(self.frames)
-
-    def camera_frames(self, camera_id: str) -> list[FrameObservation]:
-        """This camera's observations across the segment."""
-        return [f.observation(camera_id) for f in self.frames]

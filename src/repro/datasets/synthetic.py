@@ -191,9 +191,6 @@ class SyntheticDataset:
             only_ground_truth=only_ground_truth,
         )
 
-    def clear_cache(self) -> None:
-        self._frame_cache.clear()
-
 
 def make_dataset(number: int) -> SyntheticDataset:
     """Build dataset #1, #2 or #3 by the paper's numbering."""

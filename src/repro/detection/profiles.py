@@ -70,16 +70,6 @@ class ResponseProfile:
         if self.score_sigma <= 0:
             raise ValueError("score_sigma must be positive")
 
-    @property
-    def f_score(self) -> float:
-        """Target f_score at the profile's threshold."""
-        return (
-            2.0
-            * self.recall
-            * self.precision
-            / (self.recall + self.precision)
-        )
-
 
 # Score scales follow the paper's thresholds: HOG scores live around
 # [0, 1.5], ACF around [0, 40] on high-res scenes, C4 around [-1, 1.5],

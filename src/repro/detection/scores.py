@@ -93,12 +93,8 @@ class ScoreCalibrator:
         self._fitted = True
         return self
 
-    def predict_proba(self, scores: np.ndarray) -> np.ndarray:
-        """P(true positive) for raw scores."""
+    def __call__(self, score: float) -> float:
+        """P(true positive) for one raw score."""
         if not self._fitted:
             raise RuntimeError("ScoreCalibrator used before fit")
-        scores = np.asarray(scores, dtype=float)
-        return logistic(self.weight * scores + self.bias)
-
-    def __call__(self, score: float) -> float:
-        return float(self.predict_proba(np.array([score]))[0])
+        return float(logistic(self.weight * score + self.bias))

@@ -9,7 +9,6 @@ a mean manifold distance, and finally a similarity in ``[0, 1]``.
 """
 
 from repro.domain_adaptation.gfk import geodesic_flow_kernel
-from repro.domain_adaptation.pca import PCA
 from repro.domain_adaptation.similarity import (
     VideoComparator,
     kernel_distance_matrix,
@@ -19,7 +18,6 @@ from repro.domain_adaptation.similarity import (
 
 __all__ = [
     "geodesic_flow_kernel",
-    "PCA",
     "VideoComparator",
     "kernel_distance_matrix",
     "mean_manifold_distance",

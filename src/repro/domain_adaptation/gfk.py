@@ -74,10 +74,6 @@ class GeodesicFlowKernel:
         pa = a @ self.factor
         return np.einsum("ij,jk,ik->i", pa, self.core, pa)
 
-    def matrix(self) -> np.ndarray:
-        """The explicit ``alpha x alpha`` kernel (small problems only)."""
-        return self.factor @ self.core @ self.factor.T
-
 
 def _flow_coefficients(
     angles: np.ndarray,

@@ -1,4 +1,4 @@
-"""Principal component analysis.
+"""Subspace bases for video comparison.
 
 Section III projects each video's frame features onto a
 ``beta``-dimensional PCA subspace whose orthonormal basis is the point
@@ -10,42 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perf.cache import ArrayCache, array_token
-
-
-class PCA:
-    """PCA via economy SVD of the centred data matrix."""
-
-    def __init__(self, n_components: int) -> None:
-        if n_components < 1:
-            raise ValueError("n_components must be positive")
-        self.n_components = n_components
-        self.mean_: np.ndarray | None = None
-        self.components_: np.ndarray | None = None
-        self.explained_variance_: np.ndarray | None = None
-
-    def fit(self, data: np.ndarray) -> "PCA":
-        """Fit on ``(n, d)`` data with ``n >= 2``."""
-        data = np.asarray(data, dtype=float)
-        if data.ndim != 2:
-            raise ValueError(f"expected (n, d) data, got {data.shape}")
-        n, d = data.shape
-        if n < 2:
-            raise ValueError("PCA needs at least two samples")
-        k = min(self.n_components, n - 1, d)
-        self.mean_ = data.mean(axis=0)
-        centred = data - self.mean_
-        # Economy SVD: centred = U S Vt, rows of Vt are components.
-        _, s, vt = np.linalg.svd(centred, full_matrices=False)
-        self.components_ = vt[:k]
-        self.explained_variance_ = (s[:k] ** 2) / (n - 1)
-        return self
-
-    def transform(self, data: np.ndarray) -> np.ndarray:
-        if self.components_ is None:
-            raise RuntimeError("PCA.transform called before fit")
-        data = np.atleast_2d(np.asarray(data, dtype=float))
-        return (data - self.mean_) @ self.components_.T
-
 
 
 def uncentered_basis(

@@ -93,9 +93,3 @@ class ProcessingEnergyModel:
     def time_per_frame(self, algorithm: str) -> float:
         """Seconds per frame for ``algorithm`` at this resolution."""
         return processing_time(algorithm, self.megapixels)
-
-    def cheapest(self, algorithms: list[str]) -> str:
-        """The lowest-energy algorithm among ``algorithms``."""
-        if not algorithms:
-            raise ValueError("algorithms list is empty")
-        return min(algorithms, key=self.energy_per_frame)

@@ -104,7 +104,7 @@ def fit_color_metric(
     colors = np.concatenate(samples)
     if len(colors) < 2:
         raise RuntimeError("too few detections to fit the colour metric")
-    return MahalanobisMetric(n_components=None, shrinkage=0.2).fit(colors)
+    return MahalanobisMetric(shrinkage=0.2).fit(colors)
 
 
 @dataclass

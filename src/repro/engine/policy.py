@@ -70,7 +70,11 @@ def assessed_rounds(
 
 
 class CoordinationPolicy(ABC):
-    """Strategy for scheduling assessment and choosing assignments."""
+    """Strategy for scheduling assessment and choosing assignments.
+
+    Policies that plan assessed rounds also define ``select`` (see
+    :meth:`SubsetPolicy.select`); the engine calls it only for them.
+    """
 
     #: Registry key; also feeds the run entropy (via
     #: :meth:`entropy_token`) and ``RunResult.mode``, so renaming a
@@ -140,13 +144,10 @@ class CoordinationPolicy(ABC):
         checkpoint payload unchanged, so pre-existing checkpoints and
         their fingerprints are untouched.  Stateful policies — the
         ``predictive`` policy snapshots its regressor bank and sleep
-        counters — return a dict that :meth:`restore_state` can adopt
-        bit for bit.
+        counters — return a dict that their ``restore_state(state)``
+        adopts bit for bit.
         """
         return None
-
-    def restore_state(self, state: dict) -> None:
-        """Adopt a :meth:`snapshot_state` payload (default: no-op)."""
 
     def config_fingerprint(self) -> dict | None:
         """Configuration that must match for a checkpoint resume.
@@ -158,23 +159,6 @@ class CoordinationPolicy(ABC):
         diverging.
         """
         return None
-
-    def select(
-        self,
-        engine: "DeploymentEngine",
-        assessment: "AssessmentData",
-        budget_overrides: dict[str, float] | None,
-        meter: "EnergyMeter | None" = None,
-    ) -> SelectionDecision:
-        """Turn assessment metadata into the round's assignment.
-
-        ``meter`` is the run's energy meter: policies whose selection
-        itself costs radio energy (cell-coordinator messaging) charge it
-        here; the paper's centralised policies ignore it.
-        """
-        raise NotImplementedError(
-            f"policy {self.name!r} does not assess"
-        )  # pragma: no cover - non-assessing policies plan assess_count=0
 
 
 _REGISTRY: dict[str, type[CoordinationPolicy]] = {}
@@ -270,7 +254,20 @@ class SubsetPolicy(CoordinationPolicy):
     def plan_rounds(self, engine, records, budget, assignment):
         return assessed_rounds(engine, records)
 
-    def select(self, engine, assessment, budget_overrides, meter=None):
+    def select(
+        self,
+        engine: "DeploymentEngine",
+        assessment: "AssessmentData",
+        budget_overrides: dict[str, float] | None,
+        meter: "EnergyMeter | None" = None,
+    ) -> SelectionDecision:
+        """Turn assessment metadata into the round's assignment.
+
+        Every assessing policy defines ``select`` with this signature.
+        ``meter`` is the run's energy meter: policies whose selection
+        itself costs radio energy (cell-coordinator messaging) charge it
+        here; the paper's centralised policies ignore it.
+        """
         return engine.controller.select(
             assessment,
             enable_subset=True,

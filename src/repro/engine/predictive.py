@@ -26,13 +26,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.core.controller import SelectionDecision
 from repro.engine.policy import RoundPlan, SubsetPolicy, register_policy
 from repro.predictive import (
     PredictiveConfig,
     PredictorBank,
     camera_activity,
-    low_energy_algorithm,
 )
 
 
@@ -132,77 +130,18 @@ class PredictivePolicy(SubsetPolicy):
         return replace(round_plan, skip_cameras=tuple(sorted(skips)))
 
     # ------------------------------------------------------------------
-    # Selection: subset's decision, plus observation and low-energy
+    # Selection: subset's decision, plus observation
     # ------------------------------------------------------------------
     def select(self, engine, assessment, budget_overrides, meter=None):
         decision = super().select(
             engine, assessment, budget_overrides, meter
         )
-        # Feed the regressors first (observation uses the *assessed*
-        # activity), so the low-energy gate below sees fresh
-        # predictions for the round's operational tail.
+        # The regressors learn from the *assessed* activity.
         for camera_id in assessment.camera_ids:
             observation = camera_activity(assessment, camera_id)
             if observation is not None:
                 self._bank.predictor(camera_id).observe(*observation)
-        if self.config.low_energy_below is not None:
-            decision = self._apply_low_energy(
-                engine, assessment, decision, budget_overrides
-            )
         return decision
-
-    def _apply_low_energy(
-        self, engine, assessment, decision, budget_overrides
-    ) -> SelectionDecision:
-        """Pin marginally-active woken cameras to their cheapest
-        affordable detector (the PCA-RECT-style companion profile)."""
-        threshold = self.config.low_energy_below
-        assignment = dict(decision.assignment)
-        rewrites: list[tuple[str, str, str, float]] = []
-        for camera_id, algorithm in assignment.items():
-            predictor = self._bank.predictor(camera_id)
-            if not predictor.ready(self.config.predictor_warmup):
-                continue
-            predicted = predictor.predict_next()
-            if predicted is None or predicted >= threshold:
-                continue
-            override = (
-                budget_overrides.get(camera_id)
-                if budget_overrides is not None
-                else None
-            )
-            plan = engine.controller.camera_plan(camera_id, override)
-            if plan is None:
-                continue
-            cheap = low_energy_algorithm(
-                plan.item,
-                plan.budget,
-                plan.communication_cost,
-                set(assessment.algorithms_for(camera_id)),
-            )
-            if cheap is not None and cheap != algorithm:
-                rewrites.append((camera_id, algorithm, cheap, predicted))
-        if not rewrites:
-            return decision
-        for camera_id, _, cheap, _ in rewrites:
-            assignment[camera_id] = cheap
-        achieved = engine.controller.engine.global_accuracy(
-            assessment, assignment
-        )
-        if engine.telemetry is not None:
-            for camera_id, previous, cheap, predicted in rewrites:
-                engine.telemetry.event(
-                    "camera_low_energy",
-                    time_s=engine.clock.now_s,
-                    node_id=camera_id,
-                    predicted=predicted,
-                    threshold=threshold,
-                    previous=previous,
-                    algorithm=cheap,
-                )
-        return replace(
-            decision, assignment=assignment, achieved=achieved
-        )
 
     # ------------------------------------------------------------------
     # Checkpoint participation

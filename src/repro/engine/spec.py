@@ -38,7 +38,6 @@ PREDICTIVE_FIELDS = (
     "predictor_warmup",
     "wake_probe_every",
     "max_sleepers",
-    "low_energy_below",
 )
 
 #: Knobs of the default fault plan (networked runs only); each is
@@ -112,8 +111,7 @@ class DeploymentSpec:
             hashable).  ``None`` means one fleet-wide cell; a layout
             with any other policy is a spec error.
         wake_threshold / predictor_warmup / wake_probe_every /
-        max_sleepers / low_energy_below: Tunables of the
-            ``predictive`` policy (see
+        max_sleepers: Tunables of the ``predictive`` policy (see
             :class:`~repro.predictive.PredictiveConfig`); ``None``
             keeps each default.  ``max_sleepers=0`` spells "uncapped".
             Any of them set with a different policy is a spec error.
@@ -150,7 +148,6 @@ class DeploymentSpec:
     predictor_warmup: int | None = None
     wake_probe_every: int | None = None
     max_sleepers: int | None = None
-    low_energy_below: float | None = None
     loss_rate: float = 0.0
     crash_count: int = 0
     reboot_s: float | None = None
@@ -267,7 +264,6 @@ class DeploymentSpec:
             predictor_warmup=self.predictor_warmup,
             probe_every=self.wake_probe_every,
             max_sleepers=self.max_sleepers,
-            low_energy_below=self.low_energy_below,
             seed=self.seed,
         )
 

@@ -1,6 +1,7 @@
-"""Experiment drivers regenerating every table and figure of Section VI.
+"""Experiment drivers for every table and figure of Section VI.
 
-Each module produces the same rows/series the paper reports:
+Each module produces the rows/series the paper reports, and
+``benchmarks/test_bench_<table|fig>.py`` prints them:
 
 * :mod:`repro.experiments.table2_3_4` — per-algorithm accuracy/energy
   tables on training and test segments (Tables II, III, IV).
@@ -11,8 +12,7 @@ Each module produces the same rows/series the paper reports:
 * :mod:`repro.experiments.fig4` — accuracy/energy trade-off of camera
   and algorithm combinations (Fig. 4).
 * :mod:`repro.experiments.fig5` — EECS vs all-best under high/low
-  budgets on dataset #1 (Figs. 5a/5b).
-* :mod:`repro.experiments.fig6` — the same on dataset #2 (Fig. 6).
+  budgets on dataset #1 (Figs. 5a/5b), and on dataset #2 (Fig. 6).
 
 The deployment drivers build their engines with
 ``DeploymentSpec(dataset_number=n).build_engine()``, which trains each

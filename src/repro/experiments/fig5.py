@@ -10,6 +10,9 @@ regimes:
   detection count in the paper.
 * budget in [0.07, 1.08) (Fig. 5b): only ACF is affordable; EECS can
   only reduce the camera subset.
+
+Fig. 6 runs the same three modes on dataset #2
+(``benchmarks/test_bench_fig6.py``).
 """
 
 from __future__ import annotations
@@ -36,12 +39,6 @@ class ModeResult:
     humans_present: int
     energy_joules: float
     cameras_per_round: list[int]
-
-    @property
-    def detection_rate(self) -> float:
-        if self.humans_present == 0:
-            return 0.0
-        return self.humans_detected / self.humans_present
 
 
 def run_modes(

@@ -86,13 +86,5 @@ class FaultLog:
             self.sink(event)
         return event
 
-    def kinds(self) -> list[str]:
-        """All fault kinds seen, in order of first occurrence."""
-        seen: list[str] = []
-        for event in self.faults:
-            if event.kind not in seen:
-                seen.append(event.kind)
-        return seen
-
     def __len__(self) -> int:
         return len(self.faults) + len(self.recoveries)

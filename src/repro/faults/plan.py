@@ -21,7 +21,6 @@ from dataclasses import MISSING, asdict, dataclass, replace
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
-from repro.ioutils import atomic_write_json
 
 #: Matches any node id in a LinkFault endpoint.
 WILDCARD = "*"
@@ -413,9 +412,6 @@ class FaultPlan:
         return cls(
             seed=seed, **{kind: revive(kind) for kind in _FAULT_KINDS}
         )
-
-    def save(self, path: str | Path) -> None:
-        atomic_write_json(Path(path), self.to_dict(), indent=2)
 
     @classmethod
     def load(cls, path: str | Path) -> "FaultPlan":

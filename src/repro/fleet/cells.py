@@ -97,17 +97,9 @@ class CellLayout:
     cells: tuple[tuple[str, ...], ...]
 
     @property
-    def num_cells(self) -> int:
-        return len(self.cells)
-
-    @property
     def cell_ids(self) -> list[str]:
         """Stable cell identifiers, used as telemetry labels."""
         return [f"cell{index:03d}" for index in range(len(self.cells))]
-
-    @property
-    def camera_ids(self) -> list[str]:
-        return [camera_id for cell in self.cells for camera_id in cell]
 
     def cell_of(self, camera_id: str) -> str:
         for index, cell in enumerate(self.cells):
@@ -115,23 +107,8 @@ class CellLayout:
                 return f"cell{index:03d}"
         raise KeyError(f"camera {camera_id!r} is in no cell")
 
-    def members(self, cell_id: str) -> tuple[str, ...]:
-        try:
-            index = self.cell_ids.index(cell_id)
-        except ValueError:
-            raise KeyError(
-                f"unknown cell {cell_id!r}; known: {self.cell_ids}"
-            ) from None
-        return self.cells[index]
-
     def to_dict(self) -> dict:
         return {"cells": [list(cell) for cell in self.cells]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CellLayout":
-        return cls(
-            cells=tuple(tuple(cell) for cell in data["cells"])
-        )
 
 
 def normalize_cells(

@@ -89,10 +89,6 @@ class TiledFleetDataset:
         self._frame_cache: dict[int, FrameRecord] = {}
 
     @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
     def environment(self):
         return self.spec.environment
 
@@ -100,18 +96,11 @@ class TiledFleetDataset:
     def camera_ids(self) -> list[str]:
         return [tiled_id for tiled_id, _, _ in self._cameras]
 
-    @property
-    def num_tiles(self) -> int:
-        return len(self._offsets)
-
     def base_camera_of(self, camera_id: str) -> str:
         for tiled_id, _, base_id in self._cameras:
             if tiled_id == camera_id:
                 return base_id
         raise KeyError(f"unknown fleet camera {camera_id!r}")
-
-    def has_ground_truth(self, frame_index: int) -> bool:
-        return self.base.has_ground_truth(frame_index)
 
     def _tile_observation(
         self, base_obs: FrameObservation, tiled_id: str, tile: int
@@ -184,10 +173,6 @@ class TiledFleetDataset:
             )
             out[tiled_id] = translation.compose(base_homographies[base_id])
         return out
-
-    def clear_cache(self) -> None:
-        self._frame_cache.clear()
-        self.base.clear_cache()
 
 
 def tile_training_library(

@@ -39,10 +39,6 @@ class Homography:
             raise HomographyError("homography matrix is singular")
         self.matrix = matrix / matrix[2, 2] if abs(matrix[2, 2]) > 1e-12 else matrix
 
-    @classmethod
-    def identity(cls) -> "Homography":
-        return cls(np.eye(3))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         return apply_homography(self.matrix, points)
 

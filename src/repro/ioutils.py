@@ -64,10 +64,9 @@ def atomic_write_text(
     return atomic_write_bytes(path, content.encode(encoding))
 
 
-def atomic_write_json(
-    path: str | Path, payload: object, indent: int | None = 1
-) -> Path:
-    """Serialise ``payload`` as JSON and write it atomically."""
+def atomic_write_json(path: str | Path, payload: object) -> Path:
+    """Serialise ``payload`` as sorted, one-space-indented JSON and
+    write it atomically."""
     return atomic_write_text(
-        path, json.dumps(payload, indent=indent, sort_keys=True) + "\n"
+        path, json.dumps(payload, indent=1, sort_keys=True) + "\n"
     )

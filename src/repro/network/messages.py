@@ -25,6 +25,9 @@ UNSEQUENCED = -1
 class Message:
     """Base class for network messages.
 
+    Each message kind defines ``size_bytes``, its wire size: the
+    64-byte header plus its payload.
+
     Attributes:
         sender: Node id of the originator.
         recipient: Node id of the destination.
@@ -42,11 +45,6 @@ class Message:
     recipient: str
     seq: int = UNSEQUENCED
     corrupted: bool = False
-
-    @property
-    def size_bytes(self) -> int:
-        """Wire size; subclasses override with their payload size."""
-        return 64  # headers only
 
     @property
     def kind(self) -> str:
@@ -96,10 +94,6 @@ class AlgorithmAssignment(Message):
 
     algorithm: str | None = None
     threshold: float = float("nan")
-
-    @property
-    def active(self) -> bool:
-        return self.algorithm is not None
 
     @property
     def size_bytes(self) -> int:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Callable
 
 from repro.network.link import WirelessLink
@@ -278,7 +279,7 @@ class EventSimulator:
         return executed
 
 
-class Node:
+class Node(ABC):
     """Base network node; subclasses implement ``receive``."""
 
     def __init__(self, node_id: str) -> None:
@@ -295,5 +296,6 @@ class Node:
     def on_transmit(self, num_bytes: int, energy_joules: float) -> None:
         """Hook: sender-side accounting (default no-op)."""
 
-    def receive(self, message: Message) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
+    @abstractmethod
+    def receive(self, message: Message) -> None:
+        """Handle one delivered message."""

@@ -17,8 +17,6 @@ answers "where did the time go":
 * :func:`render_folded` emits classic collapsed-stack lines
   (``run;round;detection 123456``, self time in microseconds), which
   external flamegraph tooling consumes directly.
-* :func:`fold_by_name` merges every path ending in the same span name
-  — the per-phase view ``python -m repro run --perf-report`` prints.
 
 Exposed as ``python -m repro obs profile <trace.jsonl>``.
 """
@@ -125,19 +123,6 @@ def fold_spans(records: list[dict]) -> list[ProfileEntry]:
     return sorted(
         entries.values(), key=lambda e: (-e.self_s, e.path)
     )
-
-
-def fold_by_name(records: list[dict]) -> list[ProfileEntry]:
-    """Aggregate spans by name alone, wherever they sit in the tree;
-    sorted by self time, heaviest first."""
-    merged: dict[str, ProfileEntry] = {}
-    for entry in fold_spans(records):
-        name = entry.path.rsplit(PATH_SEPARATOR, 1)[-1]
-        into = merged.setdefault(name, ProfileEntry(path=name))
-        into.calls += entry.calls
-        into.total_s += entry.total_s
-        into.self_s += entry.self_s
-    return sorted(merged.values(), key=lambda e: (-e.self_s, e.path))
 
 
 @dataclass

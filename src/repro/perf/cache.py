@@ -80,19 +80,3 @@ class ArrayCache:
         self.hits += 1
         self._store.move_to_end(key)
         return value
-
-    def stats(self) -> dict[str, int | float]:
-        """Counters plus the hit rate, for reports and tests."""
-        total = self.hits + self.misses
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": len(self._store),
-            "hit_rate": self.hits / total if total else 0.0,
-        }
-
-    def clear(self) -> None:
-        """Drop all entries and reset the counters."""
-        self._store.clear()
-        self.hits = 0
-        self.misses = 0

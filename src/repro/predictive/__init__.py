@@ -3,17 +3,15 @@
 The layer between :mod:`repro.resilience` and :mod:`repro.engine` in
 the layer contract: it owns the per-camera activity regressors
 (:mod:`repro.predictive.regressor`), their observation pipeline
-(:mod:`repro.predictive.observations`), the low-energy companion
-profile rule (:mod:`repro.predictive.profile`) and the policy
-configuration (:mod:`repro.predictive.config`).  The engine's
-``predictive`` :class:`~repro.engine.policy.CoordinationPolicy`
+(:mod:`repro.predictive.observations`) and the policy configuration
+(:mod:`repro.predictive.config`).  The engine's ``predictive``
+:class:`~repro.engine.policy.CoordinationPolicy`
 imports this package — never the reverse (enforced by
 ``tests/test_layer_contract.py``).
 """
 
 from repro.predictive.config import PredictiveConfig
 from repro.predictive.observations import camera_activity
-from repro.predictive.profile import low_energy_algorithm
 from repro.predictive.regressor import (
     ActivityPredictor,
     PredictorBank,
@@ -26,5 +24,4 @@ __all__ = [
     "PredictorBank",
     "RecursiveLeastSquares",
     "camera_activity",
-    "low_energy_algorithm",
 ]

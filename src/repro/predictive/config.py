@@ -30,10 +30,6 @@ class PredictiveConfig:
             who sleeps — converts the same energy saving into far
             less detection loss than an uncapped threshold.  ``None``
             disables rationing (pure threshold semantics).
-        low_energy_below: Predicted activity below which a *woken*
-            selected camera is downgraded to its cheapest affordable
-            detector profile (the PCA-RECT-style low-energy
-            companion); ``None`` disables the downgrade.
         forgetting: RLS forgetting factor in (0, 1]; smaller tracks
             non-stationary scenes faster.
         seed: Seeds the per-camera regressors' symmetry-breaking
@@ -44,7 +40,6 @@ class PredictiveConfig:
     predictor_warmup: int = 2
     probe_every: int = 4
     max_sleepers: int | None = 1
-    low_energy_below: float | None = None
     forgetting: float = 0.9
     seed: int = 2017
 
@@ -67,11 +62,6 @@ class PredictiveConfig:
                 f"max_sleepers must be >= 1 (or None for uncapped), "
                 f"got {self.max_sleepers}"
             )
-        if self.low_energy_below is not None and self.low_energy_below <= 0:
-            raise ValueError(
-                f"low_energy_below must be > 0, got "
-                f"{self.low_energy_below}"
-            )
         if not 0.0 < self.forgetting <= 1.0:
             raise ValueError(
                 f"forgetting must be in (0, 1], got {self.forgetting}"
@@ -84,7 +74,6 @@ class PredictiveConfig:
         predictor_warmup: int | None = None,
         probe_every: int | None = None,
         max_sleepers: int | None = None,
-        low_energy_below: float | None = None,
         forgetting: float | None = None,
         seed: int | None = None,
     ) -> "PredictiveConfig":
@@ -112,7 +101,6 @@ class PredictiveConfig:
                 if max_sleepers is None
                 else (None if max_sleepers == 0 else max_sleepers)
             ),
-            low_energy_below=low_energy_below,
             forgetting=(
                 base.forgetting if forgetting is None else forgetting
             ),

@@ -18,10 +18,6 @@ from __future__ import annotations
 import math
 
 
-def clip01(value: float) -> float:
-    return 0.0 if value < 0.0 else (1.0 if value > 1.0 else value)
-
-
 def camera_activity(
     assessment, camera_id: str
 ) -> tuple[float, float] | None:
@@ -54,7 +50,7 @@ def camera_activity(
             for det in detections:
                 p = det.probability
                 if math.isnan(p):
-                    p = clip01(det.score)
+                    p = min(max(det.score, 0.0), 1.0)
                 score_sum += p
                 score_n += 1
         activity += per_frame

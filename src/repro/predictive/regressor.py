@@ -197,10 +197,6 @@ class PredictorBank:
     def predictor(self, camera_id: str) -> ActivityPredictor:
         return self._predictors[camera_id]
 
-    @property
-    def camera_ids(self) -> list[str]:
-        return list(self._predictors)
-
     def snapshot(self) -> dict:
         """Exact JSON state of every predictor (regressor
         coefficients included), keyed by camera id."""

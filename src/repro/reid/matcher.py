@@ -33,8 +33,7 @@ _FAR_INDEX = 1 << 1100
 
 class GroupingMemo:
     """Values :meth:`CrossCameraMatcher.group` computes per detection
-    (ground point, reduced colour feature) and per detection pair
-    (colour distance).
+    (ground point) and per detection pair (colour distance).
 
     Keys are ``id()``s and the memo holds no reference to the
     detections, so it must not outlive them: a recycled id would
@@ -44,11 +43,10 @@ class GroupingMemo:
     caller gets a fresh memo per call.
     """
 
-    __slots__ = ("points", "reduced", "colors")
+    __slots__ = ("points", "colors")
 
     def __init__(self) -> None:
         self.points: dict[int, tuple[float, float]] = {}
-        self.reduced: dict[int, np.ndarray] = {}
         self.colors: dict[tuple[int, int], float] = {}
 
 
@@ -150,30 +148,11 @@ class CrossCameraMatcher:
                 point = projected[:2] / w
         return float(point[0]), float(point[1])
 
-    def _reduced_feature(
-        self, detection: Detection, memo: GroupingMemo
-    ) -> np.ndarray:
-        """The detection's PCA-reduced colour feature, memoised.
-
-        ``MahalanobisMetric.distance`` re-reduces both endpoints on
-        every call; caching the reduction per detection leaves exactly
-        the per-pair ``sqrt(diff @ P @ diff)`` — the same operations
-        on the same values, computed once per detection instead of
-        once per pair.
-        """
-        key = id(detection)
-        reduced = memo.reduced.get(key)
-        if reduced is None:
-            reduced = self.color_metric._reduce(detection.color_feature)
-            memo.reduced[key] = reduced
-        return reduced
-
-    def _color_distance(
-        self, a: Detection, b: Detection, memo: GroupingMemo
-    ) -> float:
-        """`MahalanobisMetric.distance` with the reductions memoised;
-        the remaining arithmetic is the metric's own, verbatim."""
-        diff = self._reduced_feature(a, memo) - self._reduced_feature(b, memo)
+    def _color_distance(self, a: Detection, b: Detection) -> float:
+        """`MahalanobisMetric.distance`'s arithmetic, verbatim.  Every
+        detector emits its colour feature as a 1-D float64 array, so
+        the metric's ``asarray``/``ravel`` would copy nothing."""
+        diff = a.color_feature - b.color_feature
         value = float(diff @ self.color_metric._precision @ diff)
         return float(np.sqrt(max(0.0, value)))
 
@@ -199,7 +178,7 @@ class CrossCameraMatcher:
             dist = colors.get(key)
             if dist is None:
                 dist = colors[key] = self._color_distance(
-                    detection, member, memo
+                    detection, member
                 )
             if dist > threshold:
                 return False

@@ -81,17 +81,6 @@ class EventLog:
         self.events.append(event)
         return event
 
-    def kinds(self) -> list[str]:
-        """Distinct kinds in first-occurrence order."""
-        seen: list[str] = []
-        for event in self.events:
-            if event.kind not in seen:
-                seen.append(event.kind)
-        return seen
-
-    def by_kind(self, kind: str) -> list[TelemetryEvent]:
-        return [e for e in self.events if e.kind == kind]
-
     def __len__(self) -> int:
         return len(self.events)
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import os
+from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Iterable
 
@@ -83,16 +84,18 @@ def stream_line(
     )
 
 
-class TelemetrySink:
+class TelemetrySink(ABC):
     """Receives one record per flush; subclasses define delivery."""
 
+    @abstractmethod
     def emit(self, line: str) -> None:
         """Deliver one record, encoded once as its :func:`stream_line`."""
-        raise NotImplementedError
 
+    @abstractmethod
     def on_resume(self, first_round: int) -> None:
         """A resumed run will re-flush rounds >= ``first_round``."""
 
+    @abstractmethod
     def close(self) -> None:
         """Release any resources; further emits are undefined."""
 

@@ -225,10 +225,6 @@ class Gauge(_ScalarInstrument):
     def set(self, value: float, **labels: object) -> None:
         self._values[self._key(labels)] = float(value)
 
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        key = self._key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
-
 
 class Histogram(_Instrument):
     """Fixed-bucket distribution with per-label-set series.
@@ -269,14 +265,6 @@ class Histogram(_Instrument):
         series.bucket_counts[idx] += 1
         series.count += 1
         series.sum += value
-
-    def count(self, **labels: object) -> int:
-        series = self._series.get(self._key(labels))
-        return series.count if series else 0
-
-    def sum(self, **labels: object) -> float:
-        series = self._series.get(self._key(labels))
-        return series.sum if series else 0.0
 
     @property
     def series_count(self) -> int:
@@ -388,10 +376,6 @@ class MetricsRegistry:
 
     def get(self, name: str) -> _Instrument | None:
         return self._instruments.get(name)
-
-    @property
-    def names(self) -> list[str]:
-        return sorted(self._instruments)
 
     def series_count(self) -> int:
         """Total number of labelled series across all instruments."""

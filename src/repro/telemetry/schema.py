@@ -56,12 +56,7 @@ per camera per assessed round, ``node_id`` = the camera):
   (wanted to sleep but lost the sleep-slot ration),
   ``predicted_active`` (forecast above threshold), ``quorum``
   (rescued so at least one camera stays awake) for wakes, and
-  ``predicted_idle`` for skips;
-* ``camera_low_energy`` — a woken selected camera predicted below
-  ``low_energy_below`` was pinned to its cheapest affordable
-  detector; ``detail`` carries ``predicted``, ``threshold``,
-  ``previous`` (the selector's choice) and ``algorithm`` (the
-  low-energy profile it was rewritten to).
+  ``predicted_idle`` for skips.
 
 ``--stream-out`` (JSONL, one ``repro.stream.v1`` record per completed
 round/tick, appended atomically *during* the run, fsynced at

@@ -9,9 +9,9 @@ events (the chaos controller opens a round span when an assessment
 starts and closes it when the next one begins).
 
 The tracer is the repo's only timer: the engine's phase sections are
-spans, and the CLI's ``--perf-report`` folds them by name with
-:mod:`repro.obs.profile`.  Export is JSONL, one span per line (see
-``repro.telemetry.schema`` for the record layout).
+spans, which ``--trace-out`` writes and ``python -m repro obs
+profile`` folds with :mod:`repro.obs.profile`.  Export is JSONL, one
+span per line (see ``repro.telemetry.schema`` for the record layout).
 """
 
 from __future__ import annotations

@@ -39,10 +39,6 @@ class Track:
     truth_ids: list[int] = field(default_factory=list)
 
     @property
-    def position(self) -> np.ndarray:
-        return self.filter.position
-
-    @property
     def majority_truth_id(self) -> int | None:
         """Most frequent associated ground-truth id (evaluation only)."""
         if not self.truth_ids:

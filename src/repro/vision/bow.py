@@ -30,10 +30,6 @@ class BagOfWords:
         self._kmeans = KMeans(vocabulary_size, rng=rng)
         self._fitted = False
 
-    @property
-    def is_fitted(self) -> bool:
-        return self._fitted
-
     def fit(self, descriptors: np.ndarray) -> "BagOfWords":
         """Build the vocabulary from an ``(n, 64)`` descriptor stack."""
         descriptors = np.asarray(descriptors, dtype=float)

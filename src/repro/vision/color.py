@@ -2,12 +2,13 @@
 
 The paper extracts the Mean Color feature [26] of each detected area,
 PCA-reduces it, and ships 40 dimensions (160 bytes) per object to the
-controller for cross-camera re-identification.  Our synthetic frames
-are grayscale, so the equivalent is a 40-dimensional grid of block
-shades over the detected area: 5 columns by 8 rows, row-major, a layout
-mirroring a person's aspect ratio.  Detections carry it synthetically,
-derived from the pedestrian's clothing shade rather than cropped from
-the rendered frame.
+controller for cross-camera re-identification.  Here the 40 dimensions
+are the feature itself, compared unreduced (see DESIGN.md).  Our
+synthetic frames are grayscale, so the equivalent is a 40-dimensional
+grid of block shades over the detected area: 5 columns by 8 rows,
+row-major, a layout mirroring a person's aspect ratio.  Detections
+carry it synthetically, derived from the pedestrian's clothing shade
+rather than cropped from the rendered frame.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.vision.bow import BagOfWords
-from repro.vision.hog import HOG_DIM, hog_descriptor
+from repro.vision.hog import hog_descriptor
 from repro.vision.keypoints import extract_descriptors
 
 logger = logging.getLogger(__name__)
@@ -26,10 +26,6 @@ class FrameFeatureExtractor:
 
     def __init__(self, bow: BagOfWords) -> None:
         self.bow = bow
-
-    @property
-    def dim(self) -> int:
-        return HOG_DIM + self.bow.vocabulary_size
 
     def extract(self, image: np.ndarray) -> np.ndarray:
         """Feature vector of a single frame."""

@@ -5,12 +5,11 @@ exactly the standard 64x128 person-window layout: 8x8-pixel cells,
 9 unsigned orientation bins, 2x2-cell blocks with stride one cell
 (7 x 15 blocks x 36 values = 3780), block-wise L2-Hys normalisation.
 
-Two implementations live here.  The vectorised one (default) bins all
-gradients in a single scatter-add over flattened (cell, bin) indices
-and normalises every block at once through a sliding-window view; the
-original per-cell / per-block Python loops are kept as
-``*_reference`` functions for the equivalence tests
-(``tests/test_hog_equivalence.py`` holds them to 1e-9).
+The implementation bins all gradients in a single scatter-add over
+flattened (cell, bin) indices and normalises every block at once
+through a sliding-window view.  The per-cell / per-block Python loops
+it replaced live in ``tests/loop_references.py``, and
+``tests/test_hog_equivalence.py`` holds the two to 1e-9.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ HOG_WINDOW = (64, 128)  # (width, height)
 CELL_SIZE = 8
 BLOCK_CELLS = 2
 NUM_BINS = 9
-HOG_DIM = 3780
 
 
 def _binned_gradients(
@@ -80,25 +78,6 @@ def cell_histograms(image: np.ndarray) -> np.ndarray:
     return hist.reshape(cells_y, cells_x, NUM_BINS)
 
 
-def cell_histograms_reference(image: np.ndarray) -> np.ndarray:
-    """Original per-cell loop implementation (equivalence baseline)."""
-    magnitude, lower_bin, upper_bin, frac = _binned_gradients(image)
-    h, w = image.shape
-    cells_y, cells_x = h // CELL_SIZE, w // CELL_SIZE
-    hist = np.zeros((cells_y, cells_x, NUM_BINS))
-    for cy in range(cells_y):
-        row = slice(cy * CELL_SIZE, (cy + 1) * CELL_SIZE)
-        for cx in range(cells_x):
-            col = slice(cx * CELL_SIZE, (cx + 1) * CELL_SIZE)
-            mag = magnitude[row, col].ravel()
-            lo = lower_bin[row, col].ravel()
-            hi = upper_bin[row, col].ravel()
-            fr = frac[row, col].ravel()
-            np.add.at(hist[cy, cx], lo, mag * (1 - fr))
-            np.add.at(hist[cy, cx], hi, mag * fr)
-    return hist
-
-
 def _normalise_blocks(hist: np.ndarray) -> np.ndarray:
     """L2-Hys normalisation over 2x2-cell blocks, stride one cell.
 
@@ -121,23 +100,6 @@ def _normalise_blocks(hist: np.ndarray) -> np.ndarray:
     blocks = np.minimum(blocks, 0.2)
     norms = np.linalg.norm(blocks, axis=2, keepdims=True) + 1e-6
     return (blocks / norms).ravel()
-
-
-def _normalise_blocks_reference(hist: np.ndarray) -> np.ndarray:
-    """Original per-block loop implementation (equivalence baseline)."""
-    cells_y, cells_x, _ = hist.shape
-    blocks_y = cells_y - BLOCK_CELLS + 1
-    blocks_x = cells_x - BLOCK_CELLS + 1
-    out = []
-    for by in range(blocks_y):
-        for bx in range(blocks_x):
-            block = hist[by : by + BLOCK_CELLS, bx : bx + BLOCK_CELLS].ravel()
-            norm = np.linalg.norm(block) + 1e-6
-            block = block / norm
-            block = np.minimum(block, 0.2)
-            norm = np.linalg.norm(block) + 1e-6
-            out.append(block / norm)
-    return np.concatenate(out)
 
 
 def _prepare_window(image: np.ndarray, resize: bool) -> np.ndarray:
@@ -166,10 +128,3 @@ def hog_descriptor(image: np.ndarray, resize: bool = True) -> np.ndarray:
     image = _prepare_window(image, resize)
     return _normalise_blocks(cell_histograms(image))
 
-
-def hog_descriptor_reference(
-    image: np.ndarray, resize: bool = True
-) -> np.ndarray:
-    """The pre-vectorisation HOG pipeline, kept for equivalence tests."""
-    image = _prepare_window(image, resize)
-    return _normalise_blocks_reference(cell_histograms_reference(image))

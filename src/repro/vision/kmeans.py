@@ -5,8 +5,8 @@ vocabulary of Section V-A.
 
 The Lloyd update is vectorised (a label sort plus one grouped
 ``np.add.reduceat`` pass instead of a per-centroid mask-and-mean
-loop); the loop version is kept as
-:meth:`KMeans._update_centroids_reference` for the equivalence tests.
+loop); the loop version it replaced lives in
+``tests/loop_references.py`` for the equivalence tests.
 """
 
 from __future__ import annotations
@@ -78,17 +78,6 @@ class KMeans:
         present = sorted_labels[boundaries]
         new_centroids = np.array(centroids)
         new_centroids[present] = sums / counts[present, None]
-        return new_centroids
-
-    def _update_centroids_reference(
-        self, data: np.ndarray, labels: np.ndarray, centroids: np.ndarray
-    ) -> np.ndarray:
-        """Original per-centroid loop update (equivalence baseline)."""
-        new_centroids = np.array(centroids)
-        for idx in range(self.k):
-            members = data[labels == idx]
-            if len(members) > 0:
-                new_centroids[idx] = members.mean(axis=0)
         return new_centroids
 
     def fit(self, data: np.ndarray) -> "KMeans":

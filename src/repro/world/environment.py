@@ -58,10 +58,6 @@ class Environment:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{attr} must lie in [0, 1], got {value}")
 
-    @property
-    def megapixels(self) -> float:
-        return self.width * self.height / 1e6
-
 
 # The three evaluation environments of Section VI, with attributes taken
 # from the paper's dataset descriptions.

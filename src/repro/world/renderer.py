@@ -236,10 +236,6 @@ class Renderer:
             regions.append((float(x), float(y), float(w), float(h)))
         return regions
 
-    @property
-    def clutter_regions(self) -> list[tuple[float, float, float, float]]:
-        return list(self._clutter)
-
     # ------------------------------------------------------------------
     # Per-frame rendering
     # ------------------------------------------------------------------

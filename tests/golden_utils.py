@@ -183,10 +183,14 @@ def collect_chaos_goldens(runner) -> dict:
 TRAINING_DATASETS = (1, 2, 3)
 
 
-def training_fingerprint(library) -> dict:
-    """Every trained profile's sweep outcome and calibrator, exactly."""
+def training_fingerprint(context) -> dict:
+    """Every trained profile's sweep outcome and calibrator, exactly:
+    the library holds one item per camera, ``T-{camera_id}``."""
+    library = context.library
+    names = [f"T-{camera_id}" for camera_id in context.dataset.camera_ids]
+    assert len(library) == len(names)
     out = {}
-    for item_name in library.names:
+    for item_name in names:
         item = library.get(item_name)
         out[item_name] = {
             algorithm: {
@@ -209,7 +213,7 @@ def collect_training_goldens() -> dict:
     from repro.engine.context import shared_context
 
     return {
-        str(number): training_fingerprint(shared_context(number).library)
+        str(number): training_fingerprint(shared_context(number))
         for number in TRAINING_DATASETS
     }
 

@@ -1,4 +1,4 @@
-"""Slow-path CLI tests: the deployment and report commands."""
+"""Slow-path CLI tests: the deployment commands."""
 
 import os
 import subprocess
@@ -38,12 +38,6 @@ class TestCliDeployment:
         assert proc.returncode == 2
         assert proc.stderr.startswith("usage:")
         assert "unrecognized arguments: --workers 2" in proc.stderr
-
-    def test_fig3_command(self, capsys, runner1, dataset2):
-        code = main(["fig3"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "adaptive" in out
 
 
 class TestCliCheckpoint:
@@ -103,12 +97,19 @@ class TestCliCheckpoint:
         (["--checkpoint-every", "1"], "--checkpoint-dir"),
         (["--resume"], "--checkpoint-dir"),
         (["--crash-after", "0"], "--checkpoint-dir"),
-    ], ids=["rotate", "every", "resume", "crash-after"])
+        (["--health-degrade", "0.5"], "--resilience"),
+        (["--health-quarantine", "0.3"], "--resilience"),
+        (["--health-readmit", "0.9"], "--resilience"),
+    ], ids=[
+        "rotate", "every", "resume", "crash-after",
+        "health-degrade", "health-quarantine", "health-readmit",
+    ])
     def test_durability_flag_needs_its_prerequisite(
         self, capsys, command, flag, needed
     ):
-        """A durability flag that would do nothing alone is a usage
-        error (exit 2) naming the missing flag, before any training."""
+        """A durability or health flag that would do nothing alone is a
+        usage error (exit 2) naming the missing flag, before any
+        training."""
         with pytest.raises(SystemExit) as info:
             main(command + flag)
         assert info.value.code == 2
@@ -131,25 +132,3 @@ class TestCliSpecErrors:
                 "--wake-threshold", "1",
             ])
         assert info.value.code == f"error: {refused.value}"
-
-
-class TestCliPerfReport:
-    def test_perf_report_prints_phase_spans(self, capsys, tmp_path):
-        """`--perf-report` folds the run's spans by name and leaves
-        the run's result bytes untouched."""
-        plain = tmp_path / "plain.json"
-        reported = tmp_path / "reported.json"
-        assert main(
-            TestCliCheckpoint.BASE + ["--result-out", str(plain)]
-        ) == 0
-        capsys.readouterr()
-        assert main(
-            TestCliCheckpoint.BASE
-            + ["--perf-report", "--result-out", str(reported)]
-        ) == 0
-        out = capsys.readouterr().out
-        names = {line.split()[-1] for line in out.splitlines() if line}
-        for phase in ("detection", "reid_grouping", "assessment", "selection"):
-            assert phase in names, phase
-        assert "calibration cache" not in out
-        assert plain.read_bytes() == reported.read_bytes()

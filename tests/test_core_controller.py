@@ -46,7 +46,7 @@ def library_with(cameras=CAMERAS):
 @pytest.fixture()
 def controller():
     matcher = CrossCameraMatcher(
-        {c: Homography.identity() for c in CAMERAS},
+        {c: Homography(np.eye(3)) for c in CAMERAS},
         ground_radius=10.0,
         use_color=False,
     )

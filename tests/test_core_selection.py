@@ -1,6 +1,7 @@
 """Tests for camera-subset selection and algorithm downgrade, on
 hand-constructed assessment data with known structure."""
 
+import numpy as np
 import pytest
 
 from repro.core.accuracy import DesiredAccuracy
@@ -72,7 +73,7 @@ def make_plans(cameras=CAMERAS, budget=5.0):
 @pytest.fixture()
 def engine():
     matcher = CrossCameraMatcher(
-        {c: Homography.identity() for c in CAMERAS},
+        {c: Homography(np.eye(3)) for c in CAMERAS},
         ground_radius=10.0,
         use_color=False,
     )

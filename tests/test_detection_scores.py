@@ -16,7 +16,7 @@ class TestScoreCalibrator:
 
     def test_monotone_increasing(self, rng):
         cal = ScoreCalibrator().fit(*self._separable_data(rng))
-        probs = cal.predict_proba(np.linspace(-3, 4, 50))
+        probs = np.array([cal(s) for s in np.linspace(-3, 4, 50)])
         assert np.all(np.diff(probs) >= -1e-12)
 
     def test_separates_classes(self, rng):
@@ -26,7 +26,7 @@ class TestScoreCalibrator:
 
     def test_probabilities_in_unit_interval(self, rng):
         cal = ScoreCalibrator().fit(*self._separable_data(rng))
-        probs = cal.predict_proba(rng.normal(size=100) * 10)
+        probs = np.array([cal(s) for s in rng.normal(size=100) * 10])
         assert np.all(probs >= 0.0)
         assert np.all(probs <= 1.0)
 
@@ -60,13 +60,13 @@ class TestScoreCalibrator:
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
-            ScoreCalibrator().predict_proba(np.zeros(2))
+            ScoreCalibrator()(0.0)
 
     def test_calibration_quality(self, rng):
         """Predicted probabilities track empirical frequencies."""
         scores, labels = self._separable_data(rng, n=2000)
         cal = ScoreCalibrator().fit(scores, labels)
-        probs = cal.predict_proba(scores)
+        probs = np.array([cal(s) for s in scores])
         mid = (probs > 0.4) & (probs < 0.6)
         if mid.sum() > 20:
             assert labels[mid].mean() == pytest.approx(0.5, abs=0.2)

@@ -79,15 +79,6 @@ class TestProcessingEnergyModel:
         model = ProcessingEnergyModel(width=360, height=288)
         assert model.energy_per_frame("HOG") == pytest.approx(1.08, rel=0.02)
 
-    def test_cheapest(self):
-        model = ProcessingEnergyModel(width=360, height=288)
-        assert model.cheapest(["HOG", "ACF", "C4"]) == "ACF"
-
-    def test_cheapest_empty_raises(self):
-        model = ProcessingEnergyModel(width=360, height=288)
-        with pytest.raises(ValueError):
-            model.cheapest([])
-
     def test_rejects_bad_resolution(self):
         with pytest.raises(ValueError):
             ProcessingEnergyModel(width=0, height=100)

@@ -47,7 +47,6 @@ IDEAL_ONLY_VALUES = {
     "predictor_warmup": 2,
     "wake_probe_every": 4,
     "max_sleepers": 1,
-    "low_energy_below": 0.2,
 }
 
 

@@ -70,7 +70,7 @@ class TestFaultPlan:
             battery_faults=(BatteryFault("b", at_s=2.0, fraction=0.5),),
         )
         path = tmp_path / "plan.json"
-        plan.save(path)
+        path.write_text(json.dumps(plan.to_dict()))
         assert FaultPlan.load(path) == plan
         # Open-ended windows serialise as null, not Infinity.
         assert "Infinity" not in path.read_text()
@@ -115,7 +115,7 @@ class TestFaultPlan:
             MessageCorruption(node_a="a", rate=0.25),
         )
         path = tmp_path / "plan.json"
-        plan.save(path)
+        path.write_text(json.dumps(plan.to_dict()))
         assert FaultPlan.load(path) == plan
         assert "Infinity" not in path.read_text()
 

@@ -32,7 +32,7 @@ class TestHomographyClass:
 
     def test_identity(self):
         pt = np.array([5.0, 6.0])
-        np.testing.assert_allclose(Homography.identity().apply(pt), pt)
+        np.testing.assert_allclose(Homography(np.eye(3)).apply(pt), pt)
 
     def test_rejects_singular_matrix(self):
         with pytest.raises(HomographyError):

@@ -49,17 +49,23 @@ class TestPrincipalAngles:
             )
 
 
+def kernel_matrix(kernel, dim: int) -> np.ndarray:
+    """The explicit ``dim x dim`` kernel ``W``: the kernel applied to
+    the standard basis."""
+    return kernel.apply(np.eye(dim), np.eye(dim))
+
+
 class TestGeodesicFlowKernel:
     def test_kernel_matrix_symmetric(self, rng):
         x = random_basis(rng, 12, 3)
         z = random_basis(rng, 12, 3)
-        w = geodesic_flow_kernel(x, z).matrix()
+        w = kernel_matrix(geodesic_flow_kernel(x, z), 12)
         np.testing.assert_allclose(w, w.T, atol=1e-10)
 
     def test_kernel_positive_semidefinite(self, rng):
         x = random_basis(rng, 15, 4)
         z = random_basis(rng, 15, 4)
-        w = geodesic_flow_kernel(x, z).matrix()
+        w = kernel_matrix(geodesic_flow_kernel(x, z), 15)
         eigenvalues = np.linalg.eigvalsh(w)
         assert eigenvalues.min() > -1e-10
 
@@ -78,7 +84,7 @@ class TestGeodesicFlowKernel:
         a = rng.normal(size=(4, 12))
         b = rng.normal(size=(5, 12))
         np.testing.assert_allclose(
-            kernel.apply(a, b), a @ kernel.matrix() @ b.T, atol=1e-8
+            kernel.apply(a, b), a @ kernel_matrix(kernel, 12) @ b.T, atol=1e-8
         )
 
     def test_quadratic_matches_apply_diagonal(self, rng):

@@ -97,7 +97,6 @@ class TestTrainingGoldens:
         calibration) reproduces every profile to the last bit."""
         from repro.engine.context import shared_context
 
-        library = shared_context(number).library
-        assert training_fingerprint(library) == (
+        assert training_fingerprint(shared_context(number)) == (
             load_golden("training_results")[str(number)]
         ), f"dataset {number}'s trained library drifted from the golden"

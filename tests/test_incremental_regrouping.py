@@ -40,7 +40,7 @@ HORIZON = Homography(
 
 
 def _matcher(radius: float, use_color: bool) -> CrossCameraMatcher:
-    homographies = {camera: Homography.identity() for camera in CAMERAS}
+    homographies = {camera: Homography(np.eye(3)) for camera in CAMERAS}
     homographies["h"] = HORIZON
     return CrossCameraMatcher(
         homographies,
@@ -195,7 +195,27 @@ def _from_scratch(matcher, assessment, assignment):
     ]
 
 
-def _signature(frame_groups):
+def frame_groups(grouping, trial=None):
+    """Each frame's groups held by ``grouping``, in the order ``group``
+    returns them: now, or once ``trial`` (of the current state) is
+    committed."""
+    if trial is not None and trial.patches is None:
+        assignment = dict(grouping.assignment)
+        assignment[trial.camera_id] = trial.algorithm
+        return grouping._regroup(assignment)
+    if grouping._split is None:
+        return grouping._regroup(grouping.assignment)
+    if trial is None:
+        return [regrouping.groups for regrouping in grouping._split]
+    return [
+        regrouping.groups
+        if patch is None
+        else regrouping.groups_after(patch)
+        for regrouping, patch in zip(grouping._split, trial.patches)
+    ]
+
+
+def _signature(per_frame):
     """Group order, member order and ground points, bit for bit (repr
     round-trips a float exactly and tells -0.0 and NaN apart)."""
     return [
@@ -203,13 +223,13 @@ def _signature(frame_groups):
             ([id(det) for det in group.detections], repr(group.ground_point))
             for group in groups
         ]
-        for groups in frame_groups
+        for groups in per_frame
     ]
 
 
 def _assert_trial_exact(matcher, assessment, grouping, trial, assignment):
     expected = _from_scratch(matcher, assessment, assignment)
-    assert _signature(grouping.frame_groups(trial)) == _signature(expected)
+    assert _signature(frame_groups(grouping, trial)) == _signature(expected)
     reference = estimate_global_accuracy(expected)
     assert repr(trial.accuracy) == repr(reference)
 
@@ -258,7 +278,7 @@ class TestIncrementalRegrouping:
                 if keep:
                     grouping.commit(trial)
                     assignment = candidate
-                    assert _signature(grouping.frame_groups()) == _signature(
+                    assert _signature(frame_groups(grouping)) == _signature(
                         _from_scratch(matcher, assessment, assignment)
                     )
 
@@ -283,13 +303,13 @@ class TestIncrementalRegrouping:
         grouping = AssignmentGrouping(matcher, assessment)
         for camera in ("c1", "c2", "c3"):
             grouping.commit(grouping.trial(camera, "A"))
-        assert [len(g) for g in grouping.frame_groups()[0]] == [2, 1]
+        assert [len(g) for g in frame_groups(grouping)[0]] == [2, 1]
         trial = grouping.trial("c2", "B")
         assignment = {"c1": "A", "c2": "B", "c3": "A"}
         _assert_trial_exact(matcher, assessment, grouping, trial, assignment)
         assert [
             [id(d) for d in g.detections]
-            for g in grouping.frame_groups(trial)[0]
+            for g in frame_groups(grouping, trial)[0]
         ] == [[id(k), id(z)]]
 
     def test_stale_trial_is_refused(self):

@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.vision.kmeans import KMeans
+from tests.loop_references import update_centroids_reference
 
 
 class TestUpdateEquivalence:
@@ -12,7 +13,7 @@ class TestUpdateEquivalence:
         centroids = data[:40].copy()
         labels = km._assign(data, centroids)
         fast = km._update_centroids(data, labels, centroids)
-        slow = km._update_centroids_reference(data, labels, centroids)
+        slow = update_centroids_reference(km.k, data, labels, centroids)
         np.testing.assert_allclose(fast, slow, atol=1e-9, rtol=0)
 
     def test_empty_clusters_keep_centroid(self, rng):
@@ -22,7 +23,7 @@ class TestUpdateEquivalence:
         centroids[0] = data.mean(axis=0)  # only cluster 0 gets members
         labels = km._assign(data, centroids)
         fast = km._update_centroids(data, labels, centroids)
-        slow = km._update_centroids_reference(data, labels, centroids)
+        slow = update_centroids_reference(km.k, data, labels, centroids)
         np.testing.assert_allclose(fast, slow, atol=1e-9, rtol=0)
         # Clusters without members are untouched.
         empty = np.setdiff1d(np.arange(8), np.unique(labels))
@@ -33,7 +34,9 @@ class TestUpdateEquivalence:
         data = rng.normal(size=(1500, 8))
         fast = KMeans(20, rng=np.random.default_rng(3)).fit(data)
         slow = KMeans(20, rng=np.random.default_rng(3))
-        slow._update_centroids = slow._update_centroids_reference
+        slow._update_centroids = lambda data, labels, centroids: (
+            update_centroids_reference(slow.k, data, labels, centroids)
+        )
         slow.fit(data)
         assert fast.iterations_run == slow.iterations_run
         np.testing.assert_allclose(

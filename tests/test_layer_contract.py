@@ -27,6 +27,8 @@ identifier, reads or imports it as an attribute or name, or spells it
 as a string literal (``getattr(policy, "snapshot_state", None)``).
 Names match by their last part, so any ``.reset`` reaches every
 ``reset`` method.  Dunder methods and private classes are exempt.
+The CI ``reach`` job (``tools/reach/``) closes that gap: it records
+which functions the product workloads actually run.
 """
 
 import ast
@@ -112,8 +114,9 @@ CONTRACTS = {
 }
 
 
-def module_name(path: Path) -> str:
-    base = SRC if path.is_relative_to(SRC) else ROOT
+def module_name(path: Path, root: Path = SRC) -> str:
+    """Dotted module name of a file under ``root`` (else under ROOT)."""
+    base = root if path.is_relative_to(root) else ROOT
     relative = path.relative_to(base).with_suffix("")
     parts = list(relative.parts)
     if parts[-1] == "__init__":
@@ -121,8 +124,8 @@ def module_name(path: Path) -> str:
     return ".".join(parts)
 
 
-def imported_modules(path: Path) -> set[str]:
-    """Absolute module names imported by a source file."""
+def imported_modules(path: Path, root: Path = SRC) -> set[str]:
+    """Absolute module names imported by a source file under ``root``."""
     tree = ast.parse(path.read_text(), filename=str(path))
     imports: set[str] = set()
     for node in ast.walk(tree):
@@ -130,7 +133,7 @@ def imported_modules(path: Path) -> set[str]:
             imports.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             if node.level:  # relative: resolve against the package
-                package_parts = module_name(path).split(".")
+                package_parts = module_name(path, root).split(".")
                 if path.name != "__init__.py":
                     package_parts = package_parts[:-1]
                 base = package_parts[: len(package_parts) - node.level + 1]
@@ -146,15 +149,19 @@ def imported_modules(path: Path) -> set[str]:
     return imports
 
 
-def violations(package: str, forbidden: tuple[str, ...]) -> list[str]:
+def violations(
+    package: str, forbidden: tuple[str, ...], root: Path = SRC
+) -> list[str]:
+    """Imports of ``forbidden`` packages by ``package``'s modules under
+    source root ``root``."""
     found = []
-    package_dir = SRC / Path(*package.split("."))
+    package_dir = root / Path(*package.split("."))
     for path in sorted(package_dir.rglob("*.py")):
-        for imported in sorted(imported_modules(path)):
+        for imported in sorted(imported_modules(path, root)):
             for banned in forbidden:
                 if imported == banned or imported.startswith(banned + "."):
                     found.append(
-                        f"{module_name(path)} imports {imported} "
+                        f"{module_name(path, root)} imports {imported} "
                         f"(forbidden: {banned})"
                     )
     return found
@@ -249,10 +256,6 @@ def test_deployments_load_no_scipy_or_http_server():
 #: names is dead code: delete it with its tests, or move a test oracle
 #: into ``tests/``.
 TEST_ONLY_ALLOWED = {
-    "hog_descriptor_reference": (
-        "the loop-based oracle tests/test_hog_equivalence.py checks the "
-        "vectorised HOG against"
-    ),
     "repro.core.change_detector": (
         "the CUSUM re-match trigger of the GFK item in ROADMAP.md, which "
         "wires the module into the engine or deletes it"
@@ -343,12 +346,18 @@ def outside_tests() -> list[Path]:
     ]
 
 
-def unreached_definitions() -> list[tuple[str, str, str]]:
+def unreached_definitions(
+    extra: tuple[Path, ...] = (), extra_root: Path = SRC
+) -> list[tuple[str, str, str]]:
     """``(module, qualified name, location)`` of every public
-    ``src/repro`` definition that nothing outside tests names."""
+    ``src/repro`` definition, and of every definition in the ``extra``
+    files under source root ``extra_root``, that nothing outside tests
+    names."""
+    roots = {path: SRC for path in sorted((SRC / "repro").rglob("*.py"))}
+    roots.update({path: extra_root for path in extra})
     trees = {
         path: ast.parse(path.read_text(), filename=str(path))
-        for path in sorted((SRC / "repro").rglob("*.py"))
+        for path in roots
     }
     reached = set().union(
         *(
@@ -362,7 +371,11 @@ def unreached_definitions() -> list[tuple[str, str, str]]:
         re.findall(r"\w+", CI_FILE.read_text()),
     )
     return [
-        (module_name(path), qualified, f"{path.relative_to(ROOT)}:{line}")
+        (
+            module_name(path, roots[path]),
+            qualified,
+            f"{os.path.relpath(path, ROOT)}:{line}",
+        )
         for path, tree in trees.items()
         for line, qualified, name in public_definitions(tree)
         if name not in reached
@@ -406,41 +419,46 @@ def test_test_only_allow_list_is_current():
 
 
 class TestCheckerCatchesViolations:
-    """The contract only means something if the checker can fail."""
+    """The contract only means something if the checker can fail.
+
+    Canaries live in a source root under ``tmp_path``, never in
+    ``src/``, so a suite running beside this one never sees them.
+    """
+
+    @staticmethod
+    def _canary(root: Path, package: str, source: str) -> Path:
+        bad = root / Path(*package.split(".")) / "_contract_canary.py"
+        bad.parent.mkdir(parents=True)
+        bad.write_text(source)
+        return bad
 
     def test_plain_import_detected(self, tmp_path):
-        bad = SRC / "repro" / "engine" / "_contract_canary.py"
-        bad.write_text("import repro.experiments.fig4\n")
-        try:
-            assert violations("repro.engine", ("repro.experiments",))
-        finally:
-            bad.unlink()
+        self._canary(
+            tmp_path, "repro.engine", "import repro.experiments.fig4\n"
+        )
+        assert violations("repro.engine", ("repro.experiments",), tmp_path)
 
     def test_from_import_detected(self, tmp_path):
-        bad = SRC / "repro" / "engine" / "_contract_canary.py"
-        bad.write_text("from repro.experiments import fig4\n")
-        try:
-            assert violations("repro.engine", ("repro.experiments",))
-        finally:
-            bad.unlink()
+        self._canary(
+            tmp_path, "repro.engine", "from repro.experiments import fig4\n"
+        )
+        assert violations("repro.engine", ("repro.experiments",), tmp_path)
 
-    def test_relative_import_resolved(self):
+    def test_relative_import_resolved(self, tmp_path):
         """Relative imports resolve to absolute names before matching."""
-        bad = SRC / "repro" / "experiments" / "_contract_canary.py"
-        bad.write_text("from . import fig4\n")
-        try:
-            resolved = imported_modules(bad)
-            assert "repro.experiments.fig4" in resolved
-        finally:
-            bad.unlink()
+        bad = self._canary(
+            tmp_path, "repro.experiments", "from . import fig4\n"
+        )
+        assert "repro.experiments.fig4" in imported_modules(bad, tmp_path)
 
-    def test_test_only_definition_detected(self):
+    def test_test_only_definition_detected(self, tmp_path):
         assert "canary_only_tests_call" in self._unreached_in_canary(
-            "def canary_only_tests_call():\n    pass\n"
+            tmp_path, "def canary_only_tests_call():\n    pass\n"
         )
 
-    def test_test_only_method_detected(self):
+    def test_test_only_method_detected(self, tmp_path):
         unreached = self._unreached_in_canary(
+            tmp_path,
             "class Canary:\n"
             "    def only_tests_call(self):\n"
             "        pass\n"
@@ -451,23 +469,19 @@ class TestCheckerCatchesViolations:
         assert "Canary.only_tests_call" in unreached
         assert "Canary.__repr__" not in unreached  # dunders are exempt
 
-    def test_test_only_constant_detected(self):
+    def test_test_only_constant_detected(self, tmp_path):
         assert "CANARY_ONLY_TESTS_READ" in self._unreached_in_canary(
-            "CANARY_ONLY_TESTS_READ = 1\n"
+            tmp_path, "CANARY_ONLY_TESTS_READ = 1\n"
         )
 
-    @staticmethod
-    def _unreached_in_canary(source: str) -> set[str]:
-        bad = SRC / "repro" / "engine" / "_contract_canary.py"
-        bad.write_text(source)
-        try:
-            return {
-                qualified
-                for module, qualified, _ in unreached_definitions()
-                if module == "repro.engine._contract_canary"
-            }
-        finally:
-            bad.unlink()
+    @classmethod
+    def _unreached_in_canary(cls, root: Path, source: str) -> set[str]:
+        bad = cls._canary(root, "repro.engine", source)
+        return {
+            qualified
+            for module, qualified, _ in unreached_definitions((bad,), root)
+            if module == "repro.engine._contract_canary"
+        }
 
     def test_shim_import_detected(self, tmp_path):
         bad = tmp_path / "uses_shim.py"

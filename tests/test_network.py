@@ -89,12 +89,6 @@ class TestMessages:
         )
         assert msg.size_bytes == 64 + 3 * 172
 
-    def test_assignment_active_flag(self):
-        active = AlgorithmAssignment(sender="a", recipient="b", algorithm="HOG")
-        idle = AlgorithmAssignment(sender="a", recipient="b", algorithm=None)
-        assert active.active
-        assert not idle.active
-
     def test_kind(self):
         msg = EnergyReport(sender="a", recipient="b")
         assert msg.kind == "EnergyReport"

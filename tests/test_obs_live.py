@@ -54,6 +54,12 @@ class SubscriberSink(TelemetrySink):
         if self.callback is not None:
             self.callback(record)
 
+    def on_resume(self, first_round):
+        pass
+
+    def close(self):
+        pass
+
     @property
     def last(self):
         return self.records[-1] if self.records else None
@@ -261,7 +267,7 @@ class TestFlushRound:
     def test_flushed_line_equals_dumps_of_rebuilt_record(self):
         """The line spliced from the cached metrics encoding is the
         record rebuilt from ``snapshot()``, encoded whole."""
-        class LineSink(TelemetrySink):
+        class LineSink(SubscriberSink):
             def __init__(self):
                 self.lines = []
 

@@ -67,6 +67,10 @@ def run_predictive(context, wake: PredictiveConfig, telemetry=None):
     return engine.run(PredictivePolicy(wake), budget=2.0, **WINDOW)
 
 
+def _events(telemetry, kind: str) -> list:
+    return [e for e in telemetry.events.events if e.kind == kind]
+
+
 # ----------------------------------------------------------------------
 # repro.predictive: regressors
 # ----------------------------------------------------------------------
@@ -144,7 +148,6 @@ class TestPredictiveConfig:
             dict(predictor_warmup=0),
             dict(probe_every=0),
             dict(max_sleepers=0),
-            dict(low_energy_below=0.0),
             dict(forgetting=0.0),
             dict(forgetting=1.5),
         ],
@@ -230,8 +233,8 @@ class TestWakeGate:
         _, telemetry = sleepy_run
         rounds = 6
         cameras = len(context.dataset.camera_ids)
-        wakes = telemetry.events.by_kind("camera_wake")
-        skips = telemetry.events.by_kind("camera_skip")
+        wakes = _events(telemetry, "camera_wake")
+        skips = _events(telemetry, "camera_skip")
         assert len(wakes) + len(skips) == rounds * cameras
         assert skips, "sleepy config never slept"
         assert {e.detail["reason"] for e in skips} == {"predicted_idle"}
@@ -244,13 +247,13 @@ class TestWakeGate:
 
     def test_warmup_rounds_never_skip(self, sleepy_run):
         _, telemetry = sleepy_run
-        skips = telemetry.events.by_kind("camera_skip")
+        skips = _events(telemetry, "camera_skip")
         assert min(e.detail["round"] for e in skips) >= 2
 
     def test_rationing_caps_concurrent_sleepers(self, sleepy_run):
         _, telemetry = sleepy_run
         by_round: dict[int, int] = {}
-        for event in telemetry.events.by_kind("camera_skip"):
+        for event in _events(telemetry, "camera_skip"):
             by_round[event.detail["round"]] = (
                 by_round.get(event.detail["round"], 0) + 1
             )
@@ -258,7 +261,7 @@ class TestWakeGate:
         assert max(by_round.values()) <= 1
         rationed = [
             e
-            for e in telemetry.events.by_kind("camera_wake")
+            for e in _events(telemetry, "camera_wake")
             if e.detail["reason"] == "rationed"
         ]
         assert rationed, "cap never had to ration"
@@ -277,7 +280,7 @@ class TestWakeGate:
             ),
             telemetry=telemetry,
         )
-        wakes = telemetry.events.by_kind("camera_wake")
+        wakes = _events(telemetry, "camera_wake")
         quorum = [e for e in wakes if e.detail["reason"] == "quorum"]
         assert quorum, "quorum rescue never triggered"
         cameras = len(context.dataset.camera_ids)
@@ -289,32 +292,10 @@ class TestWakeGate:
             assert len(awake) == 1
             skips = [
                 e
-                for e in telemetry.events.by_kind("camera_skip")
+                for e in _events(telemetry, "camera_skip")
                 if e.detail["round"] == round_index
             ]
             assert len(skips) == cameras - 1
-
-    def test_low_energy_downgrade_emits_and_saves(self, context):
-        telemetry = Telemetry(run_id="cheap")
-        # Never sleep (threshold 0) but downgrade everything the
-        # regressors consider quiet relative to a huge bar: the
-        # PCA-RECT-style companion profile path.
-        cheap = run_predictive(
-            context,
-            PredictiveConfig(
-                wake_threshold=0.0,
-                predictor_warmup=2,
-                low_energy_below=9.0,
-            ),
-            telemetry=telemetry,
-        )
-        downgrades = telemetry.events.by_kind("camera_low_energy")
-        assert downgrades, "low-energy gate never fired"
-        for event in downgrades:
-            assert event.detail["algorithm"] != event.detail["previous"]
-        engine = DeploymentEngine(context, seed=2017)
-        subset = engine.run("subset", budget=2.0, **WINDOW)
-        assert cheap.energy_joules < subset.energy_joules
 
     def test_observations_come_from_assessments(self, context):
         """The feature extractor reads the same assessment the

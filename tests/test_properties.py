@@ -133,7 +133,7 @@ class TestGfkProperties:
         beta = int(rng.integers(1, min(5, alpha // 2 + 1)))
         x = orthonormalize(rng.normal(size=(alpha, beta)))
         z = orthonormalize(rng.normal(size=(alpha, beta)))
-        w = geodesic_flow_kernel(x, z).matrix()
+        w = geodesic_flow_kernel(x, z).apply(np.eye(alpha), np.eye(alpha))
         np.testing.assert_allclose(w, w.T, atol=1e-9)
         assert np.linalg.eigvalsh(w).min() > -1e-9
 

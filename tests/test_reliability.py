@@ -178,7 +178,7 @@ class TestDeterminism:
         assert _report().seq == UNSEQUENCED
 
     def test_rejects_bad_parameters(self):
-        node = Node("x")
+        node = Endpoint("x", reliable=False)
         with pytest.raises(ValueError):
             ReliableTransport(node, timeout_s=0.0)
         with pytest.raises(ValueError):

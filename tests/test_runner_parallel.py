@@ -9,7 +9,7 @@ guarantee.
 import numpy as np
 
 from repro.engine import DeploymentEngine, DeploymentSpec
-from repro.obs.profile import fold_by_name
+from repro.obs.profile import PATH_SEPARATOR, fold_spans
 from repro.telemetry import Telemetry
 
 
@@ -40,8 +40,8 @@ class TestRunnerWorkers:
         )
         engine.run("full", budget=2.0, start=1000, end=1300)
         entries = {
-            entry.path: entry
-            for entry in fold_by_name(
+            entry.path.rsplit(PATH_SEPARATOR, 1)[-1]: entry
+            for entry in fold_spans(
                 list(engine.telemetry.tracer.iter_records())
             )
         }

@@ -32,12 +32,11 @@ class TestInstruments:
         with pytest.raises(MetricError):
             reg.counter("c_total").inc(-1.0)
 
-    def test_gauge_set_inc_dec(self):
+    def test_gauge_set_overwrites(self):
         reg = MetricsRegistry()
         g = reg.gauge("level")
         g.set(5.0)
-        g.inc(2.0)
-        g.inc(-3.0)
+        g.set(4.0)
         assert reg.snapshot()["metrics"][0]["series"][0]["value"] == 4.0
 
     def test_histogram_buckets_cumulative_in_text(self):
@@ -195,7 +194,7 @@ _label_values = st.one_of(
 )
 _traffic = st.lists(
     st.tuples(
-        st.sampled_from(sorted(_ENCODED) + ["gauge_inc", "merge"]),
+        st.sampled_from(sorted(_ENCODED) + ["gauge_set", "merge"]),
         _label_values,
         _label_values,
         _edge_floats,
@@ -225,8 +224,8 @@ def _record(reg, name, tag, zone, amount):
 
 def _play(reg, traffic):
     for op, tag, zone, amount in traffic:
-        if op == "gauge_inc":
-            reg.gauge("g_tagged", '"g_tagged" \\ help', labels=("tag",)).inc(
+        if op == "gauge_set":
+            reg.gauge("g_tagged", '"g_tagged" \\ help', labels=("tag",)).set(
                 amount, tag=tag
             )
         elif op == "merge":

